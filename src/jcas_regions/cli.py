@@ -12,10 +12,12 @@ Subcommands::
     simulate <file> --px ... --n N --seed S --tol T
     crosscheck --q Q --alpha A --p P --tol T
 
-Exit status: 0 on success, 1 on domain or validation failure, 2 on usage
-errors.  All numeric output uses 12 significant digits and identical
-invocations produce byte-identical output; ``--out`` writes atomically
-(write then rename).
+Exit status: 0 on success, 1 on domain or validation failure (including an
+``--out`` that cannot be written), 2 on usage errors.  All numeric output
+uses 12 significant digits and identical invocations produce byte-identical
+output; ``--out`` writes atomically (write then rename).  ``region``
+evaluates designs serially; ``--threads`` is accepted for compatibility and
+has no effect on output or speed.
 """
 
 from __future__ import annotations
@@ -60,11 +62,18 @@ def _nonnegative(text: str) -> float:
     return v
 
 
-def _positive_int(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     try:
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if v < 0:
+        raise argparse.ArgumentTypeError("value must be a nonnegative integer")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    v = _nonnegative_int(text)
     if v < 1:
         raise argparse.ArgumentTypeError("value must be a positive integer")
     return v
@@ -112,9 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=regions.MODES, required=True)
     p.add_argument("--grid", type=_grid, default=16)
     p.add_argument("--samples", type=_positive_int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--convexify", action="store_true")
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted for compatibility; evaluation is serial")
     p.add_argument("--out")
 
     p = sub.add_parser("example", help="closed-form binary example sweep CSV")
@@ -133,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--px", type=_px, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--tol", type=_nonnegative, required=True)
 
     p = sub.add_parser("crosscheck", help="closed form vs tensor evaluation")
@@ -287,15 +297,18 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcas-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcas-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise JcasError(f"cannot write {out}: {e.strerror}") from None
 
 
 def main(argv=None) -> int:

@@ -7,8 +7,7 @@ mutual informations are in bits, with the convention 0*log(0) = 0; masses
 below ``1e-300`` are treated as exact zeros to keep denormal noise out of
 the logs.
 
-Everything here is a pure function over immutable tensors and is safe to
-call from concurrent sweep workers.
+Everything here is a pure function over immutable tensors.
 """
 
 from __future__ import annotations

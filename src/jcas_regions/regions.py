@@ -15,7 +15,7 @@ per-design bounds, not a converse region; they are labelled as such.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +58,6 @@ R1_GRID = 33
 
 #: Strictness margin used by Pareto dominance.
 DOMINANCE_EPS = 1e-12
-
-MODES = (
-    "ps_inner", "ps_outer", "ps_exact_deg", "ps_exact_rev",
-    "single_inner", "single_outer", "single_exact_deg", "single_exact_rev",
-)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -148,21 +143,6 @@ def _distortions(spec: ChannelSpec, p_x) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _require_constant_u(design: InputDesign) -> None:
-    if design.nu != 1:
-        raise DomainError("this region requires a constant U auxiliary")
-
-
-def _require(spec, tol, physically: bool) -> None:
-    cls = classify_degradedness(spec, tol)
-    if physically and not cls.is_physically_degraded:
-        raise NotDegraded(
-            f"channel is not physically degraded (residual {cls.residual_phys:.3g})")
-    if not physically and not cls.is_reversely_degraded:
-        raise NotDegraded(
-            f"channel is not reversely degraded (residual {cls.residual_rev:.3g})")
-
-
 def _ps_points(r1max: float, r2_cap: float, i_v_y1: float,
                d1: float, d2: float, tag: str) -> list[RegionPoint]:
     # Corner trade-off: r2 = min(r2_cap, i_v_y1 - r1) along an r1 grid.
@@ -180,6 +160,113 @@ def _ps_points(r1max: float, r2_cap: float, i_v_y1: float,
     return points
 
 
+# Rate terms.  Each reads (r1 bound, secrecy cap, total-rate budget) off the
+# joint; v names the auxiliary the bound is taken over ("V", or "X" when the
+# mode fixes V = X).  Single-message modes ignore the r1 bound.
+
+
+def _inner_ps_terms(joint, v):
+    r1max = mutual_information(joint, "U", "Y1", "S1")
+    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
+    r2_cap = pos_part(
+        mutual_information(joint, v, "Y1", ("S1", "U"))
+        - mutual_information(joint, v, "Y2", ("S2", "U"))
+    ) + entropy(joint, "Y1", ("Y2", "S2", v))
+    return r1max, r2_cap, i_v_y1
+
+
+def _inner_single_terms(joint, v):
+    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
+    rpp = pos_part(i_v_y1 - mutual_information(joint, v, "Y2", "S2")) \
+        + entropy(joint, "Y1", ("Y2", "S2", v))
+    return i_v_y1, rpp, i_v_y1
+
+
+def _outer_terms(joint, v):
+    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
+    cap = entropy(joint, ("Y1", "S1"), ("Y2", "S2")) \
+        - entropy(joint, "S1", ("Y1", "Y2", "S2", v))
+    return i_v_y1, cap, i_v_y1
+
+
+def _reverse_terms(joint, v):
+    # On reversely-degraded channels the secrecy cap collapses to H(Y1|Y2,S2).
+    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
+    return i_v_y1, entropy(joint, "Y1", ("Y2", "S2")), i_v_y1
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """Everything that tells one region mode apart from the others."""
+
+    ps: bool                 # (r1, r2) points, else one single-message rate r
+    aux: str                 # auxiliaries a sweep samples: "" (V = X), "V", "UV"
+    degraded: str            # required degradedness: "", "physically", "reversely"
+    v_cap: str | None        # CardinalityCaps field that bounds |V|
+    constant_u: bool         # refuse a non-constant U rather than ignore it
+    terms: Callable          # (joint, v) -> (r1 bound, secrecy cap, budget)
+
+
+_MODE_TABLE = {
+    "ps_inner": _Mode(True, "UV", "", "v_inner", False, _inner_ps_terms),
+    "ps_outer": _Mode(True, "V", "", "v_outer", False, _outer_terms),
+    "ps_exact_deg": _Mode(True, "V", "physically", "v_outer", True, _outer_terms),
+    "ps_exact_rev": _Mode(True, "V", "reversely", "v_reverse", True, _reverse_terms),
+    "single_inner": _Mode(False, "V", "", "v_outer", True, _inner_single_terms),
+    "single_outer": _Mode(False, "", "", None, False, _outer_terms),
+    "single_exact_deg": _Mode(False, "", "physically", None, False, _outer_terms),
+    "single_exact_rev": _Mode(False, "", "reversely", None, False, _reverse_terms),
+}
+
+MODES = tuple(_MODE_TABLE)
+
+
+def _require(spec: ChannelSpec, mode: _Mode, tol: float) -> None:
+    if not mode.degraded:
+        return
+    cls = classify_degradedness(spec, tol)
+    if mode.degraded == "physically":
+        ok, residual = cls.is_physically_degraded, cls.residual_phys
+    else:
+        ok, residual = cls.is_reversely_degraded, cls.residual_rev
+    if not ok:
+        raise NotDegraded(
+            f"channel is not {mode.degraded} degraded (residual {residual:.3g})")
+
+
+def _evaluate(spec: ChannelSpec, mode: _Mode, design: InputDesign,
+              tag: str | None,
+              d12: tuple[float, float] | None = None) -> list[RegionPoint]:
+    """Points of one design under ``mode``; degradedness is the caller's
+    job.  ``d12`` passes in the distortions of ``design.p_x`` when known."""
+    caps = cardinality_caps(spec)
+    if mode.aux == "UV" and design.nu > caps.u:
+        raise CardinalityExceeded(f"|U| = {design.nu} exceeds the cap {caps.u}")
+    if mode.constant_u and design.nu != 1:
+        raise DomainError("this region requires a constant U auxiliary")
+    if mode.v_cap is not None and design.nv > getattr(caps, mode.v_cap):
+        raise CardinalityExceeded(
+            f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
+    joint = build_joint(spec, design)
+    r1max, cap, budget = mode.terms(joint, "V" if mode.aux else "X")
+    d1, d2 = d12 if d12 is not None else _distortions(spec, design.p_x)
+    tag = tag if tag is not None else _auto_tag(design)
+    if mode.ps:
+        return _ps_points(r1max, cap, budget, d1, d2, tag)
+    return [RegionPoint(r=max(0.0, min(cap, budget)), d1=d1, d2=d2,
+                        design_tag=tag)]
+
+
+def _direct(name: str, spec: ChannelSpec, design, design_tag: str | None,
+            tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
+    # Modes with V = X take a bare P_X in place of a design.
+    mode = _MODE_TABLE[name]
+    _require(spec, mode, tol)
+    if not mode.aux:
+        design = InputDesign(p_x=np.asarray(design, dtype=float))
+    return _evaluate(spec, mode, design, design_tag)
+
+
 def inner_bound_ps(spec: ChannelSpec, design: InputDesign,
                    design_tag: str | None = None) -> list[RegionPoint]:
     """Achievable (r1, r2, d1, d2) corner points for one auxiliary design.
@@ -188,51 +275,25 @@ def inner_bound_ps(spec: ChannelSpec, design: InputDesign,
     the secrecy term [I(V;Y1|S1,U) - I(V;Y2|S2,U)]^+ + H(Y1|Y2,S2,V) and by
     the total-rate budget I(V;Y1|S1) - r1.
     """
-    caps = cardinality_caps(spec)
-    if design.nu > caps.u:
-        raise CardinalityExceeded(f"|U| = {design.nu} exceeds the cap {caps.u}")
-    if design.nv > caps.v_inner:
-        raise CardinalityExceeded(f"|V| = {design.nv} exceeds the cap {caps.v_inner}")
-    joint = build_joint(spec, design)
-    r1max = mutual_information(joint, "U", "Y1", "S1")
-    i_v_y1 = mutual_information(joint, "V", "Y1", "S1")
-    r2_cap = pos_part(
-        mutual_information(joint, "V", "Y1", ("S1", "U"))
-        - mutual_information(joint, "V", "Y2", ("S2", "U"))
-    ) + entropy(joint, "Y1", ("Y2", "S2", "V"))
-    d1, d2 = _distortions(spec, design.p_x)
-    tag = design_tag if design_tag is not None else _auto_tag(design)
-    return _ps_points(r1max, r2_cap, i_v_y1, d1, d2, tag)
-
-
-def _outer_ps_terms(spec: ChannelSpec, design: InputDesign):
-    joint = build_joint(spec, design)
-    i_v_y1 = mutual_information(joint, "V", "Y1", "S1")
-    r2_cap = entropy(joint, ("Y1", "S1"), ("Y2", "S2")) \
-        - entropy(joint, "S1", ("Y1", "Y2", "S2", "V"))
-    return i_v_y1, r2_cap
+    return _direct("ps_inner", spec, design, design_tag)
 
 
 def outer_bound_ps(spec: ChannelSpec, design: InputDesign,
                    design_tag: str | None = None) -> list[RegionPoint]:
     """Converse corner points for one design: r1 <= I(V;Y1|S1) and
-    r2 <= min(H(Y1,S1|Y2,S2) - H(S1|Y1,Y2,S2,V), I(V;Y1|S1) - r1)."""
-    caps = cardinality_caps(spec)
-    if design.nv > caps.v_outer:
-        raise CardinalityExceeded(f"|V| = {design.nv} exceeds the cap {caps.v_outer}")
-    i_v_y1, r2_cap = _outer_ps_terms(spec, design)
-    d1, d2 = _distortions(spec, design.p_x)
-    tag = design_tag if design_tag is not None else _auto_tag(design)
-    return _ps_points(i_v_y1, r2_cap, i_v_y1, d1, d2, tag)
+    r2 <= min(H(Y1,S1|Y2,S2) - H(S1|Y1,Y2,S2,V), I(V;Y1|S1) - r1).
+
+    The bound does not involve U, so a non-constant U is accepted and
+    ignored.
+    """
+    return _direct("ps_outer", spec, design, design_tag)
 
 
 def exact_region_degraded_ps(spec: ChannelSpec, design: InputDesign,
                              design_tag: str | None = None,
                              tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
     """Exact trade-off for physically-degraded channels (constant U)."""
-    _require(spec, tol, physically=True)
-    _require_constant_u(design)
-    return outer_bound_ps(spec, design, design_tag)
+    return _direct("ps_exact_deg", spec, design, design_tag, tol)
 
 
 def exact_region_reverse_ps(spec: ChannelSpec, design: InputDesign,
@@ -240,54 +301,19 @@ def exact_region_reverse_ps(spec: ChannelSpec, design: InputDesign,
                             tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
     """Exact trade-off for reversely-degraded channels: the secrecy cap
     collapses to H(Y1|Y2,S2)."""
-    _require(spec, tol, physically=False)
-    _require_constant_u(design)
-    caps = cardinality_caps(spec)
-    if design.nv > caps.v_reverse:
-        raise CardinalityExceeded(
-            f"|V| = {design.nv} exceeds the cap {caps.v_reverse}")
-    joint = build_joint(spec, design)
-    i_v_y1 = mutual_information(joint, "V", "Y1", "S1")
-    r2_cap = entropy(joint, "Y1", ("Y2", "S2"))
-    d1, d2 = _distortions(spec, design.p_x)
-    tag = design_tag if design_tag is not None else _auto_tag(design)
-    return _ps_points(i_v_y1, r2_cap, i_v_y1, d1, d2, tag)
+    return _direct("ps_exact_rev", spec, design, design_tag, tol)
 
 
 def inner_bound_single(spec: ChannelSpec, design: InputDesign,
                        design_tag: str | None = None) -> list[RegionPoint]:
     """Achievable secret rate for one design, single-message mode."""
-    _require_constant_u(design)
-    caps = cardinality_caps(spec)
-    if design.nv > caps.v_outer:
-        raise CardinalityExceeded(f"|V| = {design.nv} exceeds the cap {caps.v_outer}")
-    joint = build_joint(spec, design)
-    i_v_y1 = mutual_information(joint, "V", "Y1", "S1")
-    rpp = pos_part(i_v_y1 - mutual_information(joint, "V", "Y2", "S2")) \
-        + entropy(joint, "Y1", ("Y2", "S2", "V"))
-    r = max(0.0, min(rpp, i_v_y1))
-    d1, d2 = _distortions(spec, design.p_x)
-    tag = design_tag if design_tag is not None else _auto_tag(design)
-    return [RegionPoint(r=r, d1=d1, d2=d2, design_tag=tag)]
-
-
-def _outer_single_terms(spec: ChannelSpec, p_x):
-    joint = build_joint(spec, InputDesign(p_x=np.asarray(p_x, dtype=float)))
-    i_x_y1 = mutual_information(joint, "X", "Y1", "S1")
-    cap = entropy(joint, ("Y1", "S1"), ("Y2", "S2")) \
-        - entropy(joint, "S1", ("Y1", "Y2", "S2", "X"))
-    return i_x_y1, cap
+    return _direct("single_inner", spec, design, design_tag)
 
 
 def outer_bound_single(spec: ChannelSpec, p_x,
                        design_tag: str | None = None) -> RegionPoint:
     """Converse rate bound for one input law, single-message mode."""
-    i_x_y1, cap = _outer_single_terms(spec, p_x)
-    r = max(0.0, min(cap, i_x_y1))
-    d1, d2 = _distortions(spec, p_x)
-    tag = design_tag if design_tag is not None else \
-        _auto_tag(InputDesign(p_x=np.asarray(p_x, dtype=float)))
-    return RegionPoint(r=r, d1=d1, d2=d2, design_tag=tag)
+    return _direct("single_outer", spec, p_x, design_tag)[0]
 
 
 def exact_region_degraded_single(spec: ChannelSpec, p_x,
@@ -298,22 +324,14 @@ def exact_region_degraded_single(spec: ChannelSpec, p_x,
     Identical formula to :func:`outer_bound_single`; degradedness is what
     makes the bound tight, so it is enforced here.
     """
-    _require(spec, tol, physically=True)
-    return outer_bound_single(spec, p_x, design_tag)
+    return _direct("single_exact_deg", spec, p_x, design_tag, tol)[0]
 
 
 def exact_region_reverse_single(spec: ChannelSpec, p_x,
                                 design_tag: str | None = None,
                                 tol: float = DEGRADEDNESS_TOL) -> RegionPoint:
     """Exact single-message trade-off for reversely-degraded channels."""
-    _require(spec, tol, physically=False)
-    joint = build_joint(spec, InputDesign(p_x=np.asarray(p_x, dtype=float)))
-    i_x_y1 = mutual_information(joint, "X", "Y1", "S1")
-    r = max(0.0, min(entropy(joint, "Y1", ("Y2", "S2")), i_x_y1))
-    d1, d2 = _distortions(spec, p_x)
-    tag = design_tag if design_tag is not None else \
-        _auto_tag(InputDesign(p_x=np.asarray(p_x, dtype=float)))
-    return RegionPoint(r=r, d1=d1, d2=d2, design_tag=tag)
+    return _direct("single_exact_rev", spec, p_x, design_tag, tol)[0]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -322,7 +340,8 @@ class SearchConfig:
 
     grid_step fixes the P_X simplex grid (step 1/grid_step); n_samples
     counts the random auxiliary-channel draws per grid point in modes that
-    use auxiliaries.  Cardinality overrides may only lower the caps.
+    use auxiliaries.  Cardinality overrides may only lower the caps, and
+    must be at least 1; the seed must be nonnegative.
     """
 
     mode: str
@@ -338,6 +357,12 @@ class SearchConfig:
             raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.n_samples < 1:
             raise DomainError("n_samples must be at least 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("nu", "nv"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise DomainError(f"{name} must be at least 1, got {value}")
 
 
 def _simplex_grid(k: int, step: int):
@@ -351,57 +376,6 @@ def _simplex_grid(k: int, step: int):
                 yield (first,) + rest
 
     return [np.array(c, dtype=float) / step for c in compositions(step, k)]
-
-
-# mode -> (arity, needs_v, needs_u, requires-physical, requires-reverse)
-_MODE_INFO = {
-    "ps_inner": ("ps", True, True, False, False),
-    "ps_outer": ("ps", True, False, False, False),
-    "ps_exact_deg": ("ps", True, False, True, False),
-    "ps_exact_rev": ("ps", True, False, False, True),
-    "single_inner": ("single", True, False, False, False),
-    "single_outer": ("single", False, False, False, False),
-    "single_exact_deg": ("single", False, False, True, False),
-    "single_exact_rev": ("single", False, False, False, True),
-}
-
-
-def _sweep_cardinalities(spec: ChannelSpec, cfg: SearchConfig) -> tuple[int, int]:
-    caps = cardinality_caps(spec)
-    v_cap = {
-        "ps_inner": caps.v_inner,
-        "ps_outer": caps.v_outer,
-        "ps_exact_deg": caps.v_outer,
-        "ps_exact_rev": caps.v_reverse,
-        "single_inner": caps.v_outer,
-    }.get(cfg.mode, 1)
-    nv = v_cap if cfg.nv is None else cfg.nv
-    if nv > v_cap:
-        raise CardinalityExceeded(f"|V| override {nv} exceeds the cap {v_cap}")
-    nu = caps.u if cfg.nu is None else cfg.nu
-    if nu > caps.u:
-        raise CardinalityExceeded(f"|U| override {nu} exceeds the cap {caps.u}")
-    return max(nv, 1), max(nu, 1)
-
-
-def _evaluate_design(spec, mode, design, tag, tol):
-    if mode == "ps_inner":
-        return inner_bound_ps(spec, design, tag)
-    if mode == "ps_outer":
-        return outer_bound_ps(spec, design, tag)
-    if mode == "ps_exact_deg":
-        return exact_region_degraded_ps(spec, design, tag, tol)
-    if mode == "ps_exact_rev":
-        return exact_region_reverse_ps(spec, design, tag, tol)
-    if mode == "single_inner":
-        return inner_bound_single(spec, design, tag)
-    if mode == "single_outer":
-        return [outer_bound_single(spec, design.p_x, tag)]
-    if mode == "single_exact_deg":
-        return [exact_region_degraded_single(spec, design.p_x, tag, tol)]
-    if mode == "single_exact_rev":
-        return [exact_region_reverse_single(spec, design.p_x, tag, tol)]
-    raise DomainError(f"unknown mode {mode!r}")
 
 
 def _sort_key(p: RegionPoint):
@@ -443,50 +417,44 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
     means growing n_samples only extends the stream: points found with a
     shorter prefix are never produced differently.
 
-    Evaluations are independent and run on a thread pool when threads > 1;
-    results are merged in canonical design order, so the worker count never
-    changes the output.  With ``convexify`` set, time-sharing mixtures
-    between neighbouring retained points are added before the final filter.
+    Degradedness is checked once per sweep and the distortions once per
+    P_X grid point.  Evaluation is serial: ``threads`` is accepted for
+    compatibility and changes neither the output nor the speed.  With
+    ``convexify`` set, time-sharing mixtures between neighbouring retained
+    points are added before the final filter.
     """
     if cfg.grid_step < 2:
         raise EmptyGrid(f"grid_step must be at least 2, got {cfg.grid_step}")
-    _, needs_v, needs_u, req_phys, req_rev = _MODE_INFO[cfg.mode]
-    if req_phys:
-        _require(spec, tol, physically=True)
-    if req_rev:
-        _require(spec, tol, physically=False)
+    mode = _MODE_TABLE[cfg.mode]
+    _require(spec, mode, tol)
 
     px_grid = _simplex_grid(spec.nx, cfg.grid_step)
-    if needs_v:
-        nv, nu = _sweep_cardinalities(spec, cfg)
+    samples = [(0, None, None)]
+    if mode.aux:
+        caps = cardinality_caps(spec)
+        v_cap = getattr(caps, mode.v_cap)
+        nv = v_cap if cfg.nv is None else cfg.nv
+        if nv > v_cap:
+            raise CardinalityExceeded(f"|V| override {nv} exceeds the cap {v_cap}")
+        nu = caps.u if cfg.nu is None else cfg.nu
+        if nu > caps.u:
+            raise CardinalityExceeded(f"|U| override {nu} exceeds the cap {caps.u}")
         rng = np.random.default_rng(cfg.seed)
         samples = []
         for k in range(cfg.n_samples):
             p_v = rng.dirichlet(np.ones(nv), size=spec.nx)
-            p_u = rng.dirichlet(np.ones(nu), size=nv) if needs_u else None
+            p_u = rng.dirichlet(np.ones(nu), size=nv) if mode.aux == "UV" else None
             samples.append((k, p_v, p_u))
-    else:
-        samples = [(0, None, None)]
 
-    jobs = []
+    points = []
     for px in px_grid:
         px_tag = "|".join(_fmt(v) for v in px)
+        d12 = _distortions(spec, px)
         for k, p_v, p_u in samples:
             design = InputDesign(p_x=px, p_v_given_x=p_v, p_u_given_v=p_u)
-            tag = f"px={px_tag}" + (f";s={k}" if needs_v else "")
-            jobs.append((design, tag))
+            tag = f"px={px_tag}" + (f";s={k}" if mode.aux else "")
+            points += _evaluate(spec, mode, design, tag, d12)
 
-    def run(job):
-        design, tag = job
-        return _evaluate_design(spec, cfg.mode, design, tag, tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
-    points = [p for chunk in results for p in chunk]
     frontier = pareto_filter(points)
     if cfg.convexify and len(frontier) > 1:
         frontier = pareto_filter(frontier + _mixtures(frontier))

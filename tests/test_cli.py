@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jcas_regions import make_binary_multiplicative, serialize_channel_spec
 from jcas_regions.cli import main
 
@@ -140,6 +142,30 @@ def test_out_file_written_atomically(capsys, tmp_path):
     assert text.splitlines()[0] == "q,alpha,p,r,d1,d2"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".jcas-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--mode", "ps_inner", "--grid", "4"],
+    ["simulate", "--px", "0.5,0.5", "--n", "100", "--tol", "0.1"],
+], ids=["region", "simulate"])
+def test_negative_seed_is_usage_error(capsys, tmp_path, argv):
+    argv = argv[:1] + [write_binary_spec(tmp_path)] + argv[1:] + ["--seed", "-1"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("target", ["missing/sweep.csv", "."])
+def test_unwritable_out_is_one_line_error(capsys, tmp_path, target):
+    # a missing directory fails before the temporary file exists; an
+    # existing directory as the target fails at the rename, after it
+    rc, out, err = run(capsys, [
+        "example", "--q", "0.5", "--alpha", "0.5", "--grid", "4",
+        "--out", str(tmp_path / target)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".jcas-")] == []
 
 
 def test_byte_identical_repeats(capsys, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from jcas_regions import (
     CardinalityExceeded,
+    DomainError,
     EmptyGrid,
     InputDesign,
     MixedArity,
@@ -30,6 +31,8 @@ from jcas_regions import (
     sweep_region,
     synthesize_estimator,
 )
+from jcas_regions import regions
+from jcas_regions.regions import MODES
 from conftest import (
     oracle_entropy,
     oracle_joint,
@@ -46,6 +49,41 @@ def binary_spec():
 
 def uniform_design():
     return InputDesign(p_x=np.array([0.5, 0.5]))
+
+
+def mode_spec(mode):
+    # the binary channel is physically degraded, its swap reversely degraded
+    return swap_receivers(binary_spec()) if mode.endswith("_rev") else binary_spec()
+
+
+def canonical(p):
+    return tuple(-r for r in p.rates) + p.distortions + (p.design_tag,)
+
+
+WRAPPERS = {
+    "ps_inner": inner_bound_ps,
+    "ps_outer": outer_bound_ps,
+    "ps_exact_deg": exact_region_degraded_ps,
+    "ps_exact_rev": exact_region_reverse_ps,
+    "single_inner": inner_bound_single,
+    "single_outer": outer_bound_single,
+    "single_exact_deg": exact_region_degraded_single,
+    "single_exact_rev": exact_region_reverse_single,
+}
+
+# CardinalityCaps field bounding |V| in the modes that sample V
+V_CAPS = {
+    "ps_inner": "v_inner",
+    "ps_outer": "v_outer",
+    "ps_exact_deg": "v_outer",
+    "ps_exact_rev": "v_reverse",
+    "single_inner": "v_outer",
+}
+
+
+def direct_input(mode):
+    # modes that sample V take a design; the V = X modes take a bare P_X
+    return uniform_design() if mode in V_CAPS else [0.5, 0.5]
 
 
 def non_degraded_spec():
@@ -109,6 +147,9 @@ def test_inner_ps_cardinality_cap():
     design = random_design(rng, spec, nv=caps.v_inner + 1)
     with pytest.raises(CardinalityExceeded):
         inner_bound_ps(spec, design)
+    design = random_design(rng, spec, nv=2, nu=caps.u + 1)
+    with pytest.raises(CardinalityExceeded):
+        inner_bound_ps(spec, design)
 
 
 def test_outer_ps_constant_v_gives_zero_r1():
@@ -150,18 +191,32 @@ def test_exact_degraded_ps_rate_sum_is_total_budget():
     assert top.r1 + top.r2 == pytest.approx(0.5, abs=1e-12)
 
 
-def test_exact_degraded_ps_rejects_constant_u_violation():
-    from jcas_regions import DomainError
-    spec = binary_spec()
+@pytest.mark.parametrize(
+    "mode", ["ps_outer", "ps_exact_deg", "ps_exact_rev", "single_inner"])
+def test_non_constant_u_refused_unless_ignored(mode):
+    spec = mode_spec(mode)
     design = InputDesign(p_x=np.array([0.5, 0.5]),
                          p_u_given_v=np.full((2, 2), 0.5))
-    with pytest.raises(DomainError):
-        exact_region_degraded_ps(spec, design)
+    if mode == "ps_outer":
+        # the outer bound does not involve U
+        assert outer_bound_ps(spec, design, "t") == \
+            outer_bound_ps(spec, uniform_design(), "t")
+    else:
+        with pytest.raises(DomainError):
+            WRAPPERS[mode](spec, design)
 
 
-def test_exact_degraded_ps_requires_degradedness():
+@pytest.mark.parametrize("channel", ["opposite", "neither"])
+@pytest.mark.parametrize("mode", [m for m in MODES if "_exact_" in m])
+def test_exact_wrappers_require_degradedness(mode, channel):
+    if channel == "neither":
+        spec = non_degraded_spec()
+    elif mode.endswith("_rev"):
+        spec = binary_spec()
+    else:
+        spec = swap_receivers(binary_spec())
     with pytest.raises(NotDegraded):
-        exact_region_degraded_ps(non_degraded_spec(), uniform_design())
+        WRAPPERS[mode](spec, direct_input(mode))
 
 
 def test_exact_reverse_ps_on_swapped_binary():
@@ -307,6 +362,13 @@ def test_sweep_finds_reference_point():
                and abs(p.d2 - 0.125) <= 1e-9 for p in pts)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nv", 0), ("nu", 0), ("nv", -2), ("seed", -1), ("n_samples", 0)])
+def test_search_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(DomainError):
+        SearchConfig(mode="ps_inner", grid_step=4, **{field: value})
+
+
 def test_sweep_rejects_tiny_grid():
     with pytest.raises(EmptyGrid):
         sweep_region(binary_spec(),
@@ -351,10 +413,54 @@ def test_sweep_order_invariance():
     spec = binary_spec()
     cfg = SearchConfig(mode="single_exact_deg", grid_step=8)
     pts = sweep_region(spec, cfg)
-    redone = sorted(
-        pareto_filter(list(reversed(pts))),
-        key=lambda p: tuple(-r for r in p.rates) + p.distortions + (p.design_tag,))
+    redone = sorted(pareto_filter(list(reversed(pts))), key=canonical)
     assert redone == pts
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_equals_filtered_wrapper_outputs(mode):
+    # rebuild the sweep's designs and tags by hand and evaluate them through
+    # the public wrappers
+    spec = mode_spec(mode)
+    grid, n_samples, seed = 4, 3, 21
+    caps = cardinality_caps(spec)
+    rng = np.random.default_rng(seed)
+    draws = []
+    if mode in V_CAPS:
+        nv = getattr(caps, V_CAPS[mode])
+        for _ in range(n_samples):
+            p_v = rng.dirichlet(np.ones(nv), size=spec.nx)
+            p_u = rng.dirichlet(np.ones(caps.u), size=nv) \
+                if mode == "ps_inner" else None
+            draws.append((p_v, p_u))
+    points = []
+    for k in range(grid + 1):
+        p_x = np.array([k, grid - k]) / grid
+        tag = f"px={p_x[0]:.12g}|{p_x[1]:.12g}"
+        if mode not in V_CAPS:
+            points.append(WRAPPERS[mode](spec, p_x, tag))
+        for s, (p_v, p_u) in enumerate(draws):
+            design = InputDesign(p_x=p_x, p_v_given_x=p_v, p_u_given_v=p_u)
+            points += WRAPPERS[mode](spec, design, f"{tag};s={s}")
+    expect = sorted(pareto_filter(points), key=canonical)
+    assert sweep_region(spec, SearchConfig(
+        mode=mode, grid_step=grid, n_samples=n_samples, seed=seed)) == expect
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_classifies_once_and_synthesizes_once_per_px(mode, monkeypatch):
+    calls = {"classify_degradedness": 0, "synthesize_estimator": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(regions, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(regions, name, counted)
+    grid = 4
+    sweep_region(mode_spec(mode), SearchConfig(
+        mode=mode, grid_step=grid, n_samples=3, seed=1))
+    assert calls["classify_degradedness"] == (1 if "_exact_" in mode else 0)
+    # two estimators (one per receiver) at each of the grid + 1 binary P_X
+    assert calls["synthesize_estimator"] == 2 * (grid + 1)
 
 
 def test_sweep_distortions_decouple_from_rates():
