@@ -153,16 +153,24 @@ def validate(spec: ChannelSpec) -> ValidationReport:
 
     Findings come in a fixed traversal order (state entries, state sum,
     kernel entries and row sums in (x, s1, s2) order, then d1 and d2), so a
-    given spec always yields the same report.
+    given spec always yields the same report.  A NaN or infinite
+    probability is a ``nonfinite`` finding, which :func:`parse_channel_spec`
+    raises as a :class:`SchemaError`.
     """
     findings: list[Finding] = []
 
+    def entry(loc: str, v) -> None:
+        # NaN fails every comparison, so test finiteness before the sign
+        if not np.isfinite(v):
+            findings.append(Finding(
+                "nonfinite", loc, f"{loc} = {v!r} is not finite", float("inf")))
+        elif v < 0:
+            findings.append(Finding(
+                "negative", loc, f"{loc} = {v!r} is negative", abs(v)))
+
     sd = spec.state_dist
     for (i, k), v in np.ndenumerate(sd):
-        if v < 0:
-            findings.append(Finding(
-                "negative", f"state_dist[{i}][{k}]",
-                f"state_dist[{i}][{k}] = {v!r} is negative", abs(v)))
+        entry(f"state_dist[{i}][{k}]", v)
     gap = abs(float(sd.sum()) - 1.0)
     if gap > PROB_TOL:
         findings.append(Finding(
@@ -175,11 +183,7 @@ def validate(spec: ChannelSpec) -> ValidationReport:
                 row = spec.kernel[x, s1, s2]
                 loc = f"kernel[{x}][{s1}][{s2}]"
                 for (y1, y2), v in np.ndenumerate(row):
-                    if v < 0:
-                        flat = y1 * spec.ny2 + y2
-                        findings.append(Finding(
-                            "negative", f"{loc}[{flat}]",
-                            f"{loc}[{flat}] = {v!r} is negative", abs(v)))
+                    entry(f"{loc}[{y1 * spec.ny2 + y2}]", v)
                 gap = abs(float(row.sum()) - 1.0)
                 if gap > PROB_TOL:
                     findings.append(Finding(

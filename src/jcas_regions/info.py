@@ -7,7 +7,14 @@ mutual informations are in bits, with the convention 0*log(0) = 0; masses
 below ``1e-300`` are treated as exact zeros to keep denormal noise out of
 the logs.
 
-Everything here is a pure function over immutable tensors.
+:func:`build_joint`, :func:`marginalize`, :func:`entropy` and
+:func:`mutual_information` are the reference API, one design at a time.
+Sweeps evaluate all sampled designs at one P_X together: :func:`joint_batches`
+stacks their joints on a leading axis, in chunks of at most ``BATCH_CELLS``
+cells, and :class:`JointBatch` sums each distinct marginal once per chunk.
+Its results equal the reference API's bit for bit.
+
+Everything else here is a pure function over immutable tensors.
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ MIN_PROB = 1e-300
 
 #: Hard cap on dense joint size, checked at construction.
 MAX_JOINT_CELLS = 10 ** 8
+
+#: Cells per einsum in :func:`joint_batches`; a larger stack of designs is
+#: split along the design axis, so memory stays flat in ``--samples``.
+BATCH_CELLS = 2 ** 20
 
 
 def binary_entropy(p: float) -> float:
@@ -147,7 +158,8 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
     """Product-form joint over (U, V, X, S1, S2, Y1, Y2).
 
     The tensor is P(u|v) P(v|x) P(x) P(s1,s2) P(y1,y2|s1,s2,x), so the states
-    are independent of (U, V, X) by construction.
+    are independent of (U, V, X) by construction.  This is the reference
+    path; sweeps use :func:`joint_batches`, which agrees with it bit for bit.
     """
     nx = spec.nx
     if len(design.p_x) != nx:
@@ -164,16 +176,17 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
         p_u = np.ones((nv, 1))
     elif p_u.shape[0] != nv:
         raise DimensionMismatch("p_u_given_v must have one row per v symbol")
-    nu = p_u.shape[1]
-
-    size = nu * nv * nx * spec.ns1 * spec.ns2 * spec.ny1 * spec.ny2
-    if size > MAX_JOINT_CELLS:
-        raise DimensionMismatch(
-            f"joint would have {size} cells, above the {MAX_JOINT_CELLS} cap")
+    _check_cells(p_u.size * spec.kernel.size)
     probs = np.einsum(
         "vu,xv,x,ab,xabcd->uvxabcd",
         p_u, p_v, design.p_x, spec.state_dist, spec.kernel)
     return JointDistribution(VAR_NAMES, probs)
+
+
+def _check_cells(size: int) -> None:
+    if size > MAX_JOINT_CELLS:
+        raise DimensionMismatch(
+            f"joint would have {size} cells, above the {MAX_JOINT_CELLS} cap")
 
 
 def marginalize(j: JointDistribution, keep) -> JointDistribution:
@@ -215,3 +228,76 @@ def mutual_information(j: JointDistribution, a, b, givens=()) -> float:
     if set(a) & set(b) or set(a) & set(givens) or set(b) & set(givens):
         raise OverlapError("variable groups must be pairwise disjoint")
     return entropy(j, a, givens) - entropy(j, a, tuple(b) + tuple(givens))
+
+
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """:func:`_entropy_of` of every row, bit for bit.
+
+    When every cell of every row has mass, ``sum`` along the last axis adds
+    each row pairwise, in the same order as the scalar path.  Otherwise each
+    row is compressed and summed on its own: a segmented sum such as
+    ``np.add.reduceat`` adds sequentially and would change the last bits.
+    """
+    if (rows > MIN_PROB).all():
+        return -(rows * np.log2(rows)).sum(axis=1)
+    return np.array([_entropy_of(row) for row in rows])
+
+
+class JointBatch:
+    """The joints of K designs that share P_X, stacked on a leading axis.
+
+    :meth:`entropy` and :meth:`mutual_information` return one value per
+    design, each equal bit for bit to the scalar function of the same name
+    on that design's :func:`build_joint`: the stacked einsum multiplies in
+    the same order, every marginal is one ``sum`` over the same axes, and
+    differences are taken in the same order.  Each distinct marginal is
+    summed once per batch.  Arguments are trusted, not checked.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        self.probs = probs
+        self._h: dict[frozenset, np.ndarray] = {}
+
+    def _joint_entropy(self, names) -> np.ndarray:
+        key = frozenset(names)
+        if key not in self._h:
+            drop = tuple(i + 1 for i, n in enumerate(VAR_NAMES) if n not in key)
+            marginal = self.probs.sum(axis=drop)
+            self._h[key] = _row_entropies(marginal.reshape(len(marginal), -1))
+        return self._h[key]
+
+    def entropy(self, targets, givens=()) -> np.ndarray:
+        """H(targets | givens) in bits, one value per design."""
+        targets = _as_names(targets)
+        givens = _as_names(givens)
+        h_joint = self._joint_entropy(targets + givens)
+        if not givens:
+            return h_joint
+        return h_joint - self._joint_entropy(givens)
+
+    def mutual_information(self, a, b, givens=()) -> np.ndarray:
+        """I(a; b | givens) in bits, one value per design."""
+        a = _as_names(a)
+        givens = _as_names(givens)
+        return self.entropy(a, givens) - self.entropy(a, _as_names(b) + givens)
+
+
+def joint_batches(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
+                  p_u: np.ndarray):
+    """Yield one :class:`JointBatch` per chunk of the K designs
+    (p_x, p_v[k], p_u[k]), in order.
+
+    ``p_v`` (K, nx, nv) and ``p_u`` (K, nv, nu) stack the designs'
+    auxiliary channels, with V = X written as the identity and a constant U
+    as a column of ones, as :func:`build_joint` fills them in.  Shapes are
+    the caller's job.  The designs are split along K so that each batch
+    holds at most ``BATCH_CELLS`` cells, or one design where a single joint
+    is larger.
+    """
+    cells = p_u[0].size * spec.kernel.size
+    _check_cells(cells)
+    step = max(1, BATCH_CELLS // cells)
+    for lo in range(0, len(p_v), step):
+        yield JointBatch(np.einsum(
+            "kvu,kxv,x,ab,xabcd->kuvxabcd", p_u[lo:lo + step],
+            p_v[lo:lo + step], p_x, spec.state_dist, spec.kernel))

@@ -11,6 +11,11 @@ The exact characterizations only hold for (reversely-)physically-degraded
 channels, so those evaluators check degradedness first and refuse otherwise.
 Sampled sweeps of the outer bounds are a necessary-condition envelope of the
 per-design bounds, not a converse region; they are labelled as such.
+
+A sweep evaluates the sampled designs of one P_X as one batch
+(:func:`jcas_regions.info.joint_batches`) and its Pareto filter first
+compares points that share their distortions exactly; both give the same
+points, bit for bit, as evaluating and comparing them one by one.
 """
 
 from __future__ import annotations
@@ -33,7 +38,16 @@ from .errors import (
     NotDegraded,
 )
 from .estimators import expected_distortion, synthesize_estimator
-from .info import InputDesign, build_joint, entropy, mutual_information, pos_part
+# entropy and mutual_information are no longer called here, but the
+# benchmark's tracer (bench/tracing.py) looks these names up on this module.
+from .info import (  # noqa: F401
+    InputDesign,
+    JointBatch,
+    build_joint,
+    entropy,
+    joint_batches,
+    mutual_information,
+)
 
 __all__ = [
     "RegionPoint",
@@ -160,39 +174,45 @@ def _ps_points(r1max: float, r2_cap: float, i_v_y1: float,
     return points
 
 
-# Rate terms.  Each reads (r1 bound, secrecy cap, total-rate budget) off the
-# joint; v names the auxiliary the bound is taken over ("V", or "X" when the
-# mode fixes V = X).  Single-message modes ignore the r1 bound.
+# Rate terms.  Each reads (r1 bound, secrecy cap, total-rate budget) off a
+# JointBatch, one value per design; v names the auxiliary the bound is taken
+# over ("V", or "X" when the mode fixes V = X).  Single-message modes ignore
+# the r1 bound.
 
 
-def _inner_ps_terms(joint, v):
-    r1max = mutual_information(joint, "U", "Y1", "S1")
-    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
-    r2_cap = pos_part(
-        mutual_information(joint, v, "Y1", ("S1", "U"))
-        - mutual_information(joint, v, "Y2", ("S2", "U"))
-    ) + entropy(joint, "Y1", ("Y2", "S2", v))
+def _pos(a: np.ndarray) -> np.ndarray:
+    # pos_part over a batch
+    return np.where(a > 0.0, a, 0.0)
+
+
+def _inner_ps_terms(j, v):
+    r1max = j.mutual_information("U", "Y1", "S1")
+    i_v_y1 = j.mutual_information(v, "Y1", "S1")
+    r2_cap = _pos(
+        j.mutual_information(v, "Y1", ("S1", "U"))
+        - j.mutual_information(v, "Y2", ("S2", "U"))
+    ) + j.entropy("Y1", ("Y2", "S2", v))
     return r1max, r2_cap, i_v_y1
 
 
-def _inner_single_terms(joint, v):
-    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
-    rpp = pos_part(i_v_y1 - mutual_information(joint, v, "Y2", "S2")) \
-        + entropy(joint, "Y1", ("Y2", "S2", v))
+def _inner_single_terms(j, v):
+    i_v_y1 = j.mutual_information(v, "Y1", "S1")
+    rpp = _pos(i_v_y1 - j.mutual_information(v, "Y2", "S2")) \
+        + j.entropy("Y1", ("Y2", "S2", v))
     return i_v_y1, rpp, i_v_y1
 
 
-def _outer_terms(joint, v):
-    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
-    cap = entropy(joint, ("Y1", "S1"), ("Y2", "S2")) \
-        - entropy(joint, "S1", ("Y1", "Y2", "S2", v))
+def _outer_terms(j, v):
+    i_v_y1 = j.mutual_information(v, "Y1", "S1")
+    cap = j.entropy(("Y1", "S1"), ("Y2", "S2")) \
+        - j.entropy("S1", ("Y1", "Y2", "S2", v))
     return i_v_y1, cap, i_v_y1
 
 
-def _reverse_terms(joint, v):
+def _reverse_terms(j, v):
     # On reversely-degraded channels the secrecy cap collapses to H(Y1|Y2,S2).
-    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
-    return i_v_y1, entropy(joint, "Y1", ("Y2", "S2")), i_v_y1
+    i_v_y1 = j.mutual_information(v, "Y1", "S1")
+    return i_v_y1, j.entropy("Y1", ("Y2", "S2")), i_v_y1
 
 
 @dataclass(frozen=True)
@@ -204,7 +224,7 @@ class _Mode:
     degraded: str            # required degradedness: "", "physically", "reversely"
     v_cap: str | None        # CardinalityCaps field that bounds |V|
     constant_u: bool         # refuse a non-constant U rather than ignore it
-    terms: Callable          # (joint, v) -> (r1 bound, secrecy cap, budget)
+    terms: Callable          # (JointBatch, v) -> (r1 bound, secrecy cap, budget)
 
 
 _MODE_TABLE = {
@@ -234,11 +254,25 @@ def _require(spec: ChannelSpec, mode: _Mode, tol: float) -> None:
             f"channel is not {mode.degraded} degraded (residual {residual:.3g})")
 
 
+def _terms(mode: _Mode, batch: JointBatch) -> list[tuple[float, float, float]]:
+    """(r1 bound, secrecy cap, budget) of each design in ``batch``."""
+    columns = mode.terms(batch, "V" if mode.aux else "X")
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def _points(mode: _Mode, terms, d12, tag: str) -> list[RegionPoint]:
+    r1max, cap, budget = terms
+    d1, d2 = d12
+    if mode.ps:
+        return _ps_points(r1max, cap, budget, d1, d2, tag)
+    return [RegionPoint(r=max(0.0, min(cap, budget)), d1=d1, d2=d2,
+                        design_tag=tag)]
+
+
 def _evaluate(spec: ChannelSpec, mode: _Mode, design: InputDesign,
-              tag: str | None,
-              d12: tuple[float, float] | None = None) -> list[RegionPoint]:
+              tag: str | None) -> list[RegionPoint]:
     """Points of one design under ``mode``; degradedness is the caller's
-    job.  ``d12`` passes in the distortions of ``design.p_x`` when known."""
+    job."""
     caps = cardinality_caps(spec)
     if mode.aux == "UV" and design.nu > caps.u:
         raise CardinalityExceeded(f"|U| = {design.nu} exceeds the cap {caps.u}")
@@ -247,14 +281,9 @@ def _evaluate(spec: ChannelSpec, mode: _Mode, design: InputDesign,
     if mode.v_cap is not None and design.nv > getattr(caps, mode.v_cap):
         raise CardinalityExceeded(
             f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
-    joint = build_joint(spec, design)
-    r1max, cap, budget = mode.terms(joint, "V" if mode.aux else "X")
-    d1, d2 = d12 if d12 is not None else _distortions(spec, design.p_x)
+    [terms] = _terms(mode, JointBatch(build_joint(spec, design).probs[None]))
     tag = tag if tag is not None else _auto_tag(design)
-    if mode.ps:
-        return _ps_points(r1max, cap, budget, d1, d2, tag)
-    return [RegionPoint(r=max(0.0, min(cap, budget)), d1=d1, d2=d2,
-                        design_tag=tag)]
+    return _points(mode, terms, _distortions(spec, design.p_x), tag)
 
 
 def _direct(name: str, spec: ChannelSpec, design, design_tag: str | None,
@@ -418,10 +447,12 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
     shorter prefix are never produced differently.
 
     Degradedness is checked once per sweep and the distortions once per
-    P_X grid point.  Evaluation is serial: ``threads`` is accepted for
-    compatibility and changes neither the output nor the speed.  With
-    ``convexify`` set, time-sharing mixtures between neighbouring retained
-    points are added before the final filter.
+    P_X grid point; the rate terms of all samples at one P_X come from one
+    stacked joint per chunk of at most ``info.BATCH_CELLS`` cells.
+    Evaluation is serial: ``threads`` is accepted for compatibility and
+    changes neither the output nor the speed.  With ``convexify`` set,
+    time-sharing mixtures between neighbouring retained points are added
+    before the final filter.
     """
     if cfg.grid_step < 2:
         raise EmptyGrid(f"grid_step must be at least 2, got {cfg.grid_step}")
@@ -429,7 +460,10 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
     _require(spec, mode, tol)
 
     px_grid = _simplex_grid(spec.nx, cfg.grid_step)
-    samples = [(0, None, None)]
+    # One stack of auxiliary channels, shared by every P_X: V = X and a
+    # constant U unless the mode samples them.
+    p_v, p_u = np.eye(spec.nx)[None], np.ones((1, spec.nx, 1))
+    suffixes = [""]
     if mode.aux:
         caps = cardinality_caps(spec)
         v_cap = getattr(caps, mode.v_cap)
@@ -440,25 +474,59 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
         if nu > caps.u:
             raise CardinalityExceeded(f"|U| override {nu} exceeds the cap {caps.u}")
         rng = np.random.default_rng(cfg.seed)
-        samples = []
-        for k in range(cfg.n_samples):
-            p_v = rng.dirichlet(np.ones(nv), size=spec.nx)
-            p_u = rng.dirichlet(np.ones(nu), size=nv) if mode.aux == "UV" else None
-            samples.append((k, p_v, p_u))
+        draws_v, draws_u = [], []
+        for _ in range(cfg.n_samples):
+            draws_v.append(rng.dirichlet(np.ones(nv), size=spec.nx))
+            draws_u.append(rng.dirichlet(np.ones(nu), size=nv)
+                           if mode.aux == "UV" else np.ones((nv, 1)))
+        p_v, p_u = np.array(draws_v), np.array(draws_u)
+        suffixes = [f";s={k}" for k in range(cfg.n_samples)]
 
     points = []
     for px in px_grid:
         px_tag = "|".join(_fmt(v) for v in px)
         d12 = _distortions(spec, px)
-        for k, p_v, p_u in samples:
-            design = InputDesign(p_x=px, p_v_given_x=p_v, p_u_given_v=p_u)
-            tag = f"px={px_tag}" + (f";s={k}" if mode.aux else "")
-            points += _evaluate(spec, mode, design, tag, d12)
+        terms = [t for batch in joint_batches(spec, px, p_v, p_u)
+                 for t in _terms(mode, batch)]
+        for suffix, t in zip(suffixes, terms):
+            points += _points(mode, t, d12, f"px={px_tag}{suffix}")
 
     frontier = pareto_filter(points)
     if cfg.convexify and len(frontier) > 1:
         frontier = pareto_filter(frontier + _mixtures(frontier))
     return sorted(frontier, key=_sort_key)
+
+
+def _dominated_within_groups(m: np.ndarray, k: int) -> np.ndarray:
+    """Rows of ``m`` (k rates, then negated distortions) that another row
+    with exactly the same distortions dominates.
+
+    Within such a group the distortions tie, so dominance is decided by the
+    rates alone, with the same margin as :func:`pareto_filter`.  Sorting a
+    group by its first rate, descending, turns "some point with r1 >= t"
+    into a prefix, so a running maximum of the last rate answers both forms
+    of strict dominance (better first rate, or better last rate) with
+    binary searches: O(n log n) time and O(n) memory, after Kung, Luccio &
+    Preparata (JACM 1975).  With one rate both columns are that rate.
+    """
+    dominated = np.zeros(len(m), dtype=bool)
+    order = np.lexsort((-m[:, 0], *m[:, k:].T))
+    d = m[order, k:]
+    starts = np.flatnonzero(np.r_[True, (d[1:] != d[:-1]).any(axis=1), True])
+    for g in np.flatnonzero(np.diff(starts) > 1):
+        idx = order[starts[g]:starts[g + 1]]
+        first, last = m[idx, 0], m[idx, k - 1]
+        best_last = np.maximum.accumulate(last)
+        ascending = first[::-1]
+        n = len(idx)
+        # another point with first rate above first + eps, last rate >= last
+        above = n - np.searchsorted(ascending, first + DOMINANCE_EPS, side="right")
+        strict_first = (above > 0) & (best_last[above - 1] >= last)
+        # another point with first rate >= first, last rate above last + eps
+        at_least = n - np.searchsorted(ascending, first, side="left")
+        strict_last = best_last[at_least - 1] > last + DOMINANCE_EPS
+        dominated[idx] = strict_first | strict_last
+    return dominated
 
 
 def pareto_filter(points) -> list[RegionPoint]:
@@ -467,6 +535,12 @@ def pareto_filter(points) -> list[RegionPoint]:
     A point dominates another when every rate coordinate is >= and every
     distortion coordinate is <=, with at least one coordinate better by more
     than ``DOMINANCE_EPS``.  Retained points keep their input order.
+
+    This relation is transitive and irreflexive, so the non-dominated set is
+    unique and any exact prefilter that drops only dominated points leaves
+    it unchanged.  Sweep points share their distortions across all samples
+    at one P_X, so the prefilter compares the rates of points with exactly
+    equal distortions first; the quadratic pass then sees the survivors.
     """
     points = list(points)
     if not points:
@@ -478,27 +552,15 @@ def pareto_filter(points) -> list[RegionPoint]:
     # One matrix with distortions negated turns dominance into a uniform
     # componentwise >= plus one strict margin.
     m = np.array([p.rates + tuple(-d for d in p.distortions) for p in points])
+    live = np.flatnonzero(~_dominated_within_groups(m, len(points[0].rates)))
     # A dominating point has a strictly larger coordinate sum, so processing
     # in descending-sum order means candidates are only ever dominated by
     # points already accepted (or by a chain leading to one).
-    order = np.argsort(-m.sum(axis=1), kind="stable")
-
-    # Cheap vectorized prefilter: drop everything dominated by a block of
-    # top-sum points before the exact incremental pass.  Chunked to keep the
-    # broadcast buffers small on large sweeps.
-    block = m[order[: min(128, len(points))]]
-    pre_dominated = np.zeros(len(points), dtype=bool)
-    for lo in range(0, len(points), 8192):
-        chunk = m[lo:lo + 8192]
-        ge = (block[None, :, :] >= chunk[:, None, :]).all(axis=2)
-        gt = (block[None, :, :] > chunk[:, None, :] + DOMINANCE_EPS).any(axis=2)
-        pre_dominated[lo:lo + 8192] = (ge & gt).any(axis=1)
+    order = live[np.argsort(-m[live].sum(axis=1), kind="stable")]
 
     kept: list[int] = []
     frontier = np.empty_like(m)
     for i in order:
-        if pre_dominated[i]:
-            continue
         if kept:
             fr = frontier[: len(kept)]
             dominated = ((fr >= m[i]).all(axis=1)

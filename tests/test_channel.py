@@ -110,6 +110,33 @@ def test_validate_orders_findings_deterministically():
     assert again == report
 
 
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("array, index, location", [
+    ("state_dist", (0, 1), "state_dist[0][1]"),
+    ("kernel", (1, 0, 1, 1, 0), "kernel[1][0][1][2]"),
+])
+def test_validate_flags_nonfinite_probability(array, index, location, value):
+    spec = make_binary_multiplicative(0.5, 0.5)
+    arrays = {"state_dist": spec.state_dist.copy(), "kernel": spec.kernel.copy()}
+    arrays[array][index] = value
+    bad = make_channel_spec(arrays["state_dist"], arrays["kernel"])
+    first = validate(bad).findings[0]
+    assert (first.kind, first.location) == ("nonfinite", location)
+    assert first.magnitude == float("inf")
+    # a NaN row sum passes the tolerance test, so the entry check is the
+    # only finding that catches it; parsing stops there
+    doc = json.loads(serialize_channel_spec(spec))
+    if array == "state_dist":
+        doc["state_dist"][0][1] = value
+    else:
+        doc["kernel"][1][0][1][2] = value
+    with pytest.raises(SchemaError, match="not finite"):
+        parse_channel_spec(json.dumps(doc))
+
+
 def test_make_binary_multiplicative_state_dist():
     spec = make_binary_multiplicative(0.5, 0.5)
     assert spec.state_dist.tolist() == [[0.5, 0.0], [0.25, 0.25]]

@@ -51,6 +51,26 @@ def test_validate_reports_findings(capsys, tmp_path):
     assert "state_dist" in out
 
 
+@pytest.mark.parametrize("array", ["state_dist", "kernel"])
+def test_nonfinite_probability_rejected(capsys, tmp_path, array):
+    doc = json.loads(serialize_channel_spec(make_binary_multiplicative(0.5, 0.5)))
+    if array == "state_dist":
+        doc["state_dist"][1][0] = float("nan")
+    else:
+        doc["kernel"][0][1][1][3] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # json writes the bare token NaN
+    rc, out, _ = run(capsys, ["validate", str(path)])
+    assert rc == 1
+    assert "is not finite" in out.splitlines()[0]
+    for argv in (["classify", str(path)],
+                 ["region", str(path), "--mode", "ps_inner", "--grid", "4"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not finite" in err
+
+
 def test_classify_prints_class(capsys, tmp_path):
     rc, out, _ = run(capsys, ["classify", write_binary_spec(tmp_path)])
     assert rc == 0

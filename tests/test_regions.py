@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcas_regions import (
     CardinalityExceeded,
@@ -27,16 +28,18 @@ from jcas_regions import (
     outer_bound_ps,
     outer_bound_single,
     pareto_filter,
+    pos_part,
     swap_receivers,
     sweep_region,
     synthesize_estimator,
 )
-from jcas_regions import regions
-from jcas_regions.regions import MODES
+from jcas_regions import info, regions
+from jcas_regions.regions import DOMINANCE_EPS, MODES
 from conftest import (
     oracle_entropy,
     oracle_joint,
     oracle_mi,
+    random_channel_spec,
     random_degraded_spec,
     random_design,
     random_reverse_degraded_spec,
@@ -463,6 +466,86 @@ def test_sweep_classifies_once_and_synthesizes_once_per_px(mode, monkeypatch):
     assert calls["synthesize_estimator"] == 2 * (grid + 1)
 
 
+# The rate terms of each mode on one design through the scalar reference API.
+def _inner_ps_reference(joint, v):
+    r2_cap = pos_part(
+        mutual_information(joint, v, "Y1", ("S1", "U"))
+        - mutual_information(joint, v, "Y2", ("S2", "U"))
+    ) + entropy(joint, "Y1", ("Y2", "S2", v))
+    return (mutual_information(joint, "U", "Y1", "S1"), r2_cap,
+            mutual_information(joint, v, "Y1", "S1"))
+
+
+def _inner_single_reference(joint, v):
+    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
+    rpp = pos_part(i_v_y1 - mutual_information(joint, v, "Y2", "S2")) \
+        + entropy(joint, "Y1", ("Y2", "S2", v))
+    return i_v_y1, rpp, i_v_y1
+
+
+def _outer_reference(joint, v):
+    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
+    cap = entropy(joint, ("Y1", "S1"), ("Y2", "S2")) \
+        - entropy(joint, "S1", ("Y1", "Y2", "S2", v))
+    return i_v_y1, cap, i_v_y1
+
+
+def _reverse_reference(joint, v):
+    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
+    return i_v_y1, entropy(joint, "Y1", ("Y2", "S2")), i_v_y1
+
+
+REFERENCE_TERMS = {
+    "ps_inner": _inner_ps_reference,
+    "ps_outer": _outer_reference,
+    "ps_exact_deg": _outer_reference,
+    "ps_exact_rev": _reverse_reference,
+    "single_inner": _inner_single_reference,
+    "single_outer": _outer_reference,
+    "single_exact_deg": _outer_reference,
+    "single_exact_rev": _reverse_reference,
+}
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("channel", ["random-3ary", "binary", "swapped"])
+@pytest.mark.parametrize("mode", MODES)
+def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
+                                                  monkeypatch):
+    # the sweep's stacked kernel must reproduce the build_joint path bit for
+    # bit, or frontier membership can flip on rounding-level ties; the
+    # binary channels have zero-mass cells, so their entropies take the
+    # per-row path
+    rng = np.random.default_rng(60 + MODES.index(mode))
+    spec = {"random-3ary": random_channel_spec(rng, nx=3, ny1=3, ny2=3),
+            "binary": binary_spec(),
+            "swapped": swap_receivers(binary_spec())}[channel]
+    row = regions._MODE_TABLE[mode]
+    caps = cardinality_caps(spec)
+    n = 5 if row.aux else 1
+    nv = getattr(caps, row.v_cap) if row.aux else spec.nx
+    nu = caps.u if row.aux == "UV" else 1
+    p_v = rng.dirichlet(np.ones(nv), size=(n, spec.nx)) if row.aux \
+        else np.eye(spec.nx)[None]
+    # one-category Dirichlet rows are not always exactly 1.0
+    p_u = rng.dirichlet(np.ones(nu), size=(n, nv)) if row.aux == "UV" \
+        else np.ones((n, nv, 1))
+    if chunked:
+        # three designs per einsum, so five designs span two chunks
+        monkeypatch.setattr(info, "BATCH_CELLS", 3 * nu * nv * spec.kernel.size)
+    for p_x in (rng.dirichlet(np.ones(spec.nx)), np.eye(spec.nx)[-1],
+                np.full(spec.nx, 1 / spec.nx)):
+        got = [t for batch in info.joint_batches(spec, p_x, p_v, p_u)
+               for t in regions._terms(row, batch)]
+        expect = []
+        for k in range(n):
+            design = InputDesign(p_x=p_x, p_v_given_x=p_v[k] if row.aux else None,
+                                 p_u_given_v=p_u[k] if row.aux == "UV" else None)
+            expect.append(REFERENCE_TERMS[mode](
+                build_joint(spec, design), "V" if row.aux else "X"))
+        assert got == expect
+
+
 def test_sweep_distortions_decouple_from_rates():
     spec = binary_spec()
     pts = sweep_region(spec, SearchConfig(
@@ -570,3 +653,51 @@ def test_region_point_arity_validation():
         RegionPoint(d1=0.0, d2=0.0)
     with pytest.raises(MixedArity):
         RegionPoint(r1=0.1, d1=0.0, d2=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Pareto filter properties
+
+
+def quadratic_pareto(points):
+    # every pair compared directly, for either arity
+    def dominates(a, b):
+        weak = all(x >= y for x, y in zip(a.rates, b.rates)) \
+            and a.d1 <= b.d1 and a.d2 <= b.d2
+        strict = any(x > y + DOMINANCE_EPS for x, y in zip(a.rates, b.rates)) \
+            or a.d1 < b.d1 - DOMINANCE_EPS or a.d2 < b.d2 - DOMINANCE_EPS
+        return weak and strict
+
+    return [p for p in points if not any(dominates(q, p) for q in points)]
+
+
+# Coordinates from a small pool, nudged by 0, half, one or two margins, so
+# draws share distortion pairs, repeat points exactly and tie within 1e-12.
+_coordinate = st.builds(
+    lambda base, nudge: base + nudge * DOMINANCE_EPS,
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+
+
+@st.composite
+def _point_sets(draw):
+    ps = draw(st.booleans())
+    groups = draw(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(groups), _coordinate, _coordinate), min_size=1, max_size=40))
+    points = []
+    for i, ((d1, d2), r1, r2) in enumerate(rows):
+        rates = {"r1": r1, "r2": r2} if ps else {"r": r1}
+        points.append(RegionPoint(**rates, d1=d1, d2=d2, design_tag=str(i)))
+    # exact duplicates (same coordinates and tag) too
+    points += draw(st.lists(st.sampled_from(points), max_size=5))
+    return points
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_point_sets(), st.randoms(use_true_random=False))
+def test_pareto_filter_properties(points, random):
+    kept = pareto_filter(points)
+    assert [id(p) for p in kept] == [id(p) for p in quadratic_pareto(points)]
+    assert pareto_filter(kept) == kept
+    shuffled = random.sample(points, len(points))
+    assert sorted(map(id, pareto_filter(shuffled))) == sorted(map(id, kept))
