@@ -20,6 +20,7 @@ probe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .channel import make_binary_multiplicative
@@ -130,8 +131,8 @@ def crosscheck(q: float, alpha: float, p: float, tol: float) -> CrosscheckReport
     region at Bern(p), and reports the worst absolute deviation across
     (r, d1, d2).  Passes iff that deviation is within tol.
     """
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
     cf = closed_form_point(q, alpha, p)
     spec = make_binary_multiplicative(q, alpha)
     pt = exact_region_degraded_single(spec, [1.0 - p, p])

@@ -159,18 +159,18 @@ def validate(spec: ChannelSpec) -> ValidationReport:
     """
     findings: list[Finding] = []
 
-    def entry(loc: str, v) -> None:
+    def entry(loc: str, v, nonfinite: str, negative: str) -> None:
         # NaN fails every comparison, so test finiteness before the sign
         if not np.isfinite(v):
             findings.append(Finding(
-                "nonfinite", loc, f"{loc} = {v!r} is not finite", float("inf")))
+                nonfinite, loc, f"{loc} = {v!r} is not finite", float("inf")))
         elif v < 0:
             findings.append(Finding(
-                "negative", loc, f"{loc} = {v!r} is negative", abs(v)))
+                negative, loc, f"{loc} = {v!r} is negative", abs(v)))
 
     sd = spec.state_dist
     for (i, k), v in np.ndenumerate(sd):
-        entry(f"state_dist[{i}][{k}]", v)
+        entry(f"state_dist[{i}][{k}]", v, "nonfinite", "negative")
     gap = abs(float(sd.sum()) - 1.0)
     if gap > PROB_TOL:
         findings.append(Finding(
@@ -183,7 +183,7 @@ def validate(spec: ChannelSpec) -> ValidationReport:
                 row = spec.kernel[x, s1, s2]
                 loc = f"kernel[{x}][{s1}][{s2}]"
                 for (y1, y2), v in np.ndenumerate(row):
-                    entry(f"{loc}[{y1 * spec.ny2 + y2}]", v)
+                    entry(f"{loc}[{y1 * spec.ny2 + y2}]", v, "nonfinite", "negative")
                 gap = abs(float(row.sum()) - 1.0)
                 if gap > PROB_TOL:
                     findings.append(Finding(
@@ -193,14 +193,7 @@ def validate(spec: ChannelSpec) -> ValidationReport:
 
     for name, d in (("d1", spec.d1), ("d2", spec.d2)):
         for (i, k), v in np.ndenumerate(d):
-            if not np.isfinite(v):
-                findings.append(Finding(
-                    "distortion", f"{name}[{i}][{k}]",
-                    f"{name}[{i}][{k}] = {v!r} is not finite", float("inf")))
-            elif v < 0:
-                findings.append(Finding(
-                    "distortion", f"{name}[{i}][{k}]",
-                    f"{name}[{i}][{k}] = {v!r} is negative", abs(v)))
+            entry(f"{name}[{i}][{k}]", v, "distortion", "distortion")
 
     return ValidationReport(tuple(findings))
 
@@ -400,8 +393,8 @@ def classify_degradedness(spec: ChannelSpec,
     direction swaps the two pairs.  Residuals are exact max deviations, not
     averages, so deterministic channels come out at exactly zero.
     """
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
     nx = spec.nx
     # joint[x, s1, s2, y1, y2] under uniform full-support input
     joint = spec.state_dist[None, :, :, None, None] * spec.kernel / nx

@@ -23,6 +23,7 @@ has no effect on output or speed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -57,8 +58,8 @@ def _nonnegative(text: str) -> float:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError("value must be nonnegative")
+    if not (math.isfinite(v) and v >= 0):
+        raise argparse.ArgumentTypeError("value must be finite and nonnegative")
     return v
 
 
@@ -92,7 +93,8 @@ def _px(text: str) -> list[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated list of numbers") from None
-    if any(v < 0 for v in vals) or abs(sum(vals) - 1.0) > 1e-9:
+    # NaN fails >= 0, and an infinite entry fails the sum
+    if not all(v >= 0 for v in vals) or abs(sum(vals) - 1.0) > 1e-9:
         raise argparse.ArgumentTypeError(
             "--px must be nonnegative and sum to 1")
     return vals
@@ -166,24 +168,22 @@ def parse_args(argv) -> argparse.Namespace:
         raise
 
 
-def _read_spec(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise JcasError(f"cannot read {path}: {e.strerror}") from None
-    return parse_channel_spec(text)
+
+
+def _read_spec(path: str):
+    return parse_channel_spec(_read_text(path))
 
 
 def _cmd_validate(ns) -> tuple[str, int]:
-    try:
-        with open(ns.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise JcasError(f"cannot read {ns.file}: {e.strerror}") from None
     # Schema-only parse so that probabilistic findings are all reported
     # together rather than stopping at the first violation.
-    spec = parse_channel_document(text)
+    spec = parse_channel_document(_read_text(ns.file))
     report = validate(spec)
     if report.is_valid:
         return "OK\n", 0

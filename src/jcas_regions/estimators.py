@@ -44,7 +44,8 @@ def _check_p_x(spec: ChannelSpec, p_x) -> np.ndarray:
     if p_x.ndim != 1 or len(p_x) != spec.nx:
         raise DegenerateInput(
             f"p_x must be a vector of length {spec.nx}, got shape {p_x.shape}")
-    if np.any(p_x < 0) or abs(float(p_x.sum()) - 1.0) > PROB_TOL:
+    # NaN fails >= 0, and an infinite entry fails the sum
+    if not np.all(p_x >= 0) or abs(float(p_x.sum()) - 1.0) > PROB_TOL:
         raise DegenerateInput("p_x is not a probability distribution")
     return p_x
 

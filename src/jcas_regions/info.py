@@ -68,6 +68,9 @@ def _frozen(a) -> np.ndarray:
 
 
 def _check_rows(name: str, mat: np.ndarray) -> None:
+    # NaN fails every comparison, so test finiteness before the sign
+    if not np.all(np.isfinite(mat)):
+        raise DegenerateInput(f"{name} has a non-finite entry")
     if np.any(mat < 0):
         raise DegenerateInput(f"{name} has a negative entry")
     gaps = np.abs(mat.sum(axis=-1) - 1.0)

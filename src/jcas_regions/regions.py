@@ -13,13 +13,16 @@ Sampled sweeps of the outer bounds are a necessary-condition envelope of the
 per-design bounds, not a converse region; they are labelled as such.
 
 A sweep evaluates the sampled designs of one P_X as one batch
-(:func:`jcas_regions.info.joint_batches`) and its Pareto filter first
-compares points that share their distortions exactly; both give the same
-points, bit for bit, as evaluating and comparing them one by one.
+(:func:`jcas_regions.info.joint_batches`).  All of them share that P_X's
+distortions, so the sweep drops the rate rows another row of the same P_X
+dominates before it makes points; the final filter sees only the
+survivors.  Both give the same points, bit for bit, as evaluating and
+comparing the designs one by one.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -157,23 +160,6 @@ def _distortions(spec: ChannelSpec, p_x) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _ps_points(r1max: float, r2_cap: float, i_v_y1: float,
-               d1: float, d2: float, tag: str) -> list[RegionPoint]:
-    # Corner trade-off: r2 = min(r2_cap, i_v_y1 - r1) along an r1 grid.
-    points = []
-    seen = set()
-    for r1 in np.linspace(0.0, max(r1max, 0.0), R1_GRID):
-        r1 = float(r1)
-        r2 = max(0.0, min(r2_cap, i_v_y1 - r1))
-        key = (round(r1, 15), round(r2, 15))
-        if key in seen:
-            continue
-        seen.add(key)
-        points.append(RegionPoint(r1=max(r1, 0.0), r2=r2, d1=d1, d2=d2,
-                                  design_tag=tag))
-    return points
-
-
 # Rate terms.  Each reads (r1 bound, secrecy cap, total-rate budget) off a
 # JointBatch, one value per design; v names the auxiliary the bound is taken
 # over ("V", or "X" when the mode fixes V = X).  Single-message modes ignore
@@ -260,13 +246,30 @@ def _terms(mode: _Mode, batch: JointBatch) -> list[tuple[float, float, float]]:
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def _points(mode: _Mode, terms, d12, tag: str) -> list[RegionPoint]:
+def _rates(mode: _Mode, terms) -> list[tuple[float, ...]]:
+    """Rate rows of one design: (r1, r2) corners, or the one rate r."""
     r1max, cap, budget = terms
+    if not mode.ps:
+        return [(max(0.0, min(cap, budget)),)]
+    # Corner trade-off: r2 = min(cap, budget - r1) along an r1 grid.
+    rows = []
+    seen = set()
+    for r1 in np.linspace(0.0, max(r1max, 0.0), R1_GRID):
+        r1 = float(r1)
+        r2 = max(0.0, min(cap, budget - r1))
+        key = (round(r1, 15), round(r2, 15))
+        if key in seen:
+            continue
+        seen.add(key)
+        rows.append((max(r1, 0.0), r2))
+    return rows
+
+
+def _point(rates, d12, tag: str) -> RegionPoint:
     d1, d2 = d12
-    if mode.ps:
-        return _ps_points(r1max, cap, budget, d1, d2, tag)
-    return [RegionPoint(r=max(0.0, min(cap, budget)), d1=d1, d2=d2,
-                        design_tag=tag)]
+    if len(rates) == 2:
+        return RegionPoint(r1=rates[0], r2=rates[1], d1=d1, d2=d2, design_tag=tag)
+    return RegionPoint(r=rates[0], d1=d1, d2=d2, design_tag=tag)
 
 
 def _evaluate(spec: ChannelSpec, mode: _Mode, design: InputDesign,
@@ -283,7 +286,8 @@ def _evaluate(spec: ChannelSpec, mode: _Mode, design: InputDesign,
             f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
     [terms] = _terms(mode, JointBatch(build_joint(spec, design).probs[None]))
     tag = tag if tag is not None else _auto_tag(design)
-    return _points(mode, terms, _distortions(spec, design.p_x), tag)
+    d12 = _distortions(spec, design.p_x)
+    return [_point(r, d12, tag) for r in _rates(mode, terms)]
 
 
 def _direct(name: str, spec: ChannelSpec, design, design_tag: str | None,
@@ -395,16 +399,11 @@ class SearchConfig:
 
 
 def _simplex_grid(k: int, step: int):
-    """All compositions of `step` into k parts, scaled to the simplex."""
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    return [np.array(c, dtype=float) / step for c in compositions(step, k)]
+    """Yield every composition of `step` into k parts, scaled to the
+    simplex, in lexicographic order: each choice of k - 1 bar positions
+    among step + k - 1 slots is one composition (stars and bars)."""
+    for bars in itertools.combinations(range(step + k - 1), k - 1):
+        yield (np.diff((-1, *bars, step + k - 1)) - 1) / step
 
 
 def _sort_key(p: RegionPoint):
@@ -448,7 +447,11 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
 
     Degradedness is checked once per sweep and the distortions once per
     P_X grid point; the rate terms of all samples at one P_X come from one
-    stacked joint per chunk of at most ``info.BATCH_CELLS`` cells.
+    stacked joint per chunk of at most ``info.BATCH_CELLS`` cells.  The
+    grid is enumerated lazily, one P_X at a time.  Every sample at one P_X
+    shares its distortions, so a rate row that another row of the same P_X
+    dominates is dropped before it becomes a point.  Dominance is
+    transitive, so the final filter keeps the same points either way.
     Evaluation is serial: ``threads`` is accepted for compatibility and
     changes neither the output nor the speed.  With ``convexify`` set,
     time-sharing mixtures between neighbouring retained points are added
@@ -459,7 +462,6 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
     mode = _MODE_TABLE[cfg.mode]
     _require(spec, mode, tol)
 
-    px_grid = _simplex_grid(spec.nx, cfg.grid_step)
     # One stack of auxiliary channels, shared by every P_X: V = X and a
     # constant U unless the mode samples them.
     p_v, p_u = np.eye(spec.nx)[None], np.ones((1, spec.nx, 1))
@@ -483,13 +485,15 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
         suffixes = [f";s={k}" for k in range(cfg.n_samples)]
 
     points = []
-    for px in px_grid:
+    for px in _simplex_grid(spec.nx, cfg.grid_step):
         px_tag = "|".join(_fmt(v) for v in px)
         d12 = _distortions(spec, px)
         terms = [t for batch in joint_batches(spec, px, p_v, p_u)
                  for t in _terms(mode, batch)]
-        for suffix, t in zip(suffixes, terms):
-            points += _points(mode, t, d12, f"px={px_tag}{suffix}")
+        rows = [(k, r) for k, t in enumerate(terms) for r in _rates(mode, t)]
+        dominated = _dominated(np.array([r for _, r in rows]))
+        points += [_point(r, d12, f"px={px_tag}{suffixes[k]}")
+                   for (k, r), drop in zip(rows, dominated) if not drop]
 
     frontier = pareto_filter(points)
     if cfg.convexify and len(frontier) > 1:
@@ -497,36 +501,32 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
     return sorted(frontier, key=_sort_key)
 
 
-def _dominated_within_groups(m: np.ndarray, k: int) -> np.ndarray:
-    """Rows of ``m`` (k rates, then negated distortions) that another row
-    with exactly the same distortions dominates.
+def _dominated(rates: np.ndarray) -> np.ndarray:
+    """Rows of ``rates`` (one or two columns, all at the same distortions)
+    that another row dominates, with the margin of :func:`pareto_filter`.
 
-    Within such a group the distortions tie, so dominance is decided by the
-    rates alone, with the same margin as :func:`pareto_filter`.  Sorting a
-    group by its first rate, descending, turns "some point with r1 >= t"
+    Sorting by the first rate, descending, turns "some row with r1 >= t"
     into a prefix, so a running maximum of the last rate answers both forms
     of strict dominance (better first rate, or better last rate) with
     binary searches: O(n log n) time and O(n) memory, after Kung, Luccio &
-    Preparata (JACM 1975).  With one rate both columns are that rate.
+    Preparata (JACM 1975).  With one rate both columns are that rate.  A
+    row with a non-finite rate is never dominated, so it still reaches
+    :class:`RegionPoint`, which refuses it.
     """
-    dominated = np.zeros(len(m), dtype=bool)
-    order = np.lexsort((-m[:, 0], *m[:, k:].T))
-    d = m[order, k:]
-    starts = np.flatnonzero(np.r_[True, (d[1:] != d[:-1]).any(axis=1), True])
-    for g in np.flatnonzero(np.diff(starts) > 1):
-        idx = order[starts[g]:starts[g + 1]]
-        first, last = m[idx, 0], m[idx, k - 1]
-        best_last = np.maximum.accumulate(last)
-        ascending = first[::-1]
-        n = len(idx)
-        # another point with first rate above first + eps, last rate >= last
-        above = n - np.searchsorted(ascending, first + DOMINANCE_EPS, side="right")
-        strict_first = (above > 0) & (best_last[above - 1] >= last)
-        # another point with first rate >= first, last rate above last + eps
-        at_least = n - np.searchsorted(ascending, first, side="left")
-        strict_last = best_last[at_least - 1] > last + DOMINANCE_EPS
-        dominated[idx] = strict_first | strict_last
-    return dominated
+    order = np.argsort(-rates[:, 0], kind="stable")
+    first, last = rates[order, 0], rates[order, -1]
+    best_last = np.maximum.accumulate(last)
+    ascending = first[::-1]
+    n = len(order)
+    # another row with first rate above first + eps, last rate >= last
+    above = n - np.searchsorted(ascending, first + DOMINANCE_EPS, side="right")
+    strict_first = (above > 0) & (best_last[above - 1] >= last)
+    # another row with first rate >= first, last rate above last + eps
+    at_least = n - np.searchsorted(ascending, first, side="left")
+    strict_last = best_last[at_least - 1] > last + DOMINANCE_EPS
+    dominated = np.empty(n, dtype=bool)
+    dominated[order] = strict_first | strict_last
+    return dominated & np.isfinite(rates).all(axis=1)
 
 
 def pareto_filter(points) -> list[RegionPoint]:
@@ -535,12 +535,6 @@ def pareto_filter(points) -> list[RegionPoint]:
     A point dominates another when every rate coordinate is >= and every
     distortion coordinate is <=, with at least one coordinate better by more
     than ``DOMINANCE_EPS``.  Retained points keep their input order.
-
-    This relation is transitive and irreflexive, so the non-dominated set is
-    unique and any exact prefilter that drops only dominated points leaves
-    it unchanged.  Sweep points share their distortions across all samples
-    at one P_X, so the prefilter compares the rates of points with exactly
-    equal distortions first; the quadratic pass then sees the survivors.
     """
     points = list(points)
     if not points:
@@ -552,11 +546,10 @@ def pareto_filter(points) -> list[RegionPoint]:
     # One matrix with distortions negated turns dominance into a uniform
     # componentwise >= plus one strict margin.
     m = np.array([p.rates + tuple(-d for d in p.distortions) for p in points])
-    live = np.flatnonzero(~_dominated_within_groups(m, len(points[0].rates)))
     # A dominating point has a strictly larger coordinate sum, so processing
     # in descending-sum order means candidates are only ever dominated by
     # points already accepted (or by a chain leading to one).
-    order = live[np.argsort(-m[live].sum(axis=1), kind="stable")]
+    order = np.argsort(-m.sum(axis=1), kind="stable")
 
     kept: list[int] = []
     frontier = np.empty_like(m)

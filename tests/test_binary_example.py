@@ -67,6 +67,9 @@ def test_domain_errors():
         closed_form_point(1.1, 0.5, 0.5)
     with pytest.raises(DomainError):
         closed_form_point(0.5, 0.5, -0.2)
+    for tol in (-1e-9, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            crosscheck(0.5, 0.5, 0.5, tol)
 
 
 def test_sweep_structure():

@@ -166,6 +166,13 @@ def test_binary_multiplicative_is_physically_degraded():
         assert cls.residual_phys <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+def test_classify_rejects_bad_tolerance(tol):
+    # a NaN tolerance used to classify every channel as "neither"
+    with pytest.raises(DomainError):
+        classify_degradedness(make_binary_multiplicative(0.5, 0.5), tol)
+
+
 def test_identical_receivers_classified_both():
     # y1 = y2 = x with a single constant state on each side
     kernel = np.zeros((2, 1, 1, 2, 2))

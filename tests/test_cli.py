@@ -77,6 +77,21 @@ def test_classify_prints_class(capsys, tmp_path):
     assert out.splitlines()[0] == "physically-degraded"
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimator", "{spec}", "--px", "nan,1"],
+    ["classify", "{spec}", "--tol", "nan"],
+    ["simulate", "{spec}", "--px", "0.5,0.5", "--n", "100", "--tol", "inf"],
+    ["crosscheck", "--q", "0.5", "--alpha", "0.5", "--p", "0.5", "--tol", "nan"],
+], ids=["estimator-px", "classify-tol", "simulate-tol", "crosscheck-tol"])
+def test_nonfinite_option_is_usage_error(capsys, tmp_path, argv):
+    # NaN fails every comparison and nothing bounded inf, so these used to
+    # run: the first three exited 0, crosscheck printed FAIL
+    spec = write_binary_spec(tmp_path)
+    rc, out, _ = run(capsys, [a.format(spec=spec) for a in argv])
+    assert rc == 2
+    assert out == ""
+
+
 def test_estimator_table(capsys, tmp_path):
     rc, out, _ = run(capsys,
                      ["estimator", write_binary_spec(tmp_path, q=0.3), "--px", "0.5,0.5"])

@@ -146,3 +146,5 @@ def test_rejects_non_distribution():
         synthesize_estimator(spec, [0.5, 0.6], 1)
     with pytest.raises(DegenerateInput):
         synthesize_estimator(spec, [1.5, -0.5], 1)
+    with pytest.raises(DegenerateInput):
+        synthesize_estimator(spec, [float("nan"), 1.0], 1)

@@ -214,3 +214,8 @@ def test_input_design_rejects_bad_rows():
                     p_v_given_x=np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(DegenerateInput):
         InputDesign(p_x=np.array([1.5, -0.5]))
+    with pytest.raises(DegenerateInput):
+        InputDesign(p_x=np.array([np.nan, 1.0]))
+    with pytest.raises(DegenerateInput):
+        InputDesign(p_x=np.array([0.5, 0.5]),
+                    p_v_given_x=np.array([[np.nan, 1.0], [0.5, 0.5]]))

@@ -1,6 +1,11 @@
+import itertools
+import math
+import types
+from random import Random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jcas_regions import (
     CardinalityExceeded,
@@ -466,6 +471,57 @@ def test_sweep_classifies_once_and_synthesizes_once_per_px(mode, monkeypatch):
     assert calls["synthesize_estimator"] == 2 * (grid + 1)
 
 
+@pytest.mark.parametrize("mode", ["ps_inner", "single_inner"])
+def test_sweep_hands_pareto_only_px_survivors(mode, monkeypatch):
+    # every sample at one P_X shares its distortions, so a rate row that
+    # another row of the same P_X dominates never becomes a point
+    handed = []
+
+    def recording(points):
+        handed.append(points)
+        return pareto_filter(points)
+
+    monkeypatch.setattr(regions, "pareto_filter", recording)
+    sweep_region(binary_spec(), SearchConfig(
+        mode=mode, grid_step=4, n_samples=6, seed=4))
+    [points] = handed
+    groups = {}
+    for p in points:
+        groups.setdefault(p.design_tag.split(";")[0], []).append(p)
+    assert len(groups) == 5
+    for group in groups.values():
+        assert [id(p) for p in quadratic_pareto(group)] == [id(p) for p in group]
+
+
+def test_sweep_nan_rate_raises_domain_error(monkeypatch):
+    # at P_X = (0.5, 0.5), a NaN r1 bound and a zero secrecy cap give rows
+    # (nan, 0.0), which the other samples' rows would dominate if NaN were
+    # compared; they are kept, so RegionPoint still refuses them
+    def with_nan(mode, batch):
+        terms = original(mode, batch)
+        if next(calls) == 2:
+            terms[1] = (float("nan"), 0.0, terms[1][2])
+        return terms
+
+    original, calls = regions._terms, itertools.count()
+    monkeypatch.setattr(regions, "_terms", with_nan)
+    with pytest.raises(DomainError):
+        sweep_region(binary_spec(), SearchConfig(
+            mode="ps_inner", grid_step=4, n_samples=4, seed=3))
+
+
+@pytest.mark.parametrize("k, step", [(1, 2), (2, 7), (3, 4), (4, 3), (5, 2)])
+def test_simplex_grid_is_lazy_and_complete(k, step):
+    grid = regions._simplex_grid(k, step)
+    assert isinstance(grid, types.GeneratorType)
+    got = [tuple(p) for p in grid]
+    # every composition in lexicographic order, divided as the tags print it
+    brute = [tuple(np.array(c, dtype=float) / step)
+             for c in itertools.product(range(step + 1), repeat=k) if sum(c) == step]
+    assert got == brute
+    assert len(got) == math.comb(step + k - 1, k - 1)
+
+
 # The rate terms of each mode on one design through the scalar reference API.
 def _inner_ps_reference(joint, v):
     r2_cap = pos_part(
@@ -693,11 +749,27 @@ def _point_sets(draw):
     return points
 
 
+# Rates exactly one margin apart tie, so all four points are kept.
+_MARGIN_TIES = [
+    RegionPoint(r1=r1, r2=r2, d1=0.5, d2=0.5, design_tag=str(i))
+    for i, (r1, r2) in enumerate([(0.25 + DOMINANCE_EPS, 0.5), (0.25, 0.5),
+                                  (0.5, 0.25 + DOMINANCE_EPS), (0.5, 0.25)])]
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_point_sets(), st.randoms(use_true_random=False))
+@example(_MARGIN_TIES, Random(0))
 def test_pareto_filter_properties(points, random):
     kept = pareto_filter(points)
     assert [id(p) for p in kept] == [id(p) for p in quadratic_pareto(points)]
+    # the sweep's per-P_X staircase on each group of equal distortions
+    groups = {}
+    for p in points:
+        groups.setdefault(p.distortions, []).append(p)
+    for group in groups.values():
+        dropped = regions._dominated(np.array([p.rates for p in group]))
+        assert [id(p) for p, drop in zip(group, dropped) if not drop] \
+            == [id(p) for p in quadratic_pareto(group)]
     assert pareto_filter(kept) == kept
     shuffled = random.sample(points, len(points))
     assert sorted(map(id, pareto_filter(shuffled))) == sorted(map(id, kept))
