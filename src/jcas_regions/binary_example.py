@@ -20,11 +20,10 @@ probe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .channel import make_binary_multiplicative
-from .errors import DomainError, EmptyGrid
+from .channel import check_probability, check_tolerance, make_binary_multiplicative
+from .errors import EmptyGrid
 from .info import binary_entropy
 from .regions import exact_region_degraded_single
 
@@ -63,16 +62,11 @@ class BaselinePoint:
     d2: float
 
 
-def _check_unit(name: str, v: float) -> None:
-    if not (0.0 <= v <= 1.0):
-        raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-
-
 def closed_form_point(q: float, alpha: float, p: float) -> ExamplePoint:
     """Evaluate the closed-form rate and distortions at one (q, alpha, p)."""
-    _check_unit("q", q)
-    _check_unit("alpha", alpha)
-    _check_unit("p", p)
+    check_probability("q", q)
+    check_probability("alpha", alpha)
+    check_probability("p", p)
     if q * alpha >= 1.0:
         secrecy_term = 0.0
     else:
@@ -131,8 +125,7 @@ def crosscheck(q: float, alpha: float, p: float, tol: float) -> CrosscheckReport
     region at Bern(p), and reports the worst absolute deviation across
     (r, d1, d2).  Passes iff that deviation is within tol.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    check_tolerance(tol)
     cf = closed_form_point(q, alpha, p)
     spec = make_binary_multiplicative(q, alpha)
     pt = exact_region_degraded_single(spec, [1.0 - p, p])

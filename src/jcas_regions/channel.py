@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DegenerateInput,
     DimensionMismatch,
     DomainError,
     NegativeProbability,
@@ -39,6 +41,34 @@ def _frozen(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def check_probability(name: str, v: float) -> float:
+    """Return ``v``; raise :class:`DomainError` unless 0 <= v <= 1 (NaN fails)."""
+    if not (0.0 <= v <= 1.0):
+        raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
+    return v
+
+
+def check_tolerance(tol: float) -> float:
+    """Return ``tol``; raise :class:`DomainError` unless it is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def check_distribution(name: str, p) -> np.ndarray:
+    """Return ``p`` as a float array whose last axis sums to one within
+    ``PROB_TOL``; raise :class:`DegenerateInput` otherwise.
+
+    A NaN entry makes the minimum NaN, which fails ``>= 0``; an infinite
+    entry fails the sum, and so does an empty row.
+    """
+    p = np.asarray(p, dtype=float)
+    if not (p.min(initial=math.inf) >= 0
+            and (abs(p.sum(axis=-1) - 1.0) <= PROB_TOL).all()):
+        raise DegenerateInput(f"{name} is not a probability distribution")
+    return p
 
 
 def hamming_distortion(n: int, n_hat: int | None = None) -> np.ndarray:
@@ -315,10 +345,8 @@ def make_binary_multiplicative(q: float, alpha: float) -> ChannelSpec:
     P(s1=1, s2=1) = q*alpha and P(s1=0, s2=1) = 0, so receiver 2's state can
     be active only when receiver 1's is.  Both distortions are Hamming.
     """
-    if not (0.0 <= q <= 1.0):
-        raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_probability("q", q)
+    check_probability("alpha", alpha)
     state = np.array([[1.0 - q, 0.0], [q * (1.0 - alpha), q * alpha]])
     kernel = np.zeros((2, 2, 2, 2, 2))
     for x in range(2):
@@ -393,8 +421,7 @@ def classify_degradedness(spec: ChannelSpec,
     direction swaps the two pairs.  Residuals are exact max deviations, not
     averages, so deterministic channels come out at exactly zero.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    check_tolerance(tol)
     nx = spec.nx
     # joint[x, s1, s2, y1, y2] under uniform full-support input
     joint = spec.state_dist[None, :, :, None, None] * spec.kernel / nx

@@ -13,23 +13,28 @@ Subcommands::
     crosscheck --q Q --alpha A --p P --tol T
 
 Exit status: 0 on success, 1 on domain or validation failure (including an
-``--out`` that cannot be written), 2 on usage errors.  All numeric output
-uses 12 significant digits and identical invocations produce byte-identical
-output; ``--out`` writes atomically (write then rename).  ``region``
-evaluates designs serially; ``--threads`` is accepted for compatibility and
-has no effect on output or speed.
+``--out`` that cannot be written), 2 on usage errors.  Option values pass
+the library's own checks (``check_probability``, ``check_tolerance`` and
+``check_distribution`` in :mod:`.channel`), and a value they reject is a
+usage error.  All numeric output uses 12 significant digits and identical
+invocations produce byte-identical output; ``--out`` writes atomically
+(write then rename).  ``region`` evaluates designs serially; ``--threads``
+is accepted for compatibility and has no effect on output or speed.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
 
 from . import binary_example, regions, simulator
 from .channel import (
+    DEGRADEDNESS_TOL,
+    check_distribution,
+    check_probability,
+    check_tolerance,
     classify_degradedness,
     parse_channel_document,
     parse_channel_spec,
@@ -43,61 +48,30 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.12g}"
 
 
-def _probability(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (0.0 <= v <= 1.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is outside [0, 1]")
-    return v
+def _arg(convert):
+    """argparse type running ``convert(text)``: a value it rejects with
+    ``ValueError`` or the library's :class:`JcasError` is a usage error."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (ValueError, JcasError) as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
 
 
-def _nonnegative(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(v) and v >= 0):
-        raise argparse.ArgumentTypeError("value must be finite and nonnegative")
-    return v
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
+def _int_at_least(low: int):
+    def convert(text: str) -> int:
         v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError("value must be a nonnegative integer")
-    return v
+        if v < low:
+            raise ValueError(f"{v} is below the smallest valid value {low}")
+        return v
+    return _arg(convert)
 
 
-def _positive_int(text: str) -> int:
-    v = _nonnegative_int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
-    return v
-
-
-def _grid(text: str) -> int:
-    v = _positive_int(text)
-    if v < 2:
-        raise argparse.ArgumentTypeError("grid step must be at least 2")
-    return v
-
-
-def _px(text: str) -> list[float]:
-    try:
-        vals = [float(t) for t in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of numbers") from None
-    # NaN fails >= 0, and an infinite entry fails the sum
-    if not all(v >= 0 for v in vals) or abs(sum(vals) - 1.0) > 1e-9:
-        raise argparse.ArgumentTypeError(
-            "--px must be nonnegative and sum to 1")
-    return vals
+_probability = _arg(lambda text: check_probability("probability", float(text)))
+_tolerance = _arg(lambda text: check_tolerance(float(text)))
+_px = _arg(lambda text: check_distribution(
+    repr(text), [float(t) for t in text.split(",")]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="test physical/reverse degradedness")
     p.add_argument("file")
-    p.add_argument("--tol", type=_nonnegative, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEGRADEDNESS_TOL)
 
     p = sub.add_parser("estimator", help="print the optimal estimator tables")
     p.add_argument("file")
@@ -121,38 +95,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="sweep designs and print frontier CSV")
     p.add_argument("file")
     p.add_argument("--mode", choices=regions.MODES, required=True)
-    p.add_argument("--grid", type=_grid, default=16)
-    p.add_argument("--samples", type=_positive_int, default=16)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--grid", type=_int_at_least(2), default=16)
+    p.add_argument("--samples", type=_int_at_least(1), default=16)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--convexify", action="store_true")
-    p.add_argument("--threads", type=_positive_int, default=1,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="accepted for compatibility; evaluation is serial")
     p.add_argument("--out")
 
     p = sub.add_parser("example", help="closed-form binary example sweep CSV")
     p.add_argument("--q", type=_probability, required=True)
     p.add_argument("--alpha", type=_probability, required=True)
-    p.add_argument("--grid", type=_grid, default=64)
+    p.add_argument("--grid", type=_int_at_least(2), default=64)
     p.add_argument("--out")
 
     p = sub.add_parser("baseline", help="time-sharing separation baseline CSV")
     p.add_argument("--q", type=_probability, required=True)
     p.add_argument("--alpha", type=_probability, required=True)
-    p.add_argument("--grid", type=_grid, default=64)
+    p.add_argument("--grid", type=_int_at_least(2), default=64)
     p.add_argument("--out")
 
     p = sub.add_parser("simulate", help="Monte-Carlo check of the distortions")
     p.add_argument("file")
     p.add_argument("--px", type=_px, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--tol", type=_nonnegative, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--tol", type=_tolerance, required=True)
 
     p = sub.add_parser("crosscheck", help="closed form vs tensor evaluation")
     p.add_argument("--q", type=_probability, required=True)
     p.add_argument("--alpha", type=_probability, required=True)
     p.add_argument("--p", type=_probability, required=True)
-    p.add_argument("--tol", type=_nonnegative, required=True)
+    p.add_argument("--tol", type=_tolerance, required=True)
 
     return parser
 

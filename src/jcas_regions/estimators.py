@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, PROB_TOL
+from .channel import ChannelSpec, _frozen, check_distribution
 from .errors import DegenerateInput, DimensionMismatch
 
 __all__ = ["EstimatorTable", "synthesize_estimator", "expected_distortion"]
@@ -30,9 +30,7 @@ class EstimatorTable:
     table: np.ndarray  # (nx, ny1, ny2) integer reconstruction indices
 
     def __post_init__(self):
-        tab = np.array(self.table, dtype=np.int64)
-        tab.setflags(write=False)
-        object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "table", _frozen(self.table, np.int64))
         if self.j not in (1, 2):
             raise DimensionMismatch("receiver index j must be 1 or 2")
         if self.table.ndim != 3:
@@ -44,10 +42,7 @@ def _check_p_x(spec: ChannelSpec, p_x) -> np.ndarray:
     if p_x.ndim != 1 or len(p_x) != spec.nx:
         raise DegenerateInput(
             f"p_x must be a vector of length {spec.nx}, got shape {p_x.shape}")
-    # NaN fails >= 0, and an infinite entry fails the sum
-    if not np.all(p_x >= 0) or abs(float(p_x.sum()) - 1.0) > PROB_TOL:
-        raise DegenerateInput("p_x is not a probability distribution")
-    return p_x
+    return check_distribution("p_x", p_x)
 
 
 def _joint5(spec: ChannelSpec, p_x: np.ndarray) -> np.ndarray:

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, PROB_TOL
+from .channel import ChannelSpec, _frozen, check_distribution, check_probability
 from .errors import (
-    DegenerateInput,
     DimensionMismatch,
-    DomainError,
     OverlapError,
     UnknownVariable,
 )
@@ -49,8 +47,7 @@ BATCH_CELLS = 2 ** 20
 
 def binary_entropy(p: float) -> float:
     """Entropy in bits of a Bernoulli(p) variable; 0 at both endpoints."""
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"probability must lie in [0, 1], got {p!r}")
+    check_probability("probability", p)
     if p <= MIN_PROB or 1.0 - p <= MIN_PROB:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -59,24 +56,6 @@ def binary_entropy(p: float) -> float:
 def pos_part(a: float) -> float:
     """max(a, 0)."""
     return a if a > 0.0 else 0.0
-
-
-def _frozen(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_rows(name: str, mat: np.ndarray) -> None:
-    # NaN fails every comparison, so test finiteness before the sign
-    if not np.all(np.isfinite(mat)):
-        raise DegenerateInput(f"{name} has a non-finite entry")
-    if np.any(mat < 0):
-        raise DegenerateInput(f"{name} has a negative entry")
-    gaps = np.abs(mat.sum(axis=-1) - 1.0)
-    if np.any(gaps > PROB_TOL):
-        raise DegenerateInput(
-            f"{name} row sums deviate from 1 by up to {float(gaps.max()):.3g}")
 
 
 @dataclass(frozen=True)
@@ -132,17 +111,17 @@ class InputDesign:
         object.__setattr__(self, "p_x", _frozen(self.p_x))
         if self.p_x.ndim != 1:
             raise DimensionMismatch("p_x must be a vector")
-        _check_rows("p_x", self.p_x[None, :])
+        check_distribution("p_x", self.p_x)
         if self.p_v_given_x is not None:
             object.__setattr__(self, "p_v_given_x", _frozen(self.p_v_given_x))
             if self.p_v_given_x.ndim != 2:
                 raise DimensionMismatch("p_v_given_x must be a matrix")
-            _check_rows("p_v_given_x", self.p_v_given_x)
+            check_distribution("p_v_given_x", self.p_v_given_x)
         if self.p_u_given_v is not None:
             object.__setattr__(self, "p_u_given_v", _frozen(self.p_u_given_v))
             if self.p_u_given_v.ndim != 2:
                 raise DimensionMismatch("p_u_given_v must be a matrix")
-            _check_rows("p_u_given_v", self.p_u_given_v)
+            check_distribution("p_u_given_v", self.p_u_given_v)
 
     @property
     def nv(self) -> int:

@@ -23,6 +23,7 @@ comparing the designs one by one.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -247,7 +248,12 @@ def _terms(mode: _Mode, batch: JointBatch) -> list[tuple[float, float, float]]:
 
 
 def _rates(mode: _Mode, terms) -> list[tuple[float, ...]]:
-    """Rate rows of one design: (r1, r2) corners, or the one rate r."""
+    """Rate rows of one design: (r1, r2) corners, or the one rate r.
+
+    ``max``/``min`` would drop a NaN term, so every term must be finite.
+    """
+    if not all(map(math.isfinite, terms)):
+        raise DomainError(f"rate terms must be finite, got {terms!r}")
     r1max, cap, budget = terms
     if not mode.ps:
         return [(max(0.0, min(cap, budget)),)]
@@ -509,9 +515,7 @@ def _dominated(rates: np.ndarray) -> np.ndarray:
     into a prefix, so a running maximum of the last rate answers both forms
     of strict dominance (better first rate, or better last rate) with
     binary searches: O(n log n) time and O(n) memory, after Kung, Luccio &
-    Preparata (JACM 1975).  With one rate both columns are that rate.  A
-    row with a non-finite rate is never dominated, so it still reaches
-    :class:`RegionPoint`, which refuses it.
+    Preparata (JACM 1975).  With one rate both columns are that rate.
     """
     order = np.argsort(-rates[:, 0], kind="stable")
     first, last = rates[order, 0], rates[order, -1]
@@ -526,7 +530,7 @@ def _dominated(rates: np.ndarray) -> np.ndarray:
     strict_last = best_last[at_least - 1] > last + DOMINANCE_EPS
     dominated = np.empty(n, dtype=bool)
     dominated[order] = strict_first | strict_last
-    return dominated & np.isfinite(rates).all(axis=1)
+    return dominated
 
 
 def pareto_filter(points) -> list[RegionPoint]:

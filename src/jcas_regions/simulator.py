@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec
+from .channel import ChannelSpec, _frozen, check_tolerance
 from .errors import DegenerateInput
 from .estimators import expected_distortion, synthesize_estimator
 
@@ -33,9 +33,7 @@ class EmpiricalStats:
     freq: np.ndarray  # (nx, ns1, ns2, ny1, ny2), counts / n
 
     def __post_init__(self):
-        freq = np.array(self.freq, dtype=float)
-        freq.setflags(write=False)
-        object.__setattr__(self, "freq", freq)
+        object.__setattr__(self, "freq", _frozen(self.freq))
 
 
 def _categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -103,8 +101,10 @@ def verify_distortion(spec: ChannelSpec, p_x, n: int, seed: int,
 
     The reported standard errors are binomial-style: sqrt(v (1 - v/m) / n)
     with v the analytic mean and m the largest distortion value, which is
-    exact for 0/1 metrics and conservative for rescaled ones.
+    exact for 0/1 metrics and conservative for rescaled ones.  ``tol`` must
+    be finite and nonnegative.
     """
+    check_tolerance(tol)
     stats = sample_run(spec, p_x, n, seed)
     analytic = []
     stderr = []

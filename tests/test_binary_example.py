@@ -67,7 +67,11 @@ def test_domain_errors():
         closed_form_point(1.1, 0.5, 0.5)
     with pytest.raises(DomainError):
         closed_form_point(0.5, 0.5, -0.2)
-    for tol in (-1e-9, float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), float("-inf"), -0.1, 1.1):
+        for args in ((bad, 0.5, 0.5), (0.5, bad, 0.5), (0.5, 0.5, bad)):
+            with pytest.raises(DomainError):
+                closed_form_point(*args)
+    for tol in (-1e-9, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(DomainError):
             crosscheck(0.5, 0.5, 0.5, tol)
 

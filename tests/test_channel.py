@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jcas_regions import (
+    DegenerateInput,
     DegradednessKind,
     DomainError,
     NegativeProbability,
@@ -18,6 +19,8 @@ from jcas_regions import (
     swap_receivers,
     validate,
 )
+from jcas_regions.channel import check_distribution, check_probability, check_tolerance
+from jcas_regions.info import binary_entropy
 from conftest import oracle_conditionally_independent, random_channel_spec
 
 
@@ -157,6 +160,35 @@ def test_make_binary_multiplicative_domain():
         make_binary_multiplicative(0.5, -0.1)
 
 
+_BAD_UNIT = [float("nan"), -0.1, 1.1, float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("check, bad, error", [
+    *[(check, v, DomainError) for check in (
+        lambda v: check_probability("p", v),
+        binary_entropy,
+        lambda v: make_binary_multiplicative(v, 0.5),
+        lambda v: make_binary_multiplicative(0.5, v),
+    ) for v in _BAD_UNIT],
+    *[(check_tolerance, v, DomainError)
+      for v in (float("nan"), -1e-9, float("inf"), float("-inf"))],
+    *[(lambda p: check_distribution("p", p), p, DegenerateInput) for p in (
+        [float("nan"), 1.0], [-0.1, 1.1], [0.5, 0.6], [float("inf"), 0.0],
+        [float("-inf"), 1.0], [], [[0.5, 0.5], [0.4, 0.5]])],
+])
+def test_shared_checks_reject_out_of_domain(check, bad, error):
+    with pytest.raises(error):
+        check(bad)
+
+
+def test_shared_checks_return_their_argument():
+    assert check_probability("p", 0.0) == 0.0
+    assert check_probability("p", 1.0) == 1.0
+    assert check_tolerance(0.0) == 0.0
+    p = check_distribution("p", [[0.25, 0.75], [1.0, 0.0]])
+    assert p.dtype == float and p.tolist() == [[0.25, 0.75], [1.0, 0.0]]
+
+
 def test_binary_multiplicative_is_physically_degraded():
     rng = np.random.default_rng(10)
     for _ in range(10):
@@ -166,7 +198,7 @@ def test_binary_multiplicative_is_physically_degraded():
         assert cls.residual_phys <= 1e-12
 
 
-@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), float("-inf")])
 def test_classify_rejects_bad_tolerance(tol):
     # a NaN tolerance used to classify every channel as "neither"
     with pytest.raises(DomainError):

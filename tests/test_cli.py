@@ -29,9 +29,16 @@ def test_unknown_flag_rejected(capsys, tmp_path):
     assert rc == 2
 
 
-def test_out_of_domain_option_is_usage_error(capsys):
+def test_out_of_domain_option_is_usage_error(capsys, tmp_path):
     rc, _, _ = run(capsys, ["example", "--q", "1.2", "--alpha", "0.5", "--grid", "8"])
     assert rc == 2
+    spec = write_binary_spec(tmp_path)
+    for argv in (["example", "--q", "0.5", "--alpha", "0.5", "--grid", "1"],
+                 ["region", spec, "--mode", "ps_inner", "--grid", "1"],
+                 ["region", spec, "--mode", "ps_inner", "--samples", "0"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert argv[-2] in err
 
 
 def test_validate_ok(capsys, tmp_path):
@@ -82,7 +89,8 @@ def test_classify_prints_class(capsys, tmp_path):
     ["classify", "{spec}", "--tol", "nan"],
     ["simulate", "{spec}", "--px", "0.5,0.5", "--n", "100", "--tol", "inf"],
     ["crosscheck", "--q", "0.5", "--alpha", "0.5", "--p", "0.5", "--tol", "nan"],
-], ids=["estimator-px", "classify-tol", "simulate-tol", "crosscheck-tol"])
+    ["example", "--q", "nan", "--alpha", "0.5"],
+], ids=["estimator-px", "classify-tol", "simulate-tol", "crosscheck-tol", "example-q"])
 def test_nonfinite_option_is_usage_error(capsys, tmp_path, argv):
     # NaN fails every comparison and nothing bounded inf, so these used to
     # run: the first three exited 0, crosscheck printed FAIL

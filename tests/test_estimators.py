@@ -148,3 +148,8 @@ def test_rejects_non_distribution():
         synthesize_estimator(spec, [1.5, -0.5], 1)
     with pytest.raises(DegenerateInput):
         synthesize_estimator(spec, [float("nan"), 1.0], 1)
+    for p_x in ([float("inf"), 0.0], [float("-inf"), 1.0], [], [0.5, 0.5 + 1e-8]):
+        with pytest.raises(DegenerateInput):
+            synthesize_estimator(spec, p_x, 1)
+        with pytest.raises(DegenerateInput):
+            expected_distortion(spec, p_x, synthesize_estimator(spec, [0.5, 0.5], 1), 1)

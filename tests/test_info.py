@@ -219,3 +219,13 @@ def test_input_design_rejects_bad_rows():
     with pytest.raises(DegenerateInput):
         InputDesign(p_x=np.array([0.5, 0.5]),
                     p_v_given_x=np.array([[np.nan, 1.0], [0.5, 0.5]]))
+    for p_x in ([np.inf, 0.0], [-np.inf, 1.0], []):
+        with pytest.raises(DegenerateInput):
+            InputDesign(p_x=np.array(p_x))
+    with pytest.raises(DegenerateInput):
+        InputDesign(p_x=np.array([0.5, 0.5]),
+                    p_v_given_x=np.array([[np.inf, 0.0], [0.5, 0.5]]))
+    for row in ([1.1, -0.1], [np.nan, 1.0], [0.5, 0.6]):
+        with pytest.raises(DegenerateInput):
+            InputDesign(p_x=np.array([0.5, 0.5]),
+                        p_u_given_v=np.array([row, [0.5, 0.5]]))

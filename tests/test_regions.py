@@ -510,6 +510,28 @@ def test_sweep_nan_rate_raises_domain_error(monkeypatch):
             mode="ps_inner", grid_step=4, n_samples=4, seed=3))
 
 
+@pytest.mark.parametrize("mode, evaluator, column", [
+    ("single_inner", inner_bound_single, 1),
+    ("ps_outer", outer_bound_ps, 2),
+], ids=["single_inner-cap", "ps_outer-budget"])
+def test_sweep_nan_term_raises_domain_error(monkeypatch, mode, evaluator, column):
+    # max/min drop a NaN: a NaN secrecy cap used to give r = 0 and a NaN
+    # budget the cap, with no error
+    def with_nan(m, batch):
+        terms = original(m, batch)
+        terms[0] = tuple(float("nan") if i == column else t
+                         for i, t in enumerate(terms[0]))
+        return terms
+
+    original = regions._terms
+    monkeypatch.setattr(regions, "_terms", with_nan)
+    with pytest.raises(DomainError):
+        sweep_region(binary_spec(), SearchConfig(
+            mode=mode, grid_step=4, n_samples=2, seed=0))
+    with pytest.raises(DomainError):
+        evaluator(binary_spec(), InputDesign(p_x=np.array([0.5, 0.5])))
+
+
 @pytest.mark.parametrize("k, step", [(1, 2), (2, 7), (3, 4), (4, 3), (5, 2)])
 def test_simplex_grid_is_lazy_and_complete(k, step):
     grid = regions._simplex_grid(k, step)

@@ -3,6 +3,7 @@ import pytest
 
 from jcas_regions import (
     DegenerateInput,
+    DomainError,
     InputDesign,
     build_joint,
     make_binary_multiplicative,
@@ -10,6 +11,13 @@ from jcas_regions import (
     sample_run,
     verify_distortion,
 )
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_verify_distortion_rejects_bad_tolerance(tol):
+    # these used to return passed=False instead of raising
+    with pytest.raises(DomainError):
+        verify_distortion(make_binary_multiplicative(0.5, 0.5), [0.5, 0.5], 1000, 0, tol)
 
 
 def test_empirical_distortion_near_analytic():
