@@ -36,6 +36,9 @@ PROB_TOL = 1e-9
 #: Default tolerance for the degradedness residual tests.
 DEGRADEDNESS_TOL = 1e-9
 
+#: Masses at or below this count as exact zeros (denormal noise).
+MIN_PROB = 1e-300
+
 
 def _frozen(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
@@ -400,7 +403,7 @@ def _conditional_residual(joint: np.ndarray) -> float:
     mass = joint.sum(axis=2)
     worst = 0.0
     for c in range(nc):
-        ok = mass[:, c] > 0.0
+        ok = mass[:, c] > MIN_PROB
         if ok.sum() < 2:
             continue
         cond = joint[ok, c, :] / mass[ok, c][:, None]

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _frozen, check_distribution, check_probability
+from .channel import (MIN_PROB, ChannelSpec, _frozen, check_distribution,
+                      check_probability)
 from .errors import (
     DimensionMismatch,
     OverlapError,
@@ -33,9 +34,6 @@ from .errors import (
 
 #: Canonical variable order used by :func:`build_joint`.
 VAR_NAMES = ("U", "V", "X", "S1", "S2", "Y1", "Y2")
-
-#: Masses below this contribute zero entropy.
-MIN_PROB = 1e-300
 
 #: Hard cap on dense joint size, checked at construction.
 MAX_JOINT_CELLS = 10 ** 8

@@ -4,24 +4,35 @@ Draws i.i.d. rounds of (S1, S2), X and (Y1, Y2), runs the synthesized
 optimal estimators on each round, and reports empirical distortions plus
 the empirical joint frequency tensor.  Sampling is inverse-CDF over
 flattened categorical tables (cumulative sums computed once), driven by
-``numpy.random.default_rng(seed)`` (PCG64) drawing the three uniform blocks
-in the fixed order states, inputs, outputs.  Output is therefore a pure
+``numpy.random.default_rng(seed)`` (PCG64) drawing three uniform blocks of
+n in the fixed order states, inputs, outputs.  Output is therefore a pure
 function of (spec, p_x, n, seed); acceptance checks use tolerance bands,
 never exact stream values.
+
+The draws are streamed in chunks of ``CHUNK``, so memory is bounded by
+``CHUNK`` * |Y|, not by n.  Each block has its own generator, advanced to
+the block's start, so the streams are the same as drawing whole blocks.
+Chunks add integer counts over (x, s1, s2, y1, y2), and the frequencies and
+mean distortions come from the counts: exact on 0/1 distortion tables, and
+within last-bit rounding of a sum over the draws on general ones.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSpec, _frozen, check_tolerance
-from .errors import DegenerateInput
+from .errors import DegenerateInput, DomainError
 from .estimators import expected_distortion, synthesize_estimator
 
 __all__ = ["EmpiricalStats", "DistortionReport", "sample_run", "verify_distortion"]
+
+#: Draws per chunk; memory is O(CHUNK * |Y|) whatever n is.
+CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -43,45 +54,45 @@ def _categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     """Draw n i.i.d. channel uses and apply the optimal estimators."""
+    if not (isinstance(n, numbers.Integral) and isinstance(seed, numbers.Integral)
+            and seed >= 0):
+        raise DomainError(f"n must be an integer and seed a nonnegative "
+                          f"integer, got n={n!r}, seed={seed!r}")
     if n < 1:
         raise DegenerateInput(f"sample count must be at least 1, got {n}")
     p_x = np.asarray(p_x, dtype=float)
     est1 = synthesize_estimator(spec, p_x, 1)  # also validates p_x
     est2 = synthesize_estimator(spec, p_x, 2)
 
-    rng = np.random.default_rng(seed)
-    u_state = rng.random(n)
-    u_x = rng.random(n)
-    u_y = rng.random(n)
-
     cum_state = np.cumsum(spec.state_dist.reshape(-1))
     cum_state[-1] = 1.0
-    state_flat = _categorical(cum_state, u_state)
-    s1, s2 = np.divmod(state_flat, spec.ns2)
-
     cum_x = np.cumsum(p_x)
     cum_x[-1] = 1.0
-    x = _categorical(cum_x, u_x)
-
     cum_y = np.cumsum(
         spec.kernel.reshape(spec.nx * spec.ns1 * spec.ns2, -1), axis=1)
     cum_y[:, -1] = 1.0
-    rows = (x * spec.ns1 + s1) * spec.ns2 + s2
-    y_flat = (u_y[:, None] >= cum_y[rows]).sum(axis=1)
-    y1, y2 = np.divmod(y_flat, spec.ny2)
 
-    shat1 = est1.table[x, y1, y2]
-    shat2 = est2.table[x, y1, y2]
-    mean_d1 = float(spec.d1[s1, shat1].mean())
-    mean_d2 = float(spec.d2[s2, shat2].mean())
+    # counts over the flat (x, s1, s2, y1, y2) index, i.e. row * |Y| + y
+    ns, ny = cum_state.size, cum_y.shape[1]
+    counts = np.zeros(cum_y.size, dtype=np.int64)
+    streams = [np.random.default_rng(seed) for _ in range(3)]  # states, X, Y
+    for s, rng in enumerate(streams):
+        rng.bit_generator.advance(s * int(n))  # one output per double
+    for lo in range(0, n, CHUNK):
+        m = min(CHUNK, n - lo)
+        state = _categorical(cum_state, streams[0].random(m))
+        rows = _categorical(cum_x, streams[1].random(m)) * ns + state
+        y = (streams[2].random(m)[:, None] >= cum_y[rows]).sum(axis=1)
+        counts += np.bincount(rows * ny + y, minlength=counts.size)
 
-    dims = (spec.nx, spec.ns1, spec.ns2, spec.ny1, spec.ny2)
-    flat = np.ravel_multi_index((x, s1, s2, y1, y2), dims)
-    counts = np.bincount(flat, minlength=int(np.prod(dims)))
-    freq = counts.reshape(dims) / n
-
+    counts = counts.reshape(spec.nx, spec.ns1, spec.ns2, spec.ny1, spec.ny2)
+    # d_j[s_j, shat_j(x, y1, y2)] on the axes of the count table
+    d1 = spec.d1[np.arange(spec.ns1)[:, None, None, None], est1.table[:, None, None]]
+    d2 = spec.d2[np.arange(spec.ns2)[:, None, None], est2.table[:, None, None]]
+    mean_d1 = float((counts * d1).sum() / n)
+    mean_d2 = float((counts * d2).sum() / n)
     return EmpiricalStats(n=n, seed=seed, mean_d1=mean_d1, mean_d2=mean_d2,
-                          freq=freq)
+                          freq=counts / n)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from jcas_regions import ChannelSpec, InputDesign, make_channel_spec
+from jcas_regions import ChannelSpec, InputDesign, make_channel_spec, synthesize_estimator
 
 
 # ---------------------------------------------------------------------------
@@ -167,3 +167,50 @@ def oracle_conditionally_independent(spec, cond_pair, tol=1e-12) -> bool:
                 if abs(dists[0].get(k, 0.0) - dists[i].get(k, 0.0)) > tol:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# one-shot simulator oracle
+
+
+def oracle_sample_run(spec, p_x, n, seed):
+    """The simulator as one length-n block per stream, returning
+    ``(mean_d1, mean_d2, freq)``.
+
+    Memory is linear in n; the streamed :func:`sample_run` must reproduce it.
+    """
+    p_x = np.asarray(p_x, dtype=float)
+    est1 = synthesize_estimator(spec, p_x, 1)
+    est2 = synthesize_estimator(spec, p_x, 2)
+
+    rng = np.random.default_rng(seed)
+    u_state = rng.random(n)
+    u_x = rng.random(n)
+    u_y = rng.random(n)
+
+    cum_state = np.cumsum(spec.state_dist.reshape(-1))
+    cum_state[-1] = 1.0
+    state_flat = np.searchsorted(cum_state, u_state, side="right")
+    s1, s2 = np.divmod(state_flat, spec.ns2)
+
+    cum_x = np.cumsum(p_x)
+    cum_x[-1] = 1.0
+    x = np.searchsorted(cum_x, u_x, side="right")
+
+    cum_y = np.cumsum(
+        spec.kernel.reshape(spec.nx * spec.ns1 * spec.ns2, -1), axis=1)
+    cum_y[:, -1] = 1.0
+    rows = (x * spec.ns1 + s1) * spec.ns2 + s2
+    y_flat = (u_y[:, None] >= cum_y[rows]).sum(axis=1)
+    y1, y2 = np.divmod(y_flat, spec.ny2)
+
+    shat1 = est1.table[x, y1, y2]
+    shat2 = est2.table[x, y1, y2]
+    mean_d1 = float(spec.d1[s1, shat1].mean())
+    mean_d2 = float(spec.d2[s2, shat2].mean())
+
+    dims = (spec.nx, spec.ns1, spec.ns2, spec.ny1, spec.ny2)
+    flat = np.ravel_multi_index((x, s1, s2, y1, y2), dims)
+    counts = np.bincount(flat, minlength=int(np.prod(dims)))
+    freq = counts.reshape(dims) / n
+    return mean_d1, mean_d2, freq

@@ -19,9 +19,11 @@ from jcas_regions import (
     swap_receivers,
     validate,
 )
-from jcas_regions.channel import check_distribution, check_probability, check_tolerance
+from jcas_regions.channel import (DEGRADEDNESS_TOL, check_distribution, check_probability,
+                                  check_tolerance)
 from jcas_regions.info import binary_entropy
-from conftest import oracle_conditionally_independent, random_channel_spec
+from conftest import (oracle_conditionally_independent, random_channel_spec,
+                      random_degraded_spec)
 
 
 def test_parse_serialize_round_trip():
@@ -212,6 +214,21 @@ def test_identical_receivers_classified_both():
     kernel[1, 0, 0, 1, 1] = 1.0
     spec = make_channel_spec(np.array([[1.0]]), kernel)
     assert classify_degradedness(spec).kind is DegradednessKind.BOTH
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_denormal_state_mass_counts_as_zero(seed):
+    # a state row of total mass 1e-318 must classify like a zero row, not
+    # add denormal rounding noise to the conditionals
+    spec = random_degraded_spec(np.random.default_rng(seed), 3, 3, 3, 3, 3)
+    tiny, zero = spec.state_dist.copy(), spec.state_dist.copy()
+    tiny[0] *= 1e-318 / tiny[0].sum()
+    zero[0] = 0.0
+    got = classify_degradedness(make_channel_spec(tiny, spec.kernel))
+    want = classify_degradedness(make_channel_spec(zero, spec.kernel))
+    assert want.kind is DegradednessKind.PHYSICALLY_DEGRADED
+    assert got.kind is want.kind
+    assert got.residual_phys <= DEGRADEDNESS_TOL
 
 
 def test_swapped_binary_is_reversely_degraded():

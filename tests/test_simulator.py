@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,15 @@ from jcas_regions import (
     InputDesign,
     build_joint,
     make_binary_multiplicative,
+    make_channel_spec,
     marginalize,
     sample_run,
     verify_distortion,
 )
+from jcas_regions.simulator import CHUNK
+from conftest import oracle_sample_run, random_channel_spec
+
+SPEC_3ARY = random_channel_spec(np.random.default_rng(5), 3, 2, 2, 3, 3)  # |Y| = 9
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
@@ -92,3 +99,65 @@ def test_rejects_bad_inputs():
         sample_run(spec, [0.5, 0.5], 0, seed=1)
     with pytest.raises(DegenerateInput):
         sample_run(spec, [0.7, 0.7], 10, seed=1)
+
+
+@pytest.mark.parametrize("n, seed", [(2.5, 1), (10, -1), (10, 1.5), ("10", 1)])
+def test_rejects_non_integer_count_and_bad_seed(n, seed):
+    spec = make_binary_multiplicative(0.3, 0.5)
+    with pytest.raises(DomainError):
+        sample_run(spec, [0.5, 0.5], n, seed)
+    with pytest.raises(DomainError):
+        verify_distortion(spec, [0.5, 0.5], n, seed, 0.01)
+
+
+@pytest.mark.parametrize("spec, p_x", [
+    (make_binary_multiplicative(0.3, 0.5), [0.4, 0.6]),
+    (SPEC_3ARY, [0.2, 0.3, 0.5]),
+    (SPEC_3ARY, [0.0, 0.0, 1.0]),
+], ids=["binary", "3ary", "3ary-px001"])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_chunked_draws_equal_one_shot_oracle(spec, p_x, n, seed):
+    # 0/1 distortion tables: every partial sum is an exact integer
+    stats = sample_run(spec, p_x, n, seed)
+    mean_d1, mean_d2, freq = oracle_sample_run(spec, p_x, n, seed)
+    assert stats.mean_d1 == mean_d1
+    assert stats.mean_d2 == mean_d2
+    assert np.array_equal(stats.freq, freq)
+
+
+def test_numpy_integer_count_and_seed():
+    # PCG64.advance rejects a numpy integer offset
+    spec = make_binary_multiplicative(0.3, 0.5)
+    stats = sample_run(spec, [0.4, 0.6], np.int64(CHUNK + 1), np.uint32(9))
+    mean_d1, mean_d2, freq = oracle_sample_run(spec, [0.4, 0.6], CHUNK + 1, 9)
+    assert (stats.mean_d1, stats.mean_d2) == (mean_d1, mean_d2)
+    assert np.array_equal(stats.freq, freq)
+
+
+def test_chunked_means_on_general_distortions_within_rounding():
+    # sums over the count table and the oracle's pairwise sum over n terms
+    # may round differently in the last bits
+    rng = np.random.default_rng(3)
+    spec = make_channel_spec(SPEC_3ARY.state_dist, SPEC_3ARY.kernel,
+                             rng.uniform(0, 2, (2, 2)), rng.uniform(0, 2, (2, 3)))
+    n = 3 * CHUNK + 5
+    stats = sample_run(spec, [0.2, 0.3, 0.5], n, 42)
+    mean_d1, mean_d2, freq = oracle_sample_run(spec, [0.2, 0.3, 0.5], n, 42)
+    assert stats.mean_d1 == pytest.approx(mean_d1, rel=1e-15, abs=0)
+    assert stats.mean_d2 == pytest.approx(mean_d2, rel=1e-15, abs=0)
+    assert np.array_equal(stats.freq, freq)
+
+
+def test_memory_is_flat_in_n():
+    # the one-shot oracle needs about 145 MB at n = 10^6
+    peaks = []
+    for n in (10 ** 6, 4 * 10 ** 6):
+        tracemalloc.start()
+        try:
+            sample_run(SPEC_3ARY, [0.2, 0.3, 0.5], n, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 16 * 2 ** 20
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
