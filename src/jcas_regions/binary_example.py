@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channel import check_probability, check_tolerance, make_binary_multiplicative
-from .errors import EmptyGrid
+from .channel import (check_count, check_probability, check_tolerance,
+                      make_binary_multiplicative)
 from .info import binary_entropy
 from .regions import exact_region_degraded_single
 
@@ -81,8 +81,7 @@ def closed_form_point(q: float, alpha: float, p: float) -> ExamplePoint:
 
 def closed_form_sweep(q: float, alpha: float, grid_step: int) -> list[ExamplePoint]:
     """Sweep p over {0, 1/grid_step, ..., 1} in increasing order."""
-    if grid_step < 2:
-        raise EmptyGrid(f"grid_step must be at least 2, got {grid_step}")
+    check_count("grid_step", grid_step)
     return [closed_form_point(q, alpha, k / grid_step)
             for k in range(grid_step + 1)]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     DomainError,
+    EmptyGrid,
     NegativeProbability,
     SchemaError,
     StochasticityError,
@@ -58,6 +60,22 @@ def check_tolerance(tol: float) -> float:
     if not (math.isfinite(tol) and tol >= 0):
         raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
     return tol
+
+
+#: Integer arguments: (minimum, error raised below it); a non-integer is a DomainError.
+COUNT_RULES = {"grid_step": (2, EmptyGrid), "n_samples": (1, DomainError),
+               "seed": (0, DomainError), "n": (1, DegenerateInput),
+               "threads": (1, DomainError)}
+
+
+def check_count(name: str, v: int) -> int:
+    """Return ``v``, checked against ``COUNT_RULES[name]``."""
+    low, error = COUNT_RULES[name]
+    if not isinstance(v, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {v!r}")
+    if v < low:
+        raise error(f"{name} must be at least {low}, got {v}")
+    return v
 
 
 def check_distribution(name: str, p) -> np.ndarray:

@@ -14,12 +14,12 @@ Subcommands::
 
 Exit status: 0 on success, 1 on domain or validation failure (including an
 ``--out`` that cannot be written), 2 on usage errors.  Option values pass
-the library's own checks (``check_probability``, ``check_tolerance`` and
-``check_distribution`` in :mod:`.channel`), and a value they reject is a
-usage error.  All numeric output uses 12 significant digits and identical
-invocations produce byte-identical output; ``--out`` writes atomically
-(write then rename).  ``region`` evaluates designs serially; ``--threads``
-is accepted for compatibility and has no effect on output or speed.
+the library's checks (``check_probability``, ``check_tolerance``,
+``check_distribution``, ``check_count`` in :mod:`.channel`), and a value
+they reject is a usage error.  All numeric output uses 12 significant
+digits; identical invocations produce byte-identical output; ``--out``
+writes atomically (write then rename).  ``region`` evaluates designs
+serially; ``--threads`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import tempfile
 from . import binary_example, regions, simulator
 from .channel import (
     DEGRADEDNESS_TOL,
+    check_count,
     check_distribution,
     check_probability,
     check_tolerance,
@@ -59,13 +60,8 @@ def _arg(convert):
     return parse
 
 
-def _int_at_least(low: int):
-    def convert(text: str) -> int:
-        v = int(text)
-        if v < low:
-            raise ValueError(f"{v} is below the smallest valid value {low}")
-        return v
-    return _arg(convert)
+def _count(name: str):
+    return _arg(lambda text: check_count(name, int(text)))
 
 
 _probability = _arg(lambda text: check_probability("probability", float(text)))
@@ -95,31 +91,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="sweep designs and print frontier CSV")
     p.add_argument("file")
     p.add_argument("--mode", choices=regions.MODES, required=True)
-    p.add_argument("--grid", type=_int_at_least(2), default=16)
-    p.add_argument("--samples", type=_int_at_least(1), default=16)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--grid", type=_count("grid_step"), default=16)
+    p.add_argument("--samples", type=_count("n_samples"), default=16)
+    p.add_argument("--seed", type=_count("seed"), default=0)
     p.add_argument("--convexify", action="store_true")
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
+    p.add_argument("--threads", type=_count("threads"), default=1,
                    help="accepted for compatibility; evaluation is serial")
     p.add_argument("--out")
 
     p = sub.add_parser("example", help="closed-form binary example sweep CSV")
     p.add_argument("--q", type=_probability, required=True)
     p.add_argument("--alpha", type=_probability, required=True)
-    p.add_argument("--grid", type=_int_at_least(2), default=64)
+    p.add_argument("--grid", type=_count("grid_step"), default=64)
     p.add_argument("--out")
 
     p = sub.add_parser("baseline", help="time-sharing separation baseline CSV")
     p.add_argument("--q", type=_probability, required=True)
     p.add_argument("--alpha", type=_probability, required=True)
-    p.add_argument("--grid", type=_int_at_least(2), default=64)
+    p.add_argument("--grid", type=_count("grid_step"), default=64)
     p.add_argument("--out")
 
     p = sub.add_parser("simulate", help="Monte-Carlo check of the distortions")
     p.add_argument("file")
     p.add_argument("--px", type=_px, required=True)
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--n", type=_count("n"), required=True)
+    p.add_argument("--seed", type=_count("seed"), default=0)
     p.add_argument("--tol", type=_tolerance, required=True)
 
     p = sub.add_parser("crosscheck", help="closed form vs tensor evaluation")

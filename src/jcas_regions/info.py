@@ -11,8 +11,8 @@ the logs.
 :func:`mutual_information` are the reference API, one design at a time.
 Sweeps evaluate all sampled designs at one P_X together: :func:`joint_batches`
 stacks their joints on a leading axis, in chunks of at most ``BATCH_CELLS``
-cells, and :class:`JointBatch` sums each distinct marginal once per chunk.
-Its results equal the reference API's bit for bit.
+cells, and :class:`JointBatch` sums each distinct marginal once per chunk
+and takes its rows' entropies as arrays, bit for bit as the reference API.
 
 Everything else here is a pure function over immutable tensors.
 """
@@ -211,16 +211,23 @@ def mutual_information(j: JointDistribution, a, b, givens=()) -> float:
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
-    """:func:`_entropy_of` of every row, bit for bit.
-
-    When every cell of every row has mass, ``sum`` along the last axis adds
-    each row pairwise, in the same order as the scalar path.  Otherwise each
-    row is compressed and summed on its own: a segmented sum such as
-    ``np.add.reduceat`` adds sequentially and would change the last bits.
-    """
-    if (rows > MIN_PROB).all():
-        return -(rows * np.log2(rows)).sum(axis=1)
-    return np.array([_entropy_of(row) for row in rows])
+    """:func:`_entropy_of` of every row, bit for bit: the rows with m cells of
+    mass form one C-contiguous (rows, m) array, whose sum along the last axis
+    adds each row pairwise in the scalar path's order (``np.add.reduce`` is
+    ``sum`` without its Python wrapper).  ``reduceat``, or a column selection
+    that is not contiguous, would add sequentially."""
+    mask = rows > MIN_PROB
+    sizes = np.add.reduce(mask, axis=1)
+    groups = set(sizes.tolist())
+    if len(groups) == 1 and 0 not in groups:  # e.g. the rows share a support
+        kept = rows if groups == {rows.shape[1]} else rows[mask].reshape(len(rows), -1)
+        return -np.add.reduce(kept * np.log2(kept), axis=1)
+    out = np.zeros(len(rows))
+    for m in groups - {0}:
+        pick = sizes == m
+        kept = rows[pick][mask[pick]].reshape(-1, m)
+        out[pick] = -np.add.reduce(kept * np.log2(kept), axis=1)
+    return out
 
 
 class JointBatch:

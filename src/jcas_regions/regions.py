@@ -13,11 +13,11 @@ Sampled sweeps of the outer bounds are a necessary-condition envelope of the
 per-design bounds, not a converse region; they are labelled as such.
 
 A sweep evaluates the sampled designs of one P_X as one batch
-(:func:`jcas_regions.info.joint_batches`).  All of them share that P_X's
-distortions, so the sweep drops the rate rows another row of the same P_X
-dominates before it makes points; the final filter sees only the
-survivors.  Both give the same points, bit for bit, as evaluating and
-comparing the designs one by one.
+(:func:`jcas_regions.info.joint_batches`) and makes their rate rows as one
+array.  All share that P_X's distortions, so the sweep drops rate rows
+another row of the same P_X dominates before it makes points; the final
+filter compares the survivors a block at a time.  Both give the same
+points, bit for bit, as evaluating and comparing designs one by one.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ import numpy as np
 from .channel import (
     ChannelSpec,
     DEGRADEDNESS_TOL,
+    check_count,
     classify_degradedness,
 )
 from .errors import (
     CardinalityExceeded,
     DomainError,
-    EmptyGrid,
     MixedArity,
     NotDegraded,
 )
@@ -77,6 +77,9 @@ R1_GRID = 33
 #: Strictness margin used by Pareto dominance.
 DOMINANCE_EPS = 1e-12
 
+#: Block size and comparison budget of :func:`pareto_filter`.
+PARETO_BLOCK, PARETO_CELLS = 256, 2 ** 18
+
 
 @dataclass(frozen=True, kw_only=True)
 class RegionPoint:
@@ -101,7 +104,7 @@ class RegionPoint:
         if ps and (self.r1 is None or self.r2 is None):
             raise MixedArity("partial-secrecy points need both r1 and r2")
         for v in self.rates + self.distortions:
-            if not np.isfinite(v) or v < 0:
+            if not math.isfinite(v) or v < 0:
                 raise DomainError(f"coordinates must be finite and >= 0, got {v!r}")
 
     @property
@@ -247,28 +250,29 @@ def _terms(mode: _Mode, batch: JointBatch) -> list[tuple[float, float, float]]:
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def _rates(mode: _Mode, terms) -> list[tuple[float, ...]]:
-    """Rate rows of one design: (r1, r2) corners, or the one rate r.
-
-    ``max``/``min`` would drop a NaN term, so every term must be finite.
-    """
-    if not all(map(math.isfinite, terms)):
-        raise DomainError(f"rate terms must be finite, got {terms!r}")
-    r1max, cap, budget = terms
+def _rates(mode: _Mode, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rate rows of designs with (r1 bound, secrecy cap, budget) ``terms``, and
+    the design of each: r, or (r1, r2) along one design's ``np.linspace(0,
+    max(r1max, 0), R1_GRID)`` less rows whose ``round(., 15)`` key repeats
+    the row before (keys are monotone, so only a row within 1e-14 can)."""
+    if not np.isfinite(terms).all():
+        bad = terms[~np.isfinite(terms).all(axis=1)][0].tolist()
+        raise DomainError(f"rate terms must be finite, got {bad!r}")
+    r1max, cap, budget = terms.T[:, :, None]
     if not mode.ps:
-        return [(max(0.0, min(cap, budget)),)]
-    # Corner trade-off: r2 = min(cap, budget - r1) along an r1 grid.
-    rows = []
-    seen = set()
-    for r1 in np.linspace(0.0, max(r1max, 0.0), R1_GRID):
-        r1 = float(r1)
-        r2 = max(0.0, min(cap, budget - r1))
-        key = (round(r1, 15), round(r2, 15))
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append((max(r1, 0.0), r2))
-    return rows
+        return np.maximum(np.minimum(cap, budget), 0.0) + 0.0, np.arange(len(terms))
+    stop = np.where(0.0 > r1max, 0.0, r1max)
+    grid, step = np.arange(R1_GRID, dtype=float), stop / (R1_GRID - 1)
+    r1 = np.where(step == 0, grid / (R1_GRID - 1) * stop, grid * step) + 0.0
+    r1[:, -1] = stop[:, 0]
+    r2 = np.maximum(np.minimum(cap, budget - r1), 0.0) + 0.0  # -0.0 + 0.0 == 0.0
+    rows = np.stack([r1, r2], axis=-1)
+    new = np.ones(r1.shape, dtype=bool)
+    near = np.isclose(rows[:, 1:], rows[:, :-1], rtol=1e-14, atol=1e-14).all(axis=-1)
+    for k, g in zip(*near.nonzero()):
+        new[k, g + 1] = [round(v, 15) for v in rows[k, g + 1].tolist()] \
+            != [round(v, 15) for v in rows[k, g].tolist()]
+    return rows[new], new.nonzero()[0]
 
 
 def _point(rates, d12, tag: str) -> RegionPoint:
@@ -290,10 +294,10 @@ def _evaluate(spec: ChannelSpec, mode: _Mode, design: InputDesign,
     if mode.v_cap is not None and design.nv > getattr(caps, mode.v_cap):
         raise CardinalityExceeded(
             f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
-    [terms] = _terms(mode, JointBatch(build_joint(spec, design).probs[None]))
+    terms = _terms(mode, JointBatch(build_joint(spec, design).probs[None]))
     tag = tag if tag is not None else _auto_tag(design)
     d12 = _distortions(spec, design.p_x)
-    return [_point(r, d12, tag) for r in _rates(mode, terms)]
+    return [_point(r, d12, tag) for r in _rates(mode, np.array(terms))[0].tolist()]
 
 
 def _direct(name: str, spec: ChannelSpec, design, design_tag: str | None,
@@ -394,10 +398,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.n_samples < 1:
-            raise DomainError("n_samples must be at least 1")
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        check_count("n_samples", self.n_samples)
+        check_count("seed", self.seed)
         for name in ("nu", "nv"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -463,8 +465,8 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
     time-sharing mixtures between neighbouring retained points are added
     before the final filter.
     """
-    if cfg.grid_step < 2:
-        raise EmptyGrid(f"grid_step must be at least 2, got {cfg.grid_step}")
+    check_count("grid_step", cfg.grid_step)
+    check_count("threads", threads)
     mode = _MODE_TABLE[cfg.mode]
     _require(spec, mode, tol)
 
@@ -496,10 +498,10 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
         d12 = _distortions(spec, px)
         terms = [t for batch in joint_batches(spec, px, p_v, p_u)
                  for t in _terms(mode, batch)]
-        rows = [(k, r) for k, t in enumerate(terms) for r in _rates(mode, t)]
-        dominated = _dominated(np.array([r for _, r in rows]))
+        rows, design = _rates(mode, np.array(terms))
+        keep = ~_dominated(rows)
         points += [_point(r, d12, f"px={px_tag}{suffixes[k]}")
-                   for (k, r), drop in zip(rows, dominated) if not drop]
+                   for r, k in zip(rows[keep].tolist(), design[keep].tolist())]
 
     frontier = pareto_filter(points)
     if cfg.convexify and len(frontier) > 1:
@@ -538,7 +540,10 @@ def pareto_filter(points) -> list[RegionPoint]:
 
     A point dominates another when every rate coordinate is >= and every
     distortion coordinate is <=, with at least one coordinate better by more
-    than ``DOMINANCE_EPS``.  Retained points keep their input order.
+    than ``DOMINANCE_EPS``.  Retained points keep their input order.  Blocks
+    of ``PARETO_BLOCK`` points, in descending coordinate-sum order, are
+    compared with the points kept so far and with themselves; a block shrinks
+    so that (kept + block) x block stays within ``PARETO_CELLS``.
     """
     points = list(points)
     if not points:
@@ -550,20 +555,20 @@ def pareto_filter(points) -> list[RegionPoint]:
     # One matrix with distortions negated turns dominance into a uniform
     # componentwise >= plus one strict margin.
     m = np.array([p.rates + tuple(-d for d in p.distortions) for p in points])
-    # A dominating point has a strictly larger coordinate sum, so processing
-    # in descending-sum order means candidates are only ever dominated by
-    # points already accepted (or by a chain leading to one).
+    # A dominating point has a larger coordinate sum, so in descending-sum
+    # order a point is dropped exactly when an earlier point dominates it.
     order = np.argsort(-m.sum(axis=1), kind="stable")
-
-    kept: list[int] = []
-    frontier = np.empty_like(m)
-    for i in order:
-        if kept:
-            fr = frontier[: len(kept)]
-            dominated = ((fr >= m[i]).all(axis=1)
-                         & (fr > m[i] + DOMINANCE_EPS).any(axis=1)).any()
-            if bool(dominated):
-                continue
-        frontier[len(kept)] = m[i]
-        kept.append(i)
+    kept, lo = [], 0
+    while lo < len(order):
+        step = max(1, min(PARETO_BLOCK, PARETO_CELLS // (len(kept) + PARETO_BLOCK)))
+        block, lo = order[lo:lo + step], lo + step
+        # [i, j]: kept or block point i dominates block point j; a block
+        # point counts only against the block points before it
+        rows = m[kept + block.tolist()]
+        weak = np.ones((len(rows), len(block)), dtype=bool)
+        strict = np.zeros_like(weak)
+        for a, b in zip(rows.T, m[block].T):
+            weak &= a[:, None] >= b
+            strict |= a[:, None] > b + DOMINANCE_EPS
+        kept += block[~np.triu(weak & strict, 1 - len(kept)).any(axis=0)].tolist()
     return [points[i] for i in sorted(kept)]

@@ -20,14 +20,12 @@ within last-bit rounding of a sum over the draws on general ones.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _frozen, check_tolerance
-from .errors import DegenerateInput, DomainError
-from .estimators import expected_distortion, synthesize_estimator
+from .channel import ChannelSpec, _frozen, check_count, check_tolerance
+from .estimators import EstimatorTable, expected_distortion, synthesize_estimator
 
 __all__ = ["EmpiricalStats", "DistortionReport", "sample_run", "verify_distortion"]
 
@@ -42,6 +40,7 @@ class EmpiricalStats:
     mean_d1: float
     mean_d2: float
     freq: np.ndarray  # (nx, ns1, ns2, ny1, ny2), counts / n
+    estimators: tuple[EstimatorTable, EstimatorTable]  # the tables applied
 
     def __post_init__(self):
         object.__setattr__(self, "freq", _frozen(self.freq))
@@ -54,12 +53,8 @@ def _categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     """Draw n i.i.d. channel uses and apply the optimal estimators."""
-    if not (isinstance(n, numbers.Integral) and isinstance(seed, numbers.Integral)
-            and seed >= 0):
-        raise DomainError(f"n must be an integer and seed a nonnegative "
-                          f"integer, got n={n!r}, seed={seed!r}")
-    if n < 1:
-        raise DegenerateInput(f"sample count must be at least 1, got {n}")
+    check_count("seed", seed)
+    check_count("n", n)
     p_x = np.asarray(p_x, dtype=float)
     est1 = synthesize_estimator(spec, p_x, 1)  # also validates p_x
     est2 = synthesize_estimator(spec, p_x, 2)
@@ -92,7 +87,7 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     mean_d1 = float((counts * d1).sum() / n)
     mean_d2 = float((counts * d2).sum() / n)
     return EmpiricalStats(n=n, seed=seed, mean_d1=mean_d1, mean_d2=mean_d2,
-                          freq=counts / n)
+                          freq=counts / n, estimators=(est1, est2))
 
 
 @dataclass(frozen=True)
@@ -119,8 +114,7 @@ def verify_distortion(spec: ChannelSpec, p_x, n: int, seed: int,
     stats = sample_run(spec, p_x, n, seed)
     analytic = []
     stderr = []
-    for j, d in ((1, spec.d1), (2, spec.d2)):
-        est = synthesize_estimator(spec, p_x, j)
+    for j, d, est in zip((1, 2), (spec.d1, spec.d2), stats.estimators):
         v = expected_distortion(spec, p_x, est, j)
         analytic.append(v)
         dmax = float(d.max())

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from jcas_regions import ChannelSpec, InputDesign, make_channel_spec, synthesize_estimator
+from jcas_regions.info import _entropy_of
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +215,32 @@ def oracle_sample_run(spec, p_x, n, seed):
     counts = np.bincount(flat, minlength=int(np.prod(dims)))
     freq = counts.reshape(dims) / n
     return mean_d1, mean_d2, freq
+
+
+# ---------------------------------------------------------------------------
+# per-row loops that the sweep's array code replaced
+
+
+def oracle_rates(ps: bool, terms, grid: int = 33) -> list[tuple[float, ...]]:
+    """Rate rows of one design from its (r1 bound, secrecy cap, budget):
+    (r1, r2) corners along an r1 grid, skipping a row whose rounded key was
+    seen before, or the one rate r."""
+    r1max, cap, budget = terms
+    if not ps:
+        return [(max(0.0, min(cap, budget)),)]
+    rows = []
+    seen = set()
+    for r1 in np.linspace(0.0, max(r1max, 0.0), grid):
+        r1 = float(r1)
+        r2 = max(0.0, min(cap, budget - r1))
+        key = (round(r1, 15), round(r2, 15))
+        if key in seen:
+            continue
+        seen.add(key)
+        rows.append((max(r1, 0.0), r2))
+    return rows
+
+
+def oracle_row_entropies(rows) -> list[float]:
+    """Entropy in bits of each row, one row at a time."""
+    return [_entropy_of(row) for row in rows]

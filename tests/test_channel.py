@@ -7,6 +7,7 @@ from jcas_regions import (
     DegenerateInput,
     DegradednessKind,
     DomainError,
+    EmptyGrid,
     NegativeProbability,
     SchemaError,
     StochasticityError,
@@ -19,8 +20,8 @@ from jcas_regions import (
     swap_receivers,
     validate,
 )
-from jcas_regions.channel import (DEGRADEDNESS_TOL, check_distribution, check_probability,
-                                  check_tolerance)
+from jcas_regions.channel import (DEGRADEDNESS_TOL, check_count, check_distribution,
+                                  check_probability, check_tolerance)
 from jcas_regions.info import binary_entropy
 from conftest import (oracle_conditionally_independent, random_channel_spec,
                       random_degraded_spec)
@@ -189,6 +190,19 @@ def test_shared_checks_return_their_argument():
     assert check_tolerance(0.0) == 0.0
     p = check_distribution("p", [[0.25, 0.75], [1.0, 0.0]])
     assert p.dtype == float and p.tolist() == [[0.25, 0.75], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("name, low, error", [
+    ("grid_step", 2, EmptyGrid), ("n_samples", 1, DomainError),
+    ("seed", 0, DomainError), ("n", 1, DegenerateInput), ("threads", 1, DomainError)])
+def test_count_rules(name, low, error):
+    assert check_count(name, low) == low
+    assert check_count(name, np.int64(low + 1)) == low + 1
+    with pytest.raises(error, match=f"{name} must be at least {low}, got {low - 1}"):
+        check_count(name, low - 1)
+    for bad in (float(low), str(low), None):
+        with pytest.raises(DomainError, match="must be an integer"):
+            check_count(name, bad)
 
 
 def test_binary_multiplicative_is_physically_degraded():

@@ -41,6 +41,23 @@ def test_out_of_domain_option_is_usage_error(capsys, tmp_path):
         assert argv[-2] in err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--grid", "1", "grid_step must be at least 2, got 1"),
+    ("--samples", "0", "n_samples must be at least 1, got 0"),
+    ("--seed", "-1", "seed must be at least 0, got -1"),
+    ("--threads", "0", "threads must be at least 1, got 0"),
+    ("--n", "0", "n must be at least 1, got 0"),
+])
+def test_integer_options_use_library_rules(capsys, tmp_path, option, value, message):
+    # the library raises the same message for the same value
+    spec = write_binary_spec(tmp_path)
+    argv = ["simulate", spec, "--px", "0.5,0.5", "--tol", "0.1"] if option == "--n" \
+        else ["region", spec, "--mode", "ps_inner"]
+    rc, out, err = run(capsys, argv + [option, value])
+    assert (rc, out) == (2, "")
+    assert f"argument {option}: {message}" in err
+
+
 def test_validate_ok(capsys, tmp_path):
     rc, out, _ = run(capsys, ["validate", write_binary_spec(tmp_path)])
     assert rc == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from jcas_regions import (
     mutual_information,
     pos_part,
 )
-from conftest import oracle_entropy, oracle_joint, oracle_mi, random_channel_spec, random_design
+from jcas_regions import info
+from conftest import (oracle_entropy, oracle_joint, oracle_mi, oracle_row_entropies,
+                      random_channel_spec, random_design)
 
 
 def test_binary_entropy_values():
@@ -229,3 +233,38 @@ def test_input_design_rejects_bad_rows():
         with pytest.raises(DegenerateInput):
             InputDesign(p_x=np.array([0.5, 0.5]),
                         p_u_given_v=np.array([row, [0.5, 0.5]]))
+
+
+def _masked_rows(seed, width, masks):
+    rows = np.random.default_rng(seed).random((len(masks), width))
+    return np.where(np.array(masks, dtype=bool), rows, 0.0)
+
+
+_RNG = np.random.default_rng(70)
+_ABOVE_MIN = np.nextafter(info.MIN_PROB, 1.0)
+
+
+@pytest.mark.parametrize("rows", [
+    _masked_rows(0, 12, [[1, 0] * 6]),
+    _masked_rows(1, 12, [[1] * 12]),
+    # one shared support, 300 wide: past the pairwise sum's 8- and 128-blocks
+    _masked_rows(2, 300, [[1, 1, 0] * 100] * 5),
+    # equal support sizes, different masks
+    _masked_rows(3, 40, [_RNG.permutation([1] * 30 + [0] * 10) for _ in range(6)]),
+    # unequal support sizes, and a row with no mass
+    _masked_rows(4, 300, [_RNG.random(300) < f for f in (0.9, 0.5, 0.9, 0.1, 0.5)]
+                 + [[0] * 300]),
+    # one support size besides rows with no mass
+    _masked_rows(5, 9, [[1, 0, 1] * 3, [0] * 9, [0, 1, 1] * 3, [0] * 9]),
+    _masked_rows(6, 9, [[0] * 9]),
+    # cells at MIN_PROB count as zero, cells just above it do not
+    np.array([[0.5, info.MIN_PROB, 0.5, _ABOVE_MIN],
+              [0.25, 0.25, info.MIN_PROB, 0.5],
+              [_ABOVE_MIN, 5e-324, 0.0, 1.0]]),
+], ids=["one-row", "one-row-full", "shared", "equal-sizes", "unequal-sizes",
+        "one-size-and-empty", "empty", "min-prob"])
+def test_row_entropies_equal_per_row_oracle(rows):
+    got = info._row_entropies(rows).tolist()
+    expect = oracle_row_entropies(rows)
+    assert got == expect
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in expect]

@@ -39,11 +39,12 @@ from jcas_regions import (
     synthesize_estimator,
 )
 from jcas_regions import info, regions
-from jcas_regions.regions import DOMINANCE_EPS, MODES
+from jcas_regions.regions import DOMINANCE_EPS, MODES, PARETO_BLOCK
 from conftest import (
     oracle_entropy,
     oracle_joint,
     oracle_mi,
+    oracle_rates,
     random_channel_spec,
     random_degraded_spec,
     random_design,
@@ -383,6 +384,12 @@ def test_sweep_rejects_tiny_grid():
                      SearchConfig(mode="single_exact_deg", grid_step=1))
 
 
+def test_sweep_rejects_zero_threads():
+    with pytest.raises(DomainError, match="threads must be at least 1"):
+        sweep_region(binary_spec(),
+                     SearchConfig(mode="single_exact_deg", grid_step=4), threads=0)
+
+
 def test_sweep_is_deterministic():
     cfg = SearchConfig(mode="ps_inner", grid_step=4, n_samples=3, seed=17)
     a = sweep_region(binary_spec(), cfg)
@@ -624,6 +631,59 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
         assert got == expect
 
 
+# (r1 bound, secrecy cap, budget) of designs whose rate rows hit the edge
+# cases: an r1 bound of zero (either sign) or below, tiny r1 bounds whose
+# grid rows round to repeated keys, a subnormal r1 bound (linspace's step-0
+# branch), a cap above the budget, a negative budget, and cap == budget.
+_RATE_TERMS = [
+    (0.0, 0.5, 0.5), (-0.0, 0.5, 0.5), (-0.0, -0.0, -0.0), (0.0, 0.0, -0.0),
+    (-1e-17, 0.2, 0.3), (1e-16, 0.5, 0.5), (3e-14, 0.5, 0.5), (1e-13, 0.5, 0.5),
+    (3e-14, 0.25, 0.25 + 2e-14), (5e-324, 0.1, 0.1), (1e-310, 0.1, 1e-310),
+    (0.5, 0.9, 0.3), (0.5, 0.3, -0.2), (0.5, 0.25, 0.25), (0.7, 0.25, 0.6),
+    (2.0, 1.0, 3.0),
+]
+
+
+def _assert_rates_equal_oracle(ps, terms):
+    mode = regions._MODE_TABLE["ps_outer" if ps else "single_outer"]
+    rows, design = regions._rates(mode, np.array(terms, dtype=float).reshape(-1, 3))
+    expect = [(k, r) for k, t in enumerate(terms) for r in oracle_rates(ps, t)]
+    got = [tuple(r) for r in rows.tolist()]
+    assert design.tolist() == [k for k, _ in expect]
+    assert got == [r for _, r in expect]
+    # == treats -0.0 and 0.0 as equal; the printed CSV does not
+    assert [math.copysign(1.0, v) for r in got for v in r] \
+        == [math.copysign(1.0, v) for _, r in expect for v in r]
+
+
+@pytest.mark.parametrize("ps", [True, False], ids=["ps", "single"])
+def test_rate_rows_equal_loop_oracle(ps):
+    # stacked, and one design at a time as _evaluate calls it
+    _assert_rates_equal_oracle(ps, _RATE_TERMS)
+    for terms in _RATE_TERMS:
+        _assert_rates_equal_oracle(ps, [terms])
+
+
+_rate_term = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-16, 3e-14, 1e-13, 5e-324, 0.25, 0.5]),
+    st.floats(-1.0, 4.0))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_rate_term, _rate_term, _rate_term), min_size=1,
+                max_size=6), st.booleans())
+def test_rate_rows_property(terms, ps):
+    _assert_rates_equal_oracle(ps, terms)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_rate_rows_reject_nonfinite_terms(bad):
+    terms = np.array([(0.5, 0.25, 0.5), (0.5, bad, 0.5)])
+    for name in ("ps_outer", "single_outer"):
+        with pytest.raises(DomainError, match="rate terms must be finite"):
+            regions._rates(regions._MODE_TABLE[name], terms)
+
+
 def test_sweep_distortions_decouple_from_rates():
     spec = binary_spec()
     pts = sweep_region(spec, SearchConfig(
@@ -795,3 +855,30 @@ def test_pareto_filter_properties(points, random):
     assert pareto_filter(kept) == kept
     shuffled = random.sample(points, len(points))
     assert sorted(map(id, pareto_filter(shuffled))) == sorted(map(id, kept))
+    # blocks of at most 3 points, shrinking to 1 as the frontier grows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "PARETO_BLOCK", 3)
+        mp.setattr(regions, "PARETO_CELLS", 30)
+        assert [id(p) for p in pareto_filter(points)] == [id(p) for p in kept]
+
+
+@pytest.mark.parametrize("n", [PARETO_BLOCK - 1, PARETO_BLOCK, PARETO_BLOCK + 1,
+                               3 * PARETO_BLOCK + 5])
+@pytest.mark.parametrize("ps", [True, False], ids=["ps", "single"])
+def test_pareto_filter_across_blocks(n, ps):
+    # each distortion equals its rate on a 9-value pool, so most points are
+    # incomparable and the frontier spans every block; each coordinate is
+    # nudged by 0-2 margins, as in _point_sets, so ties within 1e-12 fall
+    # inside and across blocks; the last 8 points repeat earlier ones
+    rng = np.random.default_rng(n)
+    base = rng.choice(np.linspace(0.0, 1.0, 9), (n - 8, 2))
+    coords = np.hstack([base, base]) \
+        + rng.choice([0.0, 0.5, 1.0, 2.0], (n - 8, 4)) * DOMINANCE_EPS
+    points = []
+    for i, (a, b, d1, d2) in enumerate(coords.tolist()):
+        rates = {"r1": a, "r2": b} if ps else {"r": a + b}
+        points.append(RegionPoint(**rates, d1=d1, d2=d2, design_tag=str(i)))
+    points += [points[i] for i in rng.integers(0, n - 8, 8)]
+    kept = pareto_filter(points)
+    assert PARETO_BLOCK // 2 < len(kept) < n
+    assert [id(p) for p in kept] == [id(p) for p in quadratic_pareto(points)]

@@ -8,12 +8,15 @@ from jcas_regions import (
     DomainError,
     InputDesign,
     build_joint,
+    expected_distortion,
     make_binary_multiplicative,
     make_channel_spec,
     marginalize,
     sample_run,
+    synthesize_estimator,
     verify_distortion,
 )
+from jcas_regions import simulator
 from jcas_regions.simulator import CHUNK
 from conftest import oracle_sample_run, random_channel_spec
 
@@ -108,6 +111,24 @@ def test_rejects_non_integer_count_and_bad_seed(n, seed):
         sample_run(spec, [0.5, 0.5], n, seed)
     with pytest.raises(DomainError):
         verify_distortion(spec, [0.5, 0.5], n, seed, 0.01)
+
+
+def test_verify_distortion_synthesizes_each_estimator_once(monkeypatch):
+    calls = []
+
+    def counting(spec, p_x, j):
+        calls.append(j)
+        return synthesize_estimator(spec, p_x, j)
+
+    monkeypatch.setattr(simulator, "synthesize_estimator", counting)
+    spec, p_x = make_binary_multiplicative(0.3, 0.5), [0.4, 0.6]
+    report = verify_distortion(spec, p_x, 1000, 7, 0.1)
+    assert sorted(calls) == [1, 2]
+    stats = sample_run(spec, p_x, 1000, 7)
+    assert report.empirical == (stats.mean_d1, stats.mean_d2)
+    assert report.analytic == tuple(
+        expected_distortion(spec, p_x, synthesize_estimator(spec, p_x, j), j)
+        for j in (1, 2))
 
 
 @pytest.mark.parametrize("spec, p_x", [
