@@ -18,8 +18,8 @@ the library's checks (``check_probability``, ``check_tolerance``,
 ``check_distribution``, ``check_count`` in :mod:`.channel`), and a value
 they reject is a usage error.  All numeric output uses 12 significant
 digits; identical invocations produce byte-identical output; ``--out``
-writes atomically (write then rename).  ``region`` evaluates designs
-serially; ``--threads`` is accepted for compatibility and has no effect.
+writes atomically (write then rename).  ``--threads`` is a compatibility
+flag of the CLI alone, checked like any count and then dropped.
 """
 
 from __future__ import annotations
@@ -41,12 +41,9 @@ from .channel import (
     parse_channel_spec,
     validate,
 )
-from .errors import JcasError, UsageError
+from .errors import JcasError
 from .estimators import expected_distortion, synthesize_estimator
-
-
-def _fmt(v) -> str:
-    return "" if v is None else f"{v:.12g}"
+from .regions import _fmt
 
 
 def _arg(convert):
@@ -127,17 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """Parse argv, raising UsageError instead of exiting the process."""
-    parser = build_parser()
-    try:
-        return parser.parse_args(argv)
-    except SystemExit as e:
-        if e.code not in (0, None):
-            raise UsageError("invalid command line") from None
-        raise
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -196,7 +182,7 @@ def _cmd_region(ns) -> tuple[str, int]:
     if ns.mode in ("ps_outer", "single_outer"):
         print("note: sampled outer-bound sweep is a necessary-condition "
               "envelope, not a converse region", file=sys.stderr)
-    points = regions.sweep_region(spec, cfg, threads=ns.threads)
+    points = regions.sweep_region(spec, cfg)
     lines = ["mode,design_tag,r1,r2,r,d1,d2"]
     for p in points:
         lines.append(",".join([
@@ -282,14 +268,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        ns = parse_args(list(argv))
-    except UsageError:
-        return 2
-    except SystemExit as e:  # --help
-        return 0 if e.code in (0, None) else int(e.code)
+        ns = build_parser().parse_args(argv)
+    except SystemExit as e:  # 2 for a usage error, 0 for --help
+        return e.code
     try:
         text, rc = _DISPATCH[ns.subcommand](ns)
         _write_output(text, getattr(ns, "out", None))

@@ -219,7 +219,7 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     mask = rows > MIN_PROB
     sizes = np.add.reduce(mask, axis=1)
     groups = set(sizes.tolist())
-    if len(groups) == 1 and 0 not in groups:  # e.g. the rows share a support
+    if len(groups) == 1 and 0 not in groups:  # e.g. a shared support: no copies
         kept = rows if groups == {rows.shape[1]} else rows[mask].reshape(len(rows), -1)
         return -np.add.reduce(kept * np.log2(kept), axis=1)
     out = np.zeros(len(rows))

@@ -72,6 +72,10 @@ __all__ = [
 ]
 
 #: Number of r1 grid values emitted per design in partial-secrecy modes.
+#: ``_rates`` builds every design's grid with one ``np.linspace``, which takes
+#: its step-0 branch for all rows once one row needs it.  That equals each
+#: design's own grid, bit for bit, because R1_GRID - 1 is a power of two;
+#: only rows of a subnormal r1 bound differ, and those dedup to one row.
 R1_GRID = 33
 
 #: Strictness margin used by Pareto dominance.
@@ -142,8 +146,8 @@ def cardinality_caps(spec: ChannelSpec) -> CardinalityCaps:
     )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+def _fmt(v: float | None) -> str:
+    return "" if v is None else f"{v:.12g}"
 
 
 def _auto_tag(design: InputDesign) -> str:
@@ -261,10 +265,8 @@ def _rates(mode: _Mode, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r1max, cap, budget = terms.T[:, :, None]
     if not mode.ps:
         return np.maximum(np.minimum(cap, budget), 0.0) + 0.0, np.arange(len(terms))
-    stop = np.where(0.0 > r1max, 0.0, r1max)
-    grid, step = np.arange(R1_GRID, dtype=float), stop / (R1_GRID - 1)
-    r1 = np.where(step == 0, grid / (R1_GRID - 1) * stop, grid * step) + 0.0
-    r1[:, -1] = stop[:, 0]
+    stop = np.where(0.0 > r1max, 0.0, r1max)[:, 0]
+    r1 = np.linspace(0.0, stop, R1_GRID, axis=1) + 0.0
     r2 = np.maximum(np.minimum(cap, budget - r1), 0.0) + 0.0  # -0.0 + 0.0 == 0.0
     rows = np.stack([r1, r2], axis=-1)
     new = np.ones(r1.shape, dtype=bool)
@@ -282,32 +284,30 @@ def _point(rates, d12, tag: str) -> RegionPoint:
     return RegionPoint(r=rates[0], d1=d1, d2=d2, design_tag=tag)
 
 
-def _evaluate(spec: ChannelSpec, mode: _Mode, design: InputDesign,
-              tag: str | None) -> list[RegionPoint]:
-    """Points of one design under ``mode``; degradedness is the caller's
-    job."""
+def _admit(spec: ChannelSpec, mode: _Mode, nu: int, nv: int) -> None:
+    """Refuse |U| = nu or |V| = nv where ``mode``'s caps or constant U forbid."""
     caps = cardinality_caps(spec)
-    if mode.aux == "UV" and design.nu > caps.u:
-        raise CardinalityExceeded(f"|U| = {design.nu} exceeds the cap {caps.u}")
-    if mode.constant_u and design.nu != 1:
+    if mode.aux == "UV" and nu > caps.u:
+        raise CardinalityExceeded(f"|U| = {nu} exceeds the cap {caps.u}")
+    if mode.constant_u and nu != 1:
         raise DomainError("this region requires a constant U auxiliary")
-    if mode.v_cap is not None and design.nv > getattr(caps, mode.v_cap):
+    if mode.v_cap is not None and nv > getattr(caps, mode.v_cap):
         raise CardinalityExceeded(
-            f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
-    terms = _terms(mode, JointBatch(build_joint(spec, design).probs[None]))
-    tag = tag if tag is not None else _auto_tag(design)
-    d12 = _distortions(spec, design.p_x)
-    return [_point(r, d12, tag) for r in _rates(mode, np.array(terms))[0].tolist()]
+            f"|V| = {nv} exceeds the cap {getattr(caps, mode.v_cap)}")
 
 
-def _direct(name: str, spec: ChannelSpec, design, design_tag: str | None,
-            tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
-    # Modes with V = X take a bare P_X in place of a design.
+def _evaluate(name: str, spec: ChannelSpec, design, tag: str | None,
+              tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
+    """Points of one design under mode ``name``; a bare P_X where V = X."""
     mode = _MODE_TABLE[name]
     _require(spec, mode, tol)
     if not mode.aux:
         design = InputDesign(p_x=np.asarray(design, dtype=float))
-    return _evaluate(spec, mode, design, design_tag)
+    _admit(spec, mode, design.nu, design.nv)
+    terms = _terms(mode, JointBatch(build_joint(spec, design).probs[None]))
+    tag = tag if tag is not None else _auto_tag(design)
+    d12 = _distortions(spec, design.p_x)
+    return [_point(r, d12, tag) for r in _rates(mode, np.array(terms))[0].tolist()]
 
 
 def inner_bound_ps(spec: ChannelSpec, design: InputDesign,
@@ -318,7 +318,7 @@ def inner_bound_ps(spec: ChannelSpec, design: InputDesign,
     the secrecy term [I(V;Y1|S1,U) - I(V;Y2|S2,U)]^+ + H(Y1|Y2,S2,V) and by
     the total-rate budget I(V;Y1|S1) - r1.
     """
-    return _direct("ps_inner", spec, design, design_tag)
+    return _evaluate("ps_inner", spec, design, design_tag)
 
 
 def outer_bound_ps(spec: ChannelSpec, design: InputDesign,
@@ -329,14 +329,14 @@ def outer_bound_ps(spec: ChannelSpec, design: InputDesign,
     The bound does not involve U, so a non-constant U is accepted and
     ignored.
     """
-    return _direct("ps_outer", spec, design, design_tag)
+    return _evaluate("ps_outer", spec, design, design_tag)
 
 
 def exact_region_degraded_ps(spec: ChannelSpec, design: InputDesign,
                              design_tag: str | None = None,
                              tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
     """Exact trade-off for physically-degraded channels (constant U)."""
-    return _direct("ps_exact_deg", spec, design, design_tag, tol)
+    return _evaluate("ps_exact_deg", spec, design, design_tag, tol)
 
 
 def exact_region_reverse_ps(spec: ChannelSpec, design: InputDesign,
@@ -344,19 +344,19 @@ def exact_region_reverse_ps(spec: ChannelSpec, design: InputDesign,
                             tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
     """Exact trade-off for reversely-degraded channels: the secrecy cap
     collapses to H(Y1|Y2,S2)."""
-    return _direct("ps_exact_rev", spec, design, design_tag, tol)
+    return _evaluate("ps_exact_rev", spec, design, design_tag, tol)
 
 
 def inner_bound_single(spec: ChannelSpec, design: InputDesign,
                        design_tag: str | None = None) -> list[RegionPoint]:
     """Achievable secret rate for one design, single-message mode."""
-    return _direct("single_inner", spec, design, design_tag)
+    return _evaluate("single_inner", spec, design, design_tag)
 
 
 def outer_bound_single(spec: ChannelSpec, p_x,
                        design_tag: str | None = None) -> RegionPoint:
     """Converse rate bound for one input law, single-message mode."""
-    return _direct("single_outer", spec, p_x, design_tag)[0]
+    return _evaluate("single_outer", spec, p_x, design_tag)[0]
 
 
 def exact_region_degraded_single(spec: ChannelSpec, p_x,
@@ -367,14 +367,14 @@ def exact_region_degraded_single(spec: ChannelSpec, p_x,
     Identical formula to :func:`outer_bound_single`; degradedness is what
     makes the bound tight, so it is enforced here.
     """
-    return _direct("single_exact_deg", spec, p_x, design_tag, tol)[0]
+    return _evaluate("single_exact_deg", spec, p_x, design_tag, tol)[0]
 
 
 def exact_region_reverse_single(spec: ChannelSpec, p_x,
                                 design_tag: str | None = None,
                                 tol: float = DEGRADEDNESS_TOL) -> RegionPoint:
     """Exact single-message trade-off for reversely-degraded channels."""
-    return _direct("single_exact_rev", spec, p_x, design_tag, tol)[0]
+    return _evaluate("single_exact_rev", spec, p_x, design_tag, tol)[0]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -383,8 +383,9 @@ class SearchConfig:
 
     grid_step fixes the P_X simplex grid (step 1/grid_step); n_samples
     counts the random auxiliary-channel draws per grid point in modes that
-    use auxiliaries.  Cardinality overrides may only lower the caps, and
-    must be at least 1; the seed must be nonnegative.
+    use auxiliaries.  The overrides nu = |U| and nv = |V| are integers of at
+    least 1, set only for an auxiliary the mode samples, and checked against
+    the evaluators' caps by the sweep; the seed must be nonnegative.
     """
 
     mode: str
@@ -400,10 +401,13 @@ class SearchConfig:
             raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
         check_count("n_samples", self.n_samples)
         check_count("seed", self.seed)
-        for name in ("nu", "nv"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise DomainError(f"{name} must be at least 1, got {value}")
+        aux = _MODE_TABLE[self.mode].aux
+        for name, sampled in (("nu", aux == "UV"), ("nv", aux != "")):
+            if getattr(self, name) is not None:
+                check_count(name, getattr(self, name))
+                if not sampled:
+                    raise DomainError(f"{name} cannot be set: {self.mode} does "
+                                      f"not sample {name[1].upper()}")
 
 
 def _simplex_grid(k: int, step: int):
@@ -442,7 +446,7 @@ def _mixtures(points: list[RegionPoint]) -> list[RegionPoint]:
     return out
 
 
-def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
+def sweep_region(spec: ChannelSpec, cfg: SearchConfig, *,
                  tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
     """Search the design space and return the Pareto-nondominated points.
 
@@ -460,29 +464,24 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, threads: int = 1,
     shares its distortions, so a rate row that another row of the same P_X
     dominates is dropped before it becomes a point.  Dominance is
     transitive, so the final filter keeps the same points either way.
-    Evaluation is serial: ``threads`` is accepted for compatibility and
-    changes neither the output nor the speed.  With ``convexify`` set,
+    The auxiliary sizes drawn (the overrides, else the caps) pass the same
+    admission check as the evaluators.  With ``convexify`` set,
     time-sharing mixtures between neighbouring retained points are added
     before the final filter.
     """
     check_count("grid_step", cfg.grid_step)
-    check_count("threads", threads)
     mode = _MODE_TABLE[cfg.mode]
     _require(spec, mode, tol)
+    caps = cardinality_caps(spec)
+    nv = cfg.nv or (getattr(caps, mode.v_cap) if mode.aux else spec.nx)
+    nu = cfg.nu or (caps.u if mode.aux == "UV" else 1)
+    _admit(spec, mode, nu, nv)
 
     # One stack of auxiliary channels, shared by every P_X: V = X and a
     # constant U unless the mode samples them.
     p_v, p_u = np.eye(spec.nx)[None], np.ones((1, spec.nx, 1))
     suffixes = [""]
     if mode.aux:
-        caps = cardinality_caps(spec)
-        v_cap = getattr(caps, mode.v_cap)
-        nv = v_cap if cfg.nv is None else cfg.nv
-        if nv > v_cap:
-            raise CardinalityExceeded(f"|V| override {nv} exceeds the cap {v_cap}")
-        nu = caps.u if cfg.nu is None else cfg.nu
-        if nu > caps.u:
-            raise CardinalityExceeded(f"|U| override {nu} exceeds the cap {caps.u}")
         rng = np.random.default_rng(cfg.seed)
         draws_v, draws_u = [], []
         for _ in range(cfg.n_samples):
@@ -541,9 +540,10 @@ def pareto_filter(points) -> list[RegionPoint]:
     A point dominates another when every rate coordinate is >= and every
     distortion coordinate is <=, with at least one coordinate better by more
     than ``DOMINANCE_EPS``.  Retained points keep their input order.  Blocks
-    of ``PARETO_BLOCK`` points, in descending coordinate-sum order, are
-    compared with the points kept so far and with themselves; a block shrinks
-    so that (kept + block) x block stays within ``PARETO_CELLS``.
+    of ``PARETO_BLOCK`` points, in descending coordinate-sum order, then
+    descending lexicographic order, are compared with the points kept so far
+    and with themselves; a block shrinks so that (kept + block) x block
+    stays within ``PARETO_CELLS``.
     """
     points = list(points)
     if not points:
@@ -555,9 +555,9 @@ def pareto_filter(points) -> list[RegionPoint]:
     # One matrix with distortions negated turns dominance into a uniform
     # componentwise >= plus one strict margin.
     m = np.array([p.rates + tuple(-d for d in p.distortions) for p in points])
-    # A dominating point has a larger coordinate sum, so in descending-sum
-    # order a point is dropped exactly when an earlier point dominates it.
-    order = np.argsort(-m.sum(axis=1), kind="stable")
+    # Floating-point sums are monotone, so a dominating point comes first in
+    # this order, and a point is dropped exactly when an earlier one dominates it.
+    order = np.lexsort((*(-m.T[::-1]), -m.sum(axis=1)))
     kept, lo = [], 0
     while lo < len(order):
         step = max(1, min(PARETO_BLOCK, PARETO_CELLS // (len(kept) + PARETO_BLOCK)))

@@ -372,7 +372,8 @@ def test_sweep_finds_reference_point():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("nv", 0), ("nu", 0), ("nv", -2), ("seed", -1), ("n_samples", 0)])
+    ("nv", 0), ("nu", 0), ("nv", -2), ("seed", -1), ("n_samples", 0),
+    ("nu", 1.5), ("nv", float("nan")), ("nv", 2.0)])
 def test_search_config_rejects_out_of_range_values(field, value):
     with pytest.raises(DomainError):
         SearchConfig(mode="ps_inner", grid_step=4, **{field: value})
@@ -384,23 +385,18 @@ def test_sweep_rejects_tiny_grid():
                      SearchConfig(mode="single_exact_deg", grid_step=1))
 
 
-def test_sweep_rejects_zero_threads():
-    with pytest.raises(DomainError, match="threads must be at least 1"):
-        sweep_region(binary_spec(),
-                     SearchConfig(mode="single_exact_deg", grid_step=4), threads=0)
+def test_sweep_takes_tol_by_keyword_only():
+    # a positional argument that once was a thread count must not become the
+    # degradedness tolerance
+    with pytest.raises(TypeError):
+        sweep_region(swap_receivers(binary_spec()),
+                     SearchConfig(mode="single_exact_deg", grid_step=4), 2)
 
 
 def test_sweep_is_deterministic():
     cfg = SearchConfig(mode="ps_inner", grid_step=4, n_samples=3, seed=17)
     a = sweep_region(binary_spec(), cfg)
     b = sweep_region(binary_spec(), cfg)
-    assert a == b
-
-
-def test_sweep_threads_do_not_change_results():
-    cfg = SearchConfig(mode="ps_inner", grid_step=4, n_samples=3, seed=17)
-    a = sweep_region(binary_spec(), cfg, threads=1)
-    b = sweep_region(binary_spec(), cfg, threads=8)
     assert a == b
 
 
@@ -748,6 +744,41 @@ def test_outer_ps_cardinality_cap():
         outer_bound_ps(spec, design)
 
 
+@pytest.mark.parametrize("override", ["none", "nu", "nv", "nu-over", "nv-over"])
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_admits_what_the_evaluator_admits(mode, override):
+    # a mode samples U only in ps_inner and V only where it has a V cap; an
+    # override of anything else is refused, and a size above its cap fails
+    # in the sweep with the evaluator's message
+    spec = mode_spec(mode)
+    caps = cardinality_caps(spec)
+    v_cap = getattr(caps, V_CAPS[mode]) if mode in V_CAPS else spec.nx
+    name = override[:2]
+    value = {"none": None, "nu": 2, "nv": 2,
+             "nu-over": caps.u + 1, "nv-over": v_cap + 1}[override]
+
+    def sweep():
+        kwargs = {} if value is None else {name: value}
+        return sweep_region(spec, SearchConfig(
+            mode=mode, grid_step=2, n_samples=1, **kwargs))
+
+    sampled = mode == "ps_inner" if name == "nu" else mode in V_CAPS
+    if value is not None and not sampled:
+        with pytest.raises(DomainError, match="cannot be set"):
+            sweep()
+    elif override.endswith("-over"):
+        nu = value if name == "nu" else None
+        nv = value if name == "nv" else v_cap
+        design = random_design(np.random.default_rng(7), spec, nv=nv, nu=nu)
+        with pytest.raises(CardinalityExceeded) as swept:
+            sweep()
+        with pytest.raises(CardinalityExceeded) as evaluated:
+            WRAPPERS[mode](spec, design)
+        assert str(swept.value) == str(evaluated.value)
+    else:
+        assert sweep()
+
+
 def test_sweep_cardinality_override_only_downward():
     spec = binary_spec()
     with pytest.raises(CardinalityExceeded):
@@ -838,9 +869,17 @@ _MARGIN_TIES = [
                                   (0.5, 0.25 + DOMINANCE_EPS), (0.5, 0.25)])]
 
 
+# The second point dominates the first by 2e-12 in r2, yet both coordinate
+# sums round to the same float, so ordering by the sum alone is not enough.
+_SUM_TIE = [RegionPoint(r1=1e5, r2=r2, d1=0.1, d2=0.1, design_tag=str(i))
+            for i, r2 in enumerate([0.5, 0.5 + 2e-12])]
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_point_sets(), st.randoms(use_true_random=False))
 @example(_MARGIN_TIES, Random(0))
+@example(_SUM_TIE, Random(0))
+@example(_SUM_TIE[::-1], Random(0))
 def test_pareto_filter_properties(points, random):
     kept = pareto_filter(points)
     assert [id(p) for p in kept] == [id(p) for p in quadratic_pareto(points)]
