@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jcas_regions import (
     DimensionMismatch,
@@ -17,6 +19,7 @@ from jcas_regions import (
     marginalize,
     mutual_information,
     pos_part,
+    swap_receivers,
 )
 from jcas_regions import info
 from conftest import (oracle_entropy, oracle_joint, oracle_mi, oracle_row_entropies,
@@ -268,3 +271,51 @@ def test_row_entropies_equal_per_row_oracle(rows):
     expect = oracle_row_entropies(rows)
     assert got == expect
     assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in expect]
+
+
+# the 127 nonempty subsets of the seven variables
+_SUBSETS = [keep for r in range(1, 8)
+            for keep in itertools.combinations(info.VAR_NAMES, r)]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(alphabets=st.tuples(*[st.integers(1, 3)] * 7),
+       k=st.sampled_from([1, 2, 5]),
+       x_zeros=st.lists(st.booleans(), min_size=3, max_size=3),
+       swap=st.booleans(), two_stage=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alphabets=(3, 2, 2, 3, 3, 3, 3), k=2, x_zeros=[True, True, False],
+         swap=False, two_stage=True, seed=0)
+def test_batch_marginals_equal_numpy_sum_and_reference(alphabets, k, x_zeros,
+                                                       swap, two_stage, seed):
+    # alphabets of 1 give length-1 axes, which numpy's order skips; the
+    # swapped spec's arrays are transposed views, so the einsum lays the
+    # stack out in another memory order
+    nx, ns1, ns2, ny1, ny2, nu, nv = alphabets
+    rng = np.random.default_rng(seed)
+    spec = random_channel_spec(rng, nx, ns1, ns2, ny1, ny2)
+    if swap:
+        spec = swap_receivers(spec)
+    p_x = np.where(x_zeros[:nx], 0.0, rng.dirichlet(np.ones(nx)))
+    if not p_x.any():
+        p_x[-1] = 1.0
+    p_x /= p_x.sum()
+    p_v = rng.dirichlet(np.ones(nv), size=(k, nx))
+    p_u = rng.dirichlet(np.ones(nu), size=(k, nv))
+    [batch] = info.joint_batches(spec, p_x, p_v, p_u)
+    joints = [build_joint(spec, InputDesign(p_x, p_v[d], p_u[d])) for d in range(k)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(info, "TWO_STAGE_CELLS", 0 if two_stage else math.inf)
+        stack = info.JointBatch(batch.probs)
+        for keep in _SUBSETS:
+            drop = tuple(i + 1 for i, n in enumerate(info.VAR_NAMES)
+                         if n not in keep)
+            got = stack._rows(drop)
+            assert got.tobytes() == batch.probs.sum(axis=drop).reshape(
+                k, -1).tobytes(), keep
+            for row, joint in zip(got, joints):
+                assert row.tobytes() == marginalize(
+                    joint, keep).probs.reshape(-1).tobytes(), keep
+            assert stack.entropy(keep).tolist() == [
+                entropy(joint, keep) for joint in joints], keep
+        assert bool(stack._runs) == two_stage

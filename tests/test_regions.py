@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import types
 from random import Random
 
@@ -625,6 +626,43 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
             expect.append(REFERENCE_TERMS[mode](
                 build_joint(spec, design), "V" if row.aux else "X"))
         assert got == expect
+
+
+@pytest.mark.parametrize("channel", ["random-3ary", "binary"])
+def test_batch_sums_stay_within_scratch_budget(channel, monkeypatch):
+    # the budget stated at info.BATCH_CELLS, on one batch of that size for
+    # each mode's rate terms: the two stages cache runs of under 2x the
+    # batch's bytes, and allocate at most that much more than the one-call
+    # path does for the same terms
+    rng = np.random.default_rng(80)
+    spec = {"random-3ary": random_channel_spec(rng, nx=3, ny1=3, ny2=3),
+            "binary": binary_spec()}[channel]
+    caps = cardinality_caps(spec)
+
+    def peak_bytes(terms, probs, two_stage_cells):
+        monkeypatch.setattr(info, "TWO_STAGE_CELLS", two_stage_cells)
+        batch = info.JointBatch(probs)
+        tracemalloc.start()
+        try:
+            terms(batch, "V")
+            return tracemalloc.get_traced_memory()[1], batch
+        finally:
+            tracemalloc.stop()
+
+    for mode in MODES:
+        row = regions._MODE_TABLE[mode]
+        nv = getattr(caps, row.v_cap) if row.aux else spec.nx
+        nu = caps.u if row.aux == "UV" else 1
+        k = info.BATCH_CELLS // (nu * nv * spec.kernel.size)
+        p_v = rng.dirichlet(np.ones(nv), size=(k, spec.nx))
+        p_u = rng.dirichlet(np.ones(nu), size=(k, nv))
+        [batch] = info.joint_batches(spec, rng.dirichlet(np.ones(spec.nx)),
+                                     p_v, p_u)
+        budget = 2 * batch.probs.nbytes
+        one_call, _ = peak_bytes(row.terms, batch.probs, math.inf)
+        two_stage, batch = peak_bytes(row.terms, batch.probs, 0)
+        assert sum(r.nbytes for r in batch._runs.values()) < budget
+        assert two_stage <= one_call + budget, (mode, two_stage, one_call)
 
 
 # (r1 bound, secrecy cap, budget) of designs whose rate rows hit the edge
