@@ -276,7 +276,7 @@ def parse_channel_document(text: str) -> ChannelSpec:
     """
     try:
         doc = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise SchemaError(f"document is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
@@ -312,6 +312,9 @@ def parse_channel_document(text: str) -> ChannelSpec:
             raise SchemaError(f"{key!r} is not a rectangular numeric array") from None
         if arr.shape != shape:
             raise SchemaError(f"{key!r} has shape {arr.shape}, expected {shape}")
+        if not all(type(v) in (int, float)  # dtype=float takes "1", true, null
+                   for v in np.array(doc[key], dtype=object).flat):
+            raise SchemaError(f"{key!r} must hold numbers only")
         return arr
 
     state = _array("state_dist", (sizes["s1"], sizes["s2"]))

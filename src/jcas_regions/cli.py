@@ -29,6 +29,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import binary_example, regions, simulator
 from .channel import (
     DEGRADEDNESS_TOL,
@@ -42,7 +44,7 @@ from .channel import (
     validate,
 )
 from .errors import JcasError
-from .estimators import expected_distortion, synthesize_estimator
+from .estimators import _both_receivers
 from .regions import _fmt
 
 
@@ -128,8 +130,9 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
-        raise JcasError(f"cannot read {path}: {e.strerror}") from None
+    except (OSError, UnicodeDecodeError) as e:  # a decode error has no strerror
+        reason = getattr(e, "strerror", None) or e
+        raise JcasError(f"cannot read {path}: {reason}") from None
 
 
 def _read_spec(path: str):
@@ -161,16 +164,11 @@ def _cmd_classify(ns) -> tuple[str, int]:
 
 def _cmd_estimator(ns) -> tuple[str, int]:
     spec = _read_spec(ns.file)
-    est1 = synthesize_estimator(spec, ns.px, 1)
-    est2 = synthesize_estimator(spec, ns.px, 2)
+    (est1, est2), (d1, d2) = _both_receivers(spec, ns.px)
     lines = ["x,y1,y2,shat1,shat2"]
-    for x in range(spec.nx):
-        for y1 in range(spec.ny1):
-            for y2 in range(spec.ny2):
-                lines.append(
-                    f"{x},{y1},{y2},{est1.table[x, y1, y2]},{est2.table[x, y1, y2]}")
-    lines.append(f"expected_d1,{_fmt(expected_distortion(spec, ns.px, est1, 1))}")
-    lines.append(f"expected_d2,{_fmt(expected_distortion(spec, ns.px, est2, 2))}")
+    for (x, y1, y2), shat1 in np.ndenumerate(est1.table):
+        lines.append(f"{x},{y1},{y2},{shat1},{est2.table[x, y1, y2]}")
+    lines += [f"expected_d1,{_fmt(d1)}", f"expected_d2,{_fmt(d2)}"]
     return "\n".join(lines) + "\n", 0
 
 

@@ -41,9 +41,11 @@ from .errors import (
     MixedArity,
     NotDegraded,
 )
-from .estimators import expected_distortion, synthesize_estimator
-# entropy and mutual_information are no longer called here, but the
-# benchmark's tracer (bench/tracing.py) looks these names up on this module.
+from .estimators import _both_receivers
+# entropy, mutual_information, synthesize_estimator and expected_distortion
+# are no longer called here, but the benchmark's tracer (bench/tracing.py)
+# looks these names up on this module.
+from .estimators import expected_distortion, synthesize_estimator  # noqa: F401
 from .info import (  # noqa: F401
     InputDesign,
     JointBatch,
@@ -158,14 +160,6 @@ def _auto_tag(design: InputDesign) -> str:
     if design.p_u_given_v is not None:
         parts.append(f"nu={design.nu}")
     return ";".join(parts)
-
-
-def _distortions(spec: ChannelSpec, p_x) -> tuple[float, float]:
-    out = []
-    for j in (1, 2):
-        est = synthesize_estimator(spec, p_x, j)
-        out.append(expected_distortion(spec, p_x, est, j))
-    return out[0], out[1]
 
 
 # Rate terms.  Each reads (r1 bound, secrecy cap, total-rate budget) off a
@@ -306,7 +300,7 @@ def _evaluate(name: str, spec: ChannelSpec, design, tag: str | None,
     _admit(spec, mode, design.nu, design.nv)
     terms = _terms(mode, JointBatch(build_joint(spec, design).probs[None]))
     tag = tag if tag is not None else _auto_tag(design)
-    d12 = _distortions(spec, design.p_x)
+    d12 = _both_receivers(spec, design.p_x)[1]
     return [_point(r, d12, tag) for r in _rates(mode, np.array(terms))[0].tolist()]
 
 
@@ -432,17 +426,10 @@ def _mixtures(points: list[RegionPoint]) -> list[RegionPoint]:
     out = []
     for a, b in zip(ordered, ordered[1:]):
         for lam in lams:
-            mix = {
-                "d1": lam * a.d1 + (1 - lam) * b.d1,
-                "d2": lam * a.d2 + (1 - lam) * b.d2,
-                "design_tag": f"ts({a.design_tag}~{b.design_tag}@{_fmt(lam)})",
-            }
-            if a.arity == "single":
-                mix["r"] = lam * a.r + (1 - lam) * b.r
-            else:
-                mix["r1"] = lam * a.r1 + (1 - lam) * b.r1
-                mix["r2"] = lam * a.r2 + (1 - lam) * b.r2
-            out.append(RegionPoint(**mix))
+            mix = [lam * u + (1 - lam) * v
+                   for u, v in zip(a.rates + a.distortions, b.rates + b.distortions)]
+            out.append(_point(mix[:-2], mix[-2:],
+                              f"ts({a.design_tag}~{b.design_tag}@{_fmt(lam)})"))
     return out
 
 
@@ -494,7 +481,7 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, *,
     points = []
     for px in _simplex_grid(spec.nx, cfg.grid_step):
         px_tag = "|".join(_fmt(v) for v in px)
-        d12 = _distortions(spec, px)
+        d12 = _both_receivers(spec, px)[1]
         terms = [t for batch in joint_batches(spec, px, p_v, p_u)
                  for t in _terms(mode, batch)]
         rows, design = _rates(mode, np.array(terms))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from jcas_regions import (
+    ChannelSpec,
     DegenerateInput,
     DegradednessKind,
+    DimensionMismatch,
     DomainError,
     EmptyGrid,
     NegativeProbability,
@@ -284,3 +286,58 @@ def test_parse_document_keeps_invalid_specs():
     doc["state_dist"][0][0] = 0.7
     bad = parse_channel_document(json.dumps(doc))
     assert not validate(bad).is_valid
+
+
+@pytest.mark.parametrize("state, kernel, d1, d2", [
+    (np.ones(2) / 2, np.ones((2, 2, 2, 2, 2)), np.eye(2), np.eye(2)),
+    (np.ones((2, 2)) / 4, np.ones((2, 2, 2, 2)), np.eye(2), np.eye(2)),
+    (np.ones((2, 2)) / 4, np.ones((2, 3, 2, 2, 2)), np.eye(2), np.eye(2)),
+    (np.ones((2, 2)) / 4, np.ones((2, 2, 2, 0, 2)), np.eye(2), np.eye(2)),
+    (np.ones((2, 2)) / 4, np.ones((2, 2, 2, 2, 2)), np.eye(3), np.eye(2)),
+    (np.ones((2, 2)) / 4, np.ones((2, 2, 2, 2, 2)), np.eye(2), np.ones(2)),
+], ids=["state-1d", "kernel-4d", "state-axes", "empty-alphabet", "d1-rows", "d2-rows"])
+def test_channel_spec_rejects_inconsistent_shapes(state, kernel, d1, d2):
+    with pytest.raises(DimensionMismatch):
+        ChannelSpec(state, kernel, d1, d2)
+
+
+def _binary_doc():
+    return json.loads(serialize_channel_spec(make_binary_multiplicative(0.5, 0.5)))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [1, 2],
+    lambda doc: {**doc, "extra": 1},
+    lambda doc: {**doc, "alphabets": [2, 2]},
+    lambda doc: {**doc, "alphabets": {k: v for k, v in doc["alphabets"].items()
+                                      if k != "y2"}},
+    lambda doc: {**doc, "alphabets": {**doc["alphabets"], "z": 2}},
+    lambda doc: {**doc, "alphabets": {**doc["alphabets"], "x": True}},
+    lambda doc: {**doc, "alphabets": {**doc["alphabets"], "s1": 0}},
+    lambda doc: {**doc, "state_dist": [[0.5, 0.0], [0.25]]},
+    lambda doc: {**doc, "state_dist": [["0.5", 0.0], [0.25, 0.25]]},
+    lambda doc: {**doc, "state_dist": [[0.5, False], [0.25, 0.25]]},
+    lambda doc: {**doc, "kernel": [[[[True, 0, 0, 0]] * 2] * 2] * 2},
+    lambda doc: {**doc, "d1": [[0.0, None], [1.0, 0.0]]},
+    lambda doc: {**doc, "state_dist": json.loads("[" * 50 + "1" + "]" * 50)},
+], ids=["top-list", "unknown-key", "alphabets-list", "missing-alphabet",
+        "unknown-alphabet", "bool-size", "zero-size", "ragged", "string-entry",
+        "bool-entry", "bool-kernel", "null-entry", "50-d-entry"])
+def test_parse_schema_errors(edit):
+    with pytest.raises(SchemaError):
+        parse_channel_document(json.dumps(edit(_binary_doc())))
+
+
+def test_parse_rejects_single_string_and_bool_entries():
+    # float("1") and float(True) are 1.0, so these used to parse as 1.0
+    doc = {"alphabets": {"x": 1, "s1": 1, "s2": 1, "y1": 1, "y2": 1},
+           "state_dist": [[1.0]], "kernel": [[[[1.0]]]]}
+    parse_channel_document(json.dumps(doc))
+    for key, value in (("state_dist", [["1"]]), ("kernel", [[[[True]]]])):
+        with pytest.raises(SchemaError, match=f"{key!r} must hold numbers only"):
+            parse_channel_document(json.dumps({**doc, key: value}))
+
+
+def test_parse_deep_nesting_is_schema_error():
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        parse_channel_document("[" * 100_000)

@@ -235,3 +235,56 @@ def test_byte_identical_repeats(capsys, tmp_path):
     rc2, out2, _ = run(capsys, argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def assert_one_error_line(rc, out, err, start="error: "):
+    assert (rc, out) == (1, "")
+    assert err.startswith(start) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["region", "--mode", "single_exact_deg", "--grid", "4"],
+], ids=["validate", "region"])
+def test_non_utf8_file_is_one_line_error(capsys, tmp_path, argv):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    rc, out, err = run(capsys, argv[:1] + [str(path)] + argv[1:])
+    assert_one_error_line(rc, out, err, f"error: cannot read {path}: ")
+
+
+def test_directory_as_file_is_one_line_error(capsys, tmp_path):
+    rc, out, err = run(capsys, ["validate", str(tmp_path)])
+    assert_one_error_line(rc, out, err, f"error: cannot read {tmp_path}: ")
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    json.dumps({"alphabets": {"x": 1, "s1": 1, "s2": 1, "y1": 1, "y2": 1},
+                "state_dist": [["1"]], "kernel": [[[[1.0]]]]}),
+    json.dumps({"alphabets": {"x": 1, "s1": 1, "s2": 1, "y1": 1, "y2": 1},
+                "state_dist": [[1.0]], "kernel": [[[[True]]]]}),
+], ids=["deep-nesting", "string-entry", "bool-entry"])
+def test_validate_schema_error_is_one_line(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["validate", str(path)])
+    assert_one_error_line(rc, out, err)
+
+
+def test_outer_bound_note_goes_to_stderr_only(capsys, tmp_path):
+    # single_outer and single_exact_deg share one formula, so on a degraded
+    # channel their CSVs differ only in the mode column
+    spec = write_binary_spec(tmp_path)
+    argv = ["region", spec, "--grid", "8", "--mode"]
+    rc, outer, err = run(capsys, argv + ["single_outer"])
+    assert rc == 0
+    assert err == ("note: sampled outer-bound sweep is a necessary-condition "
+                   "envelope, not a converse region\n")
+    rc, exact, err = run(capsys, argv + ["single_exact_deg"])
+    assert (rc, err) == (0, "")
+    assert outer.encode() == exact.replace("single_exact_deg,", "single_outer,").encode()
+    out_path = tmp_path / "outer.csv"
+    rc, out, _ = run(capsys, argv + ["single_outer", "--out", str(out_path)])
+    assert (rc, out) == (0, "")
+    assert out_path.read_bytes() == outer.encode()

@@ -5,11 +5,13 @@ import pytest
 
 from jcas_regions import (
     DegenerateInput,
+    DimensionMismatch,
     EstimatorTable,
     expected_distortion,
     make_binary_multiplicative,
     synthesize_estimator,
 )
+from jcas_regions.estimators import _both_receivers
 from conftest import random_channel_spec
 
 
@@ -153,3 +155,50 @@ def test_rejects_non_distribution():
             synthesize_estimator(spec, p_x, 1)
         with pytest.raises(DegenerateInput):
             expected_distortion(spec, p_x, synthesize_estimator(spec, [0.5, 0.5], 1), 1)
+
+
+def test_estimator_table_rejects_bad_receiver_and_shape():
+    with pytest.raises(DimensionMismatch):
+        EstimatorTable(j=3, table=np.zeros((2, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        EstimatorTable(j=1, table=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_rejects_unknown_receiver(j):
+    spec = make_binary_multiplicative(0.5, 0.5)
+    with pytest.raises(DimensionMismatch, match="receiver index"):
+        synthesize_estimator(spec, [0.5, 0.5], j)
+    est = synthesize_estimator(spec, [0.5, 0.5], 1)
+    with pytest.raises(DimensionMismatch, match="receiver index"):
+        expected_distortion(spec, [0.5, 0.5], est, j)
+
+
+def test_expected_distortion_rejects_mismatched_table():
+    spec = make_binary_multiplicative(0.5, 0.5)
+    est = synthesize_estimator(spec, [0.5, 0.5], 1)
+    with pytest.raises(DimensionMismatch, match="built for receiver 1"):
+        expected_distortion(spec, [0.5, 0.5], est, 2)
+    with pytest.raises(DimensionMismatch, match="does not match the channel"):
+        expected_distortion(spec, [0.5, 0.5],
+                            EstimatorTable(j=1, table=np.zeros((2, 2, 3))), 1)
+    with pytest.raises(DimensionMismatch, match="outside the reconstruction"):
+        expected_distortion(spec, [0.5, 0.5],
+                            EstimatorTable(j=1, table=np.full((2, 2, 2), 2)), 1)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2, 2, 2), (3, 3, 2, 3, 2), (2, 3, 3, 2, 3)])
+def test_both_receivers_equal_the_public_functions(sizes):
+    # the one-pass path runs the same arithmetic, so the bits agree
+    nx, ns1, ns2, ny1, ny2 = sizes
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        spec = random_channel_spec(rng, nx=nx, ns1=ns1, ns2=ns2, ny1=ny1, ny2=ny2)
+        p_x = rng.dirichlet(np.ones(nx))
+        p_x[rng.integers(nx)] = 0.0  # leaves cells empty, so the prior rule runs
+        p_x /= p_x.sum()
+        ests, dists = _both_receivers(spec, p_x)
+        for j, est, dist in zip((1, 2), ests, dists):
+            ref = synthesize_estimator(spec, p_x, j)
+            assert est.j == j and np.array_equal(est.table, ref.table)
+            assert dist == expected_distortion(spec, p_x, ref, j)

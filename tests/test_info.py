@@ -81,6 +81,37 @@ def test_build_joint_dimension_mismatch():
         build_joint(spec, InputDesign(p_x=np.array([0.2, 0.3, 0.5])))
 
 
+@pytest.mark.parametrize("design", [
+    dict(p_x=np.full((1, 2), 0.5)),
+    dict(p_x=np.full(2, 0.5), p_v_given_x=np.full(2, 0.5)),
+    dict(p_x=np.full(2, 0.5), p_u_given_v=np.full(2, 0.5)),
+], ids=["p_x", "p_v_given_x", "p_u_given_v"])
+def test_input_design_rejects_wrong_rank(design):
+    with pytest.raises(DimensionMismatch):
+        InputDesign(**design)
+
+
+@pytest.mark.parametrize("design", [
+    InputDesign(p_x=np.full(2, 0.5), p_v_given_x=np.full((3, 2), 0.5)),
+    InputDesign(p_x=np.full(2, 0.5), p_v_given_x=np.eye(2),
+                p_u_given_v=np.full((3, 2), 0.5)),
+], ids=["v-rows", "u-rows"])
+def test_build_joint_rejects_auxiliary_row_mismatch(design):
+    with pytest.raises(DimensionMismatch, match="one row per"):
+        build_joint(make_binary_multiplicative(0.3, 0.7), design)
+
+
+def test_joint_cell_cap(monkeypatch):
+    with pytest.raises(DimensionMismatch, match="variable names"):
+        JointDistribution(("X", "Y1"), np.full(4, 0.25))
+    monkeypatch.setattr(info, "MAX_JOINT_CELLS", 16)
+    spec = make_binary_multiplicative(0.3, 0.7)  # 32 kernel cells, 64 joint cells
+    with pytest.raises(DimensionMismatch, match="joint would have 64 cells"):
+        build_joint(spec, InputDesign(p_x=np.full(2, 0.5)))
+    with pytest.raises(DimensionMismatch, match="joint has 32 cells"):
+        JointDistribution(("X", "S1", "S2", "Y1", "Y2"), spec.kernel)
+
+
 def test_marginalize_identity_and_empty():
     spec = make_binary_multiplicative(0.4, 0.6)
     j = build_joint(spec, InputDesign(p_x=np.array([0.25, 0.75])))
@@ -135,6 +166,15 @@ def test_entropy_errors():
         entropy(j, ("Y1",), ("Y1", "S1"))
     with pytest.raises(UnknownVariable):
         entropy(j, ("W",))
+
+
+@pytest.mark.parametrize("a, b, givens", [
+    ("X", "X", ()), ("X", "Y1", "X"), ("X", "Y1", "Y1")], ids=["a-b", "a-given", "b-given"])
+def test_mutual_information_rejects_overlap(a, b, givens):
+    spec = make_binary_multiplicative(0.4, 0.6)
+    j = build_joint(spec, InputDesign(p_x=np.array([0.5, 0.5])))
+    with pytest.raises(OverlapError):
+        mutual_information(j, a, b, givens)
 
 
 def test_mutual_information_independent_variables():

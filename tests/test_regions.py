@@ -461,7 +461,7 @@ def test_sweep_equals_filtered_wrapper_outputs(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_sweep_classifies_once_and_synthesizes_once_per_px(mode, monkeypatch):
-    calls = {"classify_degradedness": 0, "synthesize_estimator": 0}
+    calls = {"classify_degradedness": 0, "_both_receivers": 0}
     for name in calls:
         def counted(*args, _fn=getattr(regions, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -471,8 +471,8 @@ def test_sweep_classifies_once_and_synthesizes_once_per_px(mode, monkeypatch):
     sweep_region(mode_spec(mode), SearchConfig(
         mode=mode, grid_step=grid, n_samples=3, seed=1))
     assert calls["classify_degradedness"] == (1 if "_exact_" in mode else 0)
-    # two estimators (one per receiver) at each of the grid + 1 binary P_X
-    assert calls["synthesize_estimator"] == 2 * (grid + 1)
+    # one estimator pass (both receivers) at each of the grid + 1 binary P_X
+    assert calls["_both_receivers"] == grid + 1
 
 
 @pytest.mark.parametrize("mode", ["ps_inner", "single_inner"])
@@ -739,6 +739,26 @@ def test_sweep_convexify_adds_mixture_points():
     assert any(p.design_tag.startswith("ts(") for p in mixed)
 
 
+@pytest.mark.parametrize("mode", ["ps_outer", "single_exact_deg"])
+def test_sweep_convexify_mixes_every_coordinate(mode):
+    # each ts(a~b@lam) point is lam * a + (1 - lam) * b in every rate and
+    # distortion, for neighbours a, b of the sorted frontier without mixtures
+    spec = binary_spec()
+    cfg = dict(mode=mode, grid_step=8, n_samples=2, seed=3) if mode.startswith("ps") \
+        else dict(mode=mode, grid_step=8)
+    base = sweep_region(spec, SearchConfig(**cfg))
+    expect = {(f"ts({a.design_tag}~{b.design_tag}@{k / 8:.12g})", tuple(
+        k / 8 * u + (1 - k / 8) * v
+        for u, v in zip(a.rates + a.distortions, b.rates + b.distortions)))
+        for a, b in zip(base, base[1:]) for k in range(1, 8)}
+    mixed = [p for p in sweep_region(spec, SearchConfig(**cfg, convexify=True))
+             if p.design_tag.startswith("ts(")]
+    assert mixed
+    for p in mixed:
+        assert p.arity == base[0].arity
+        assert (p.design_tag, p.rates + p.distortions) in expect
+
+
 def test_sweep_rates_nonnegative_finite():
     spec = binary_spec()
     for mode in ("ps_inner", "ps_outer", "single_inner", "single_outer"):
@@ -747,6 +767,24 @@ def test_sweep_rates_nonnegative_finite():
         for p in pts:
             for v in p.rates + p.distortions:
                 assert np.isfinite(v) and v >= 0.0
+
+
+@pytest.mark.parametrize("coords", [
+    dict(r=-1.0, d1=0.0, d2=0.0), dict(r1=0.0, r2=math.inf, d1=0.0, d2=0.0),
+    dict(r=0.0, d1=math.nan, d2=0.0)], ids=["negative", "infinite", "nan"])
+def test_region_point_rejects_bad_coordinates(coords):
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        RegionPoint(**coords)
+
+
+def test_search_config_rejects_unknown_mode():
+    with pytest.raises(DomainError, match="unknown mode 'ps_bogus'"):
+        SearchConfig(mode="ps_bogus", grid_step=4)
+
+
+def test_pareto_filter_of_nothing_is_empty():
+    assert pareto_filter([]) == []
+    assert pareto_filter(iter(())) == []
 
 
 def test_pareto_filter_examples():

@@ -96,6 +96,15 @@ def test_verify_deterministic_states_exact():
     assert rep.empirical == (0.0, 0.0)
 
 
+def test_verify_zero_distortion_metric_has_zero_stderr():
+    # d1 is 0 everywhere, so the metric has no spread to estimate
+    spec = make_binary_multiplicative(0.3, 0.5)
+    spec = make_channel_spec(spec.state_dist, spec.kernel, d1=np.zeros((2, 2)))
+    rep = verify_distortion(spec, [0.5, 0.5], 1000, seed=2, tol=0.0)
+    assert rep.analytic[0] == rep.empirical[0] == rep.stderr[0] == 0.0
+    assert rep.stderr[1] > 0.0
+
+
 def test_rejects_bad_inputs():
     spec = make_binary_multiplicative(0.3, 0.5)
     with pytest.raises(DegenerateInput):
