@@ -13,9 +13,12 @@ Sweeps evaluate all sampled designs at one P_X together: :func:`joint_batches`
 stacks their joints on a leading axis, in chunks of at most ``BATCH_CELLS``
 cells, and :class:`JointBatch` sums each distinct marginal once per chunk
 and takes its rows' entropies as arrays, bit for bit as the reference API.
-A large chunk sums its marginals in two stages that add the same terms in
-the same order as ``np.sum`` (numpy's order rule is spelled out at
-:class:`JointBatch`), sharing the first stage among marginals.
+A chunk is built with broadcast products in the order and memory layout of
+:func:`build_joint`'s einsum.  A large chunk sums its marginals in two
+stages that add the same terms in the same order as ``np.sum`` (numpy's
+order rule is spelled out at :class:`JointBatch`): elementwise adds that
+repeat numpy's pairwise sum over each trailing run of summed-out axes,
+shared among marginals, then one ``sum`` over the other axes.
 
 Everything else here is a pure function over immutable tensors.
 """
@@ -42,19 +45,26 @@ VAR_NAMES = ("U", "V", "X", "S1", "S2", "Y1", "Y2")
 #: Hard cap on dense joint size, checked at construction.
 MAX_JOINT_CELLS = 10 ** 8
 
-#: Cells per einsum in :func:`joint_batches`; a larger stack of designs is
+#: Cells per batch in :func:`joint_batches`; a larger stack of designs is
 #: split along the design axis, so memory stays flat in ``--samples``.
 #: Scratch budget of a batch's two-stage sums (:class:`JointBatch`): the
 #: runs it caches stay under 2x the batch's bytes, as at most one reordered
 #: copy of the batch and partial sums that at least halve from one run to
-#: the next.  The marginal being summed, its rows in C order and their
-#: entropy arrays come on top, as they do in the one-call path.
+#: the next.  While stage 1 sums a run of n >= 8 cells, its accumulators
+#: and their pairwise sums, each 1/n of the batch, add at most 3/4 of the
+#: batch's bytes (12/n at n = 16; a shorter run needs none).  The marginal
+#: being summed, its rows in C order and their entropy arrays come on top,
+#: as they do in the one-call path.
 BATCH_CELLS = 2 ** 20
 
 #: A batch of fewer cells sums each marginal with one ``np.sum`` call; a
 #: larger one in the two stages of :class:`JointBatch`.  The bits are equal.
-#: Near this size the two take about as long (a mode's terms took 1.01-1.09x
-#: as long in two stages at 96-864 cells, 0.76-0.86x at 1,536-1,728).
+#: Where they take as long depends on the channel.  Timed alternately in
+#: one process, a mode's terms took 0.83-1.06x as long in two stages at
+#: 576-768 cells of the binary channel and 0.60-0.88x at 1,152-1,536, but
+#: 1.13-1.37x at 432-1,296 cells of a random 3x2x2x3x3 channel and
+#: 1.00-1.05x at 1,728.  2^10 keeps the binary sweeps' 1,536-cell batches
+#: in two stages.
 TWO_STAGE_CELLS = 2 ** 10
 
 
@@ -89,10 +99,6 @@ class JointDistribution:
             raise DimensionMismatch(
                 f"joint has {self.probs.size} cells, above the "
                 f"{MAX_JOINT_CELLS} cap")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.probs.shape
 
     def axes(self, names) -> tuple[int, ...]:
         names = _as_names(names)
@@ -271,25 +277,34 @@ class JointBatch:
 
     :meth:`entropy` and :meth:`mutual_information` return one value per
     design, each equal bit for bit to the scalar function of the same name
-    on that design's :func:`build_joint`: the stacked einsum multiplies in
-    the same order, every marginal adds the same terms in the same order as
-    ``probs.sum`` over its axes, and differences are taken in the same
-    order.  Each distinct marginal is summed once per batch.  Arguments are
-    trusted, not checked: ``probs`` must be dense in some axis order, as
-    einsum allocates it.
+    on that design's :func:`build_joint`: :func:`joint_batches` multiplies
+    in the same order into the same memory layout, every marginal adds the
+    same terms in the same order as ``probs.sum`` over its axes, and
+    differences are taken in the same order.  Each distinct marginal is
+    summed once per batch.  Arguments are trusted, not checked: ``probs``
+    must be dense in some axis order, as :func:`joint_batches` allocates it,
+    and hold no -0.0.
 
     The order rule: ``np.sum`` walks the array in memory order, ignoring
     length-1 axes.  It adds the trailing run of dropped axes (the innermost
-    ones in memory) pairwise, as one coalesced inner loop, and then adds
-    the other dropped axes one term at a time, in memory order.  A batch of
-    at least ``TWO_STAGE_CELLS`` cells sums in two stages that follow this
+    ones in memory) as one coalesced inner loop, with numpy's
+    ``pairwise_sum``, and then adds the other dropped axes one term at a
+    time, in memory order.  ``pairwise_sum`` adds a run of n cells left to
+    right if n < 8.  Up to 128 cells it keeps 8 accumulators that step
+    through the run by 8, combines them as
+    ``((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))`` and adds the
+    remainder left to right.  A longer run is split at n/2, rounded down to
+    a multiple of 8, and each half is summed the same way.  A batch of at
+    least ``TWO_STAGE_CELLS`` cells sums in two stages that follow this
     rule:
 
-    1. The run: ``sum(-1)`` over a view whose last axis is the trailing
-       run, which is the same pairwise loop over the same cells.  Every
-       marginal whose run starts at the same axis shares it, so it is
-       summed once per batch and cached, as a copy in memory order with
-       the design axis moved innermost.
+    1. The run: :func:`_pairwise_sum` repeats ``pairwise_sum`` with
+       elementwise adds across all of the batch's runs at once, and writes
+       the sums straight into a C-order array in memory order with the
+       design axis moved innermost.  Every marginal whose run starts at the
+       same axis shares it, so it is summed once per batch and cached.  A
+       marginal that keeps the innermost axis has no run; it caches a copy
+       of the batch in that order.
     2. The other dropped axes: one ``sum`` over the cached run.  Every
        marginal keeps the design axis and the run's last axis, the run's
        innermost two, so numpy adds each output cell's terms one at a time
@@ -316,10 +331,8 @@ class JointBatch:
             probs.shape, probs.strides, drop)
         run = self._runs.get(start)
         if run is None:
-            run = probs.transpose(perm).reshape(mem_shape)
-            if start < len(mem_shape):
-                run = run.reshape(mem_shape[:start] + (-1,)).sum(-1)
-            run = self._runs[start] = np.asarray(run.transpose(layout), order="C")
+            run = probs.transpose(perm).reshape(mem_shape[:start] + (-1,))
+            run = self._runs[start] = _pairwise_sum(run.transpose(layout + (start,)))
         out = (run.sum(axis=rest) if rest else run).transpose(back)
         return np.ascontiguousarray(out.reshape(len(probs), -1))
 
@@ -354,14 +367,75 @@ def joint_batches(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
     ``p_v`` (K, nx, nv) and ``p_u`` (K, nv, nu) stack the designs'
     auxiliary channels, with V = X written as the identity and a constant U
     as a column of ones, as :func:`build_joint` fills them in.  Shapes are
-    the caller's job.  The designs are split along K so that each batch
-    holds at most ``BATCH_CELLS`` cells, or one design where a single joint
-    is larger.
+    the caller's job, and so is keeping -0.0 out of ``p_x``, ``p_v`` and
+    ``p_u`` (the sweep's grid and draws hold none).  The designs are split
+    along K so that each batch holds at most ``BATCH_CELLS`` cells, or one
+    design where a single joint is larger.  Each batch holds the bits of the
+    stacked einsum ``_JOINT``, in the memory layout that einsum would give
+    it, built with broadcast products instead.
     """
     cells = p_u[0].size * spec.kernel.size
     _check_cells(cells)
     step = max(1, BATCH_CELLS // cells)
+    # a channel file may hold -0.0; + 0.0 makes it +0.0, as einsum's
+    # 0.0 + product does
+    p_s, w = spec.state_dist + 0.0, spec.kernel + 0.0
     for lo in range(0, len(p_v), step):
-        yield JointBatch(np.einsum(
-            "kvu,kxv,x,ab,xabcd->kuvxabcd", p_u[lo:lo + step],
-            p_v[lo:lo + step], p_x, spec.state_dist, spec.kernel))
+        u, v = p_u[lo:lo + step], p_v[lo:lo + step]
+        order = _joint_order(*zip(*((a.shape, a.strides)
+                                    for a in (u, v, p_x, p_s, w))))
+        shape = (len(u), u.shape[2], u.shape[1], *w.shape)
+        probs = np.empty([shape[a] for a in order]).transpose(np.argsort(order))
+        # einsum's order of products, (((p_u p_v) p_x) P_S) W, so that only
+        # the last two are more than K |U||V||X| cells
+        uvx = u.transpose(0, 2, 1)[..., None] * v.transpose(0, 2, 1)[:, None] * p_x
+        np.multiply((uvx[..., None, None] * p_s)[..., None, None], w, out=probs)
+        yield JointBatch(probs)
+
+
+_JOINT = "kvu,kxv,x,ab,xabcd->kuvxabcd"
+
+
+@functools.lru_cache(maxsize=64)
+def _joint_order(shapes, strides) -> tuple[int, ...]:
+    """The axes of ``np.einsum(_JOINT, ...)``'s output, outermost in memory
+    first, for operands of these shapes and strides: the layout in which
+    :func:`build_joint` lays out each design.  einsum picks it from each
+    operand's memory order of its axes longer than 1, so the same einsum
+    over stand-ins whose longer axes have length 2 gives it."""
+    stand_ins = []
+    for shape, stride in zip(shapes, strides):
+        order = sorted(range(len(shape)), key=lambda a: -stride[a])
+        stand_ins.append(np.zeros([min(shape[a], 2) for a in order])
+                         .transpose(np.argsort(order)))
+    out = np.einsum(_JOINT, *stand_ins)
+    return tuple(sorted(range(out.ndim), key=lambda a: -out.strides[a]))
+
+
+def _pairwise_sum(v: np.ndarray) -> np.ndarray:
+    """``np.sum(v, axis=-1)`` bit for bit, as a new C-order array, where the
+    last axis of ``v`` is its innermost in memory, so that numpy adds each
+    run along it with ``pairwise_sum`` (its steps are listed under the order
+    rule of :class:`JointBatch`), and ``v`` holds no -0.0 (numpy adds each
+    sum to 0.0, which changes only -0.0).  Each step of ``pairwise_sum`` is
+    one elementwise add across all runs at once."""
+    n = v.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _pairwise_sum(v[..., :half])
+        return np.add(out, _pairwise_sum(v[..., half:]), out=out)
+    out = np.empty(v.shape[:-1])
+    if n < 8:
+        np.add(v[..., 0], v[..., 1] if n > 1 else 0.0, out=out)
+        tail = range(2, n)
+    else:
+        m = n - n % 8
+        acc = [v[..., j] for j in range(8)]
+        for i in range(8, m, 8):
+            acc = [a + v[..., i + j] for j, a in enumerate(acc)]
+        np.add((acc[0] + acc[1]) + (acc[2] + acc[3]),
+               (acc[4] + acc[5]) + (acc[6] + acc[7]), out=out)
+        tail = range(m, n)
+    for i in tail:
+        np.add(out, v[..., i], out=out)
+    return out

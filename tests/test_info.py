@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,9 +17,12 @@ from jcas_regions import (
     build_joint,
     entropy,
     make_binary_multiplicative,
+    make_channel_spec,
     marginalize,
     mutual_information,
+    parse_channel_document,
     pos_part,
+    serialize_channel_spec,
     swap_receivers,
 )
 from jcas_regions import info
@@ -322,26 +326,41 @@ _SUBSETS = [keep for r in range(1, 8)
 @given(alphabets=st.tuples(*[st.integers(1, 3)] * 7),
        k=st.sampled_from([1, 2, 5]),
        x_zeros=st.lists(st.booleans(), min_size=3, max_size=3),
-       swap=st.booleans(), two_stage=st.booleans(),
+       swap=st.booleans(), fortran=st.booleans(), two_stage=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(alphabets=(3, 2, 2, 3, 3, 3, 3), k=2, x_zeros=[True, True, False],
-         swap=False, two_stage=True, seed=0)
+         swap=False, fortran=False, two_stage=True, seed=0)
+# S1 S2 Y1 Y2 is a trailing run of 150 cells, past the pairwise sum's
+# 128-cell block
+@example(alphabets=(2, 2, 3, 5, 5, 2, 2), k=2, x_zeros=[False, True, False],
+         swap=False, fortran=False, two_stage=True, seed=1)
 def test_batch_marginals_equal_numpy_sum_and_reference(alphabets, k, x_zeros,
-                                                       swap, two_stage, seed):
+                                                       swap, fortran, two_stage,
+                                                       seed):
     # alphabets of 1 give length-1 axes, which numpy's order skips; the
-    # swapped spec's arrays are transposed views, so the einsum lays the
-    # stack out in another memory order
+    # swapped spec's arrays are transposed views and the Fortran-order ones
+    # are reversed, so einsum lays the joints out in another memory order
     nx, ns1, ns2, ny1, ny2, nu, nv = alphabets
     rng = np.random.default_rng(seed)
     spec = random_channel_spec(rng, nx, ns1, ns2, ny1, ny2)
     if swap:
         spec = swap_receivers(spec)
+    if fortran:
+        spec = make_channel_spec(np.asfortranarray(spec.state_dist),
+                                 np.asfortranarray(spec.kernel), spec.d1, spec.d2)
     p_x = np.where(x_zeros[:nx], 0.0, rng.dirichlet(np.ones(nx)))
     if not p_x.any():
         p_x[-1] = 1.0
     p_x /= p_x.sum()
     p_v = rng.dirichlet(np.ones(nv), size=(k, nx))
     p_u = rng.dirichlet(np.ones(nu), size=(k, nv))
+    _assert_batch_equals_reference(spec, p_x, p_v, p_u, two_stage)
+
+
+def _assert_batch_equals_reference(spec, p_x, p_v, p_u, two_stage):
+    # every marginal's rows, byte for byte: against numpy's sum over the
+    # batch and against marginalize on each design's build_joint
+    k = len(p_v)
     [batch] = info.joint_batches(spec, p_x, p_v, p_u)
     joints = [build_joint(spec, InputDesign(p_x, p_v[d], p_u[d])) for d in range(k)]
     with pytest.MonkeyPatch.context() as mp:
@@ -359,3 +378,35 @@ def test_batch_marginals_equal_numpy_sum_and_reference(alphabets, k, x_zeros,
             assert stack.entropy(keep).tolist() == [
                 entropy(joint, keep) for joint in joints], keep
         assert bool(stack._runs) == two_stage
+
+
+@pytest.mark.parametrize("two_stage", [False, True], ids=["one-call", "two-stage"])
+def test_batch_equals_reference_on_negative_zero_entries(two_stage):
+    # check_distribution admits -0.0 in a channel file, and einsum's
+    # 0.0 + product turns it into +0.0 in build_joint; a plain product
+    # would keep it
+    doc = json.loads(serialize_channel_spec(make_binary_multiplicative(0.5, 0.5)))
+    for key in ("state_dist", "kernel"):
+        doc[key] = np.where(np.array(doc[key]) == 0.0, -0.0, doc[key]).tolist()
+    spec = parse_channel_document(json.dumps(doc))
+    assert np.signbit(spec.kernel).any() and np.signbit(spec.state_dist).any()
+    p_v = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.25, 0.75]]])
+    p_u = np.array([[[0.5, 0.5], [1.0, 0.0]]] * 2)
+    for p_x in ([0.0, 1.0], [0.25, 0.75]):
+        _assert_batch_equals_reference(spec, np.array(p_x), p_v, p_u, two_stage)
+
+
+def test_pairwise_sum_equals_numpy_sum():
+    # every run length through numpy's 8-cell unroll, its 128-cell block and
+    # two levels of splitting, with zeros and subnormals; the run axis is
+    # innermost in memory, as in JointBatch, and the other axes are
+    # transposed, reversed and strided, or absent
+    rng = np.random.default_rng(12)
+    for n in range(1, 301):
+        cells = rng.random((3, 4, 2, 2 * n))
+        cells[rng.random(cells.shape) < 0.2] = 0.0
+        cells[rng.random(cells.shape) < 0.2] *= 5e-321
+        for v in (cells[..., ::2].transpose(2, 0, 1, 3)[:, ::-1], cells[1, 2, 0, :n]):
+            got = info._pairwise_sum(v)
+            assert got.tobytes() == np.sum(v, axis=-1).tobytes(), (n, v.ndim)
+            assert got.flags.c_contiguous

@@ -429,12 +429,17 @@ def test_sweep_order_invariance():
     assert redone == pts
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_sweep_equals_filtered_wrapper_outputs(mode):
+@pytest.mark.parametrize("mode, spec, grid, n_samples", [
+    *((mode, mode_spec(mode), 4, 3) for mode in MODES),
+    # 21,600-cell batches: the two-stage sums' trailing runs of 3, 9 and 18
+    # cells (Y2, Y1 Y2 and S2 Y1 Y2) meet the per-design reference
+    ("ps_inner", random_channel_spec(np.random.default_rng(12), nx=3, ny1=3, ny2=3),
+     2, 2),
+], ids=[*MODES, "ps_inner-3ary"])
+def test_sweep_equals_filtered_wrapper_outputs(mode, spec, grid, n_samples):
     # rebuild the sweep's designs and tags by hand and evaluate them through
     # the public wrappers
-    spec = mode_spec(mode)
-    grid, n_samples, seed = 4, 3, 21
+    seed = 21
     caps = cardinality_caps(spec)
     rng = np.random.default_rng(seed)
     draws = []
@@ -446,9 +451,11 @@ def test_sweep_equals_filtered_wrapper_outputs(mode):
                 if mode == "ps_inner" else None
             draws.append((p_v, p_u))
     points = []
-    for k in range(grid + 1):
-        p_x = np.array([k, grid - k]) / grid
-        tag = f"px={p_x[0]:.12g}|{p_x[1]:.12g}"
+    for counts in itertools.product(range(grid + 1), repeat=spec.nx):
+        if sum(counts) != grid:
+            continue
+        p_x = np.array(counts) / grid
+        tag = "px=" + "|".join(f"{v:.12g}" for v in p_x)
         if mode not in V_CAPS:
             points.append(WRAPPERS[mode](spec, p_x, tag))
         for s, (p_v, p_u) in enumerate(draws):
@@ -613,7 +620,7 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
     p_u = rng.dirichlet(np.ones(nu), size=(n, nv)) if row.aux == "UV" \
         else np.ones((n, nv, 1))
     if chunked:
-        # three designs per einsum, so five designs span two chunks
+        # three designs per batch, so five designs span two chunks
         monkeypatch.setattr(info, "BATCH_CELLS", 3 * nu * nv * spec.kernel.size)
     for p_x in (rng.dirichlet(np.ones(spec.nx)), np.eye(spec.nx)[-1],
                 np.full(spec.nx, 1 / spec.nx)):
