@@ -42,8 +42,8 @@ DEGRADEDNESS_TOL = 1e-9
 MIN_PROB = 1e-300
 
 
-def _frozen(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
+def _frozen(a, dtype=float, order="K") -> np.ndarray:
+    arr = np.array(a, dtype=dtype, order=order)
     arr.setflags(write=False)
     return arr
 
@@ -62,7 +62,8 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
-#: Integer arguments: (minimum, error raised below it); a non-integer is a DomainError.
+#: Integer arguments: (minimum, error raised below it); a non-integer, or a
+#: bool, is a DomainError.
 COUNT_RULES = {"grid_step": (2, EmptyGrid), "n_samples": (1, DomainError),
                "seed": (0, DomainError), "n": (1, DegenerateInput),
                "threads": (1, DomainError), "nu": (1, DomainError),
@@ -72,7 +73,7 @@ COUNT_RULES = {"grid_step": (2, EmptyGrid), "n_samples": (1, DomainError),
 def check_count(name: str, v: int) -> int:
     """Return ``v``, checked against ``COUNT_RULES[name]``."""
     low, error = COUNT_RULES[name]
-    if not isinstance(v, numbers.Integral):
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
         raise DomainError(f"{name} must be an integer, got {v!r}")
     if v < low:
         raise error(f"{name} must be at least {low}, got {v}")
@@ -109,9 +110,11 @@ class ChannelSpec:
                  distribution over (y1, y2).
     d1, d2     : (nsj, nshatj) per-letter distortion matrices.
 
-    Construction only enforces shape consistency; probabilistic invariants
-    are checked by :func:`validate` so that malformed specs can still be
-    inspected and reported on.
+    The four arrays are stored as read-only C-order copies, so every sum
+    over them, and every result, depends on their values only, not on the
+    memory order of the arrays passed in.  Construction only enforces shape
+    consistency; probabilistic invariants are checked by :func:`validate` so
+    that malformed specs can still be inspected and reported on.
     """
 
     state_dist: np.ndarray
@@ -120,10 +123,8 @@ class ChannelSpec:
     d2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "state_dist", _frozen(self.state_dist))
-        object.__setattr__(self, "kernel", _frozen(self.kernel))
-        object.__setattr__(self, "d1", _frozen(self.d1))
-        object.__setattr__(self, "d2", _frozen(self.d2))
+        for name in ("state_dist", "kernel", "d1", "d2"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), order="C"))
         if self.state_dist.ndim != 2:
             raise DimensionMismatch("state_dist must be a 2-d matrix")
         if self.kernel.ndim != 5:
@@ -284,7 +285,7 @@ def parse_channel_document(text: str) -> ChannelSpec:
     if unknown:
         raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")
     for key in ("alphabets", "state_dist", "kernel"):
-        if key not in doc:
+        if doc.get(key) is None:
             raise SchemaError(f"missing required key {key!r}")
 
     alph = doc["alphabets"]

@@ -2,10 +2,13 @@
 
 Joints are dense tensors indexed by a named subset of the seven variables
 (U, V, X, S1, S2, Y1, Y2).  U and V are auxiliary variables chained as
-X -> V -> U, independent of the states by construction.  All entropies and
-mutual informations are in bits, with the convention 0*log(0) = 0; masses
-below ``1e-300`` are treated as exact zeros to keep denormal noise out of
-the logs.
+X -> V -> U, independent of the states by construction.  A joint keeps its
+axes in that order, but its memory order is always X, V, U, S1, S2, Y1,
+Y2, outermost first, whatever the layout of the arrays it is made from:
+``np.sum`` adds in memory order, so its marginals depend on values only.
+All entropies and mutual informations are in bits, with the convention
+0*log(0) = 0; masses below ``1e-300`` are treated as exact zeros to keep
+denormal noise out of the logs.
 
 :func:`build_joint`, :func:`marginalize`, :func:`entropy` and
 :func:`mutual_information` are the reference API, one design at a time.
@@ -13,12 +16,13 @@ Sweeps evaluate all sampled designs at one P_X together: :func:`joint_batches`
 stacks their joints on a leading axis, in chunks of at most ``BATCH_CELLS``
 cells, and :class:`JointBatch` sums each distinct marginal once per chunk
 and takes its rows' entropies as arrays, bit for bit as the reference API.
-A chunk is built with broadcast products in the order and memory layout of
-:func:`build_joint`'s einsum.  A large chunk sums its marginals in two
-stages that add the same terms in the same order as ``np.sum`` (numpy's
-order rule is spelled out at :class:`JointBatch`): elementwise adds that
-repeat numpy's pairwise sum over each trailing run of summed-out axes,
-shared among marginals, then one ``sum`` over the other axes.
+A chunk is built with broadcast products in the order of
+:func:`build_joint`'s einsum, in the same memory order behind the design
+axis.  A large chunk sums its marginals in two stages that add the same
+terms in the same order as ``np.sum`` (numpy's order rule is spelled out
+at :class:`JointBatch`): elementwise adds that repeat numpy's pairwise sum
+over each trailing run of summed-out axes, shared among marginals, then
+one ``sum`` over the other axes.
 
 Everything else here is a pure function over immutable tensors.
 """
@@ -159,8 +163,11 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
     """Product-form joint over (U, V, X, S1, S2, Y1, Y2).
 
     The tensor is P(u|v) P(v|x) P(x) P(s1,s2) P(y1,y2|s1,s2,x), so the states
-    are independent of (U, V, X) by construction.  This is the reference
-    path; sweeps use :func:`joint_batches`, which agrees with it bit for bit.
+    are independent of (U, V, X) by construction.  einsum writes it C-order
+    as (X, V, U, S1, S2, Y1, Y2), which fixes its memory order whatever the
+    operands' strides; the returned view has the axes of ``VAR_NAMES``.
+    This is the reference path; sweeps use :func:`joint_batches`, which
+    agrees with it bit for bit.
     """
     nx = spec.nx
     if len(design.p_x) != nx:
@@ -179,9 +186,9 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
         raise DimensionMismatch("p_u_given_v must have one row per v symbol")
     _check_cells(p_u.size * spec.kernel.size)
     probs = np.einsum(
-        "vu,xv,x,ab,xabcd->uvxabcd",
-        p_u, p_v, design.p_x, spec.state_dist, spec.kernel)
-    return JointDistribution(VAR_NAMES, probs)
+        "vu,xv,x,ab,xabcd->xvuabcd",
+        p_u, p_v, design.p_x, spec.state_dist, spec.kernel, order="C")
+    return JointDistribution(VAR_NAMES, probs.transpose(2, 1, 0, 3, 4, 5, 6))
 
 
 def _check_cells(size: int) -> None:
@@ -282,8 +289,9 @@ class JointBatch:
     same terms in the same order as ``probs.sum`` over its axes, and
     differences are taken in the same order.  Each distinct marginal is
     summed once per batch.  Arguments are trusted, not checked: ``probs``
-    must be dense in some axis order, as :func:`joint_batches` allocates it,
-    and hold no -0.0.
+    has the axes (K, U, V, X, S1, S2, Y1, Y2) and must be dense in memory
+    order K, X, V, U, S1, S2, Y1, Y2, as :func:`joint_batches` allocates
+    it, and hold no -0.0.
 
     The order rule: ``np.sum`` walks the array in memory order, ignoring
     length-1 axes.  It adds the trailing run of dropped axes (the innermost
@@ -371,8 +379,9 @@ def joint_batches(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
     ``p_u`` (the sweep's grid and draws hold none).  The designs are split
     along K so that each batch holds at most ``BATCH_CELLS`` cells, or one
     design where a single joint is larger.  Each batch holds the bits of the
-    stacked einsum ``_JOINT``, in the memory layout that einsum would give
-    it, built with broadcast products instead.
+    designs' :func:`build_joint` tensors, built with broadcast products in
+    einsum's order of products, in one C-order (K, X, V, U, S1, S2, Y1, Y2)
+    buffer viewed with the axes of :class:`JointBatch`.
     """
     cells = p_u[0].size * spec.kernel.size
     _check_cells(cells)
@@ -382,34 +391,13 @@ def joint_batches(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
     p_s, w = spec.state_dist + 0.0, spec.kernel + 0.0
     for lo in range(0, len(p_v), step):
         u, v = p_u[lo:lo + step], p_v[lo:lo + step]
-        order = _joint_order(*zip(*((a.shape, a.strides)
-                                    for a in (u, v, p_x, p_s, w))))
-        shape = (len(u), u.shape[2], u.shape[1], *w.shape)
-        probs = np.empty([shape[a] for a in order]).transpose(np.argsort(order))
+        probs = np.empty((len(u), len(p_x), *u.shape[1:], *w.shape[1:]))
+        probs = probs.transpose(0, 3, 2, 1, 4, 5, 6, 7)
         # einsum's order of products, (((p_u p_v) p_x) P_S) W, so that only
         # the last two are more than K |U||V||X| cells
         uvx = u.transpose(0, 2, 1)[..., None] * v.transpose(0, 2, 1)[:, None] * p_x
         np.multiply((uvx[..., None, None] * p_s)[..., None, None], w, out=probs)
         yield JointBatch(probs)
-
-
-_JOINT = "kvu,kxv,x,ab,xabcd->kuvxabcd"
-
-
-@functools.lru_cache(maxsize=64)
-def _joint_order(shapes, strides) -> tuple[int, ...]:
-    """The axes of ``np.einsum(_JOINT, ...)``'s output, outermost in memory
-    first, for operands of these shapes and strides: the layout in which
-    :func:`build_joint` lays out each design.  einsum picks it from each
-    operand's memory order of its axes longer than 1, so the same einsum
-    over stand-ins whose longer axes have length 2 gives it."""
-    stand_ins = []
-    for shape, stride in zip(shapes, strides):
-        order = sorted(range(len(shape)), key=lambda a: -stride[a])
-        stand_ins.append(np.zeros([min(shape[a], 2) for a in order])
-                         .transpose(np.argsort(order)))
-    out = np.einsum(_JOINT, *stand_ins)
-    return tuple(sorted(range(out.ndim), key=lambda a: -out.strides[a]))
 
 
 def _pairwise_sum(v: np.ndarray) -> np.ndarray:

@@ -203,7 +203,7 @@ def test_count_rules(name, low, error):
     assert check_count(name, np.int64(low + 1)) == low + 1
     with pytest.raises(error, match=f"{name} must be at least {low}, got {low - 1}"):
         check_count(name, low - 1)
-    for bad in (float(low), str(low), None):
+    for bad in (float(low), str(low), None, True, False):
         with pytest.raises(DomainError, match="must be an integer"):
             check_count(name, bad)
 
@@ -320,9 +320,12 @@ def _binary_doc():
     lambda doc: {**doc, "kernel": [[[[True, 0, 0, 0]] * 2] * 2] * 2},
     lambda doc: {**doc, "d1": [[0.0, None], [1.0, 0.0]]},
     lambda doc: {**doc, "state_dist": json.loads("[" * 50 + "1" + "]" * 50)},
+    lambda doc: {**doc, "state_dist": None},
+    lambda doc: {**doc, "kernel": None},
 ], ids=["top-list", "unknown-key", "alphabets-list", "missing-alphabet",
         "unknown-alphabet", "bool-size", "zero-size", "ragged", "string-entry",
-        "bool-entry", "bool-kernel", "null-entry", "50-d-entry"])
+        "bool-entry", "bool-kernel", "null-entry", "50-d-entry", "null-state",
+        "null-kernel"])
 def test_parse_schema_errors(edit):
     with pytest.raises(SchemaError):
         parse_channel_document(json.dumps(edit(_binary_doc())))

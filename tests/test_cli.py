@@ -264,7 +264,9 @@ def test_directory_as_file_is_one_line_error(capsys, tmp_path):
                 "state_dist": [["1"]], "kernel": [[[[1.0]]]]}),
     json.dumps({"alphabets": {"x": 1, "s1": 1, "s2": 1, "y1": 1, "y2": 1},
                 "state_dist": [[1.0]], "kernel": [[[[True]]]]}),
-], ids=["deep-nesting", "string-entry", "bool-entry"])
+    json.dumps({"alphabets": {"x": 1, "s1": 1, "s2": 1, "y1": 1, "y2": 1},
+                "state_dist": [[1.0]], "kernel": None}),
+], ids=["deep-nesting", "string-entry", "bool-entry", "null-kernel"])
 def test_validate_schema_error_is_one_line(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

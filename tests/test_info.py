@@ -338,8 +338,10 @@ def test_batch_marginals_equal_numpy_sum_and_reference(alphabets, k, x_zeros,
                                                        swap, fortran, two_stage,
                                                        seed):
     # alphabets of 1 give length-1 axes, which numpy's order skips; the
-    # swapped spec's arrays are transposed views and the Fortran-order ones
-    # are reversed, so einsum lays the joints out in another memory order
+    # swapped spec is made from transposed views and the Fortran-order one
+    # from reversed arrays, which the spec stores C-order and the joints
+    # lay out in one memory order, so these cases check that the layout of
+    # the arrays passed in does not matter
     nx, ns1, ns2, ny1, ny2, nu, nv = alphabets
     rng = np.random.default_rng(seed)
     spec = random_channel_spec(rng, nx, ns1, ns2, ny1, ny2)

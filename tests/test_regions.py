@@ -34,12 +34,15 @@ from jcas_regions import (
     outer_bound_ps,
     outer_bound_single,
     pareto_filter,
+    parse_channel_spec,
     pos_part,
+    serialize_channel_spec,
     swap_receivers,
     sweep_region,
     synthesize_estimator,
 )
 from jcas_regions import info, regions
+from jcas_regions.estimators import _both_receivers
 from jcas_regions.regions import DOMINANCE_EPS, MODES, PARETO_BLOCK
 from conftest import (
     oracle_entropy,
@@ -882,6 +885,70 @@ def test_sweep_reverse_modes_on_swapped_binary():
     with pytest.raises(NotDegraded):
         sweep_region(binary_spec(), SearchConfig(
             mode="single_exact_rev", grid_step=4))
+
+
+# np.sum adds in memory order, so these check that a channel's results
+# depend on the values of its arrays only: a Fortran-order copy, a file
+# round trip and the transposed views of swap_receivers must give the same
+# bits.
+
+
+def _layout_copies():
+    """(same channel, same channel) pairs whose arrays differ in layout only."""
+    spec = random_channel_spec(np.random.default_rng(7), 3, 2, 2, 3, 3)
+    fortran = make_channel_spec(*map(np.asfortranarray, (
+        spec.state_dist, spec.kernel, spec.d1, spec.d2)))
+    swapped = swap_receivers(binary_spec())
+    return [(spec, fortran), (spec, _round_trip(spec)),
+            (swapped, _round_trip(swapped))]
+
+
+def _round_trip(spec):
+    return parse_channel_spec(serialize_channel_spec(spec))
+
+
+def test_sweep_depends_on_values_not_layout():
+    (spec, fortran), (_, parsed), (swapped, swapped_parsed) = _layout_copies()
+    cfg = SearchConfig(mode="ps_inner", grid_step=6, n_samples=4)
+    points = sweep_region(spec, cfg)
+    assert sweep_region(fortran, cfg) == points
+    assert sweep_region(parsed, cfg) == points
+    for mode in ("ps_exact_rev", "single_inner"):
+        cfg = SearchConfig(mode=mode, grid_step=6, n_samples=4)
+        assert sweep_region(swapped, cfg) == sweep_region(swapped_parsed, cfg), mode
+
+
+def test_distortions_depend_on_values_not_layout():
+    for a, b in _layout_copies():
+        for px in regions._simplex_grid(a.nx, 8):
+            assert _both_receivers(a, px)[1] == _both_receivers(b, px)[1], px
+
+
+def _memory_order(probs):
+    # axes longer than 1, outermost in memory first
+    axes = [a for a, n in enumerate(probs.shape) if n > 1]
+    return [info.VAR_NAMES[a] for a in sorted(axes, key=lambda a: -probs.strides[a])]
+
+
+def test_joint_has_one_memory_order():
+    # X, V, U, S1, S2, Y1, Y2 from outermost in memory, whatever the layout
+    # of the spec and the design; at |V| = 1 einsum's own choice would put U
+    # before X
+    (spec, fortran), _, _ = _layout_copies()
+    rng = np.random.default_rng(8)
+    for nv, nu in ((4, 3), (1, 3), (3, 1)):
+        p_x = rng.dirichlet(np.ones(3))
+        p_v, p_u = rng.dirichlet(np.ones(nv), size=3), rng.dirichlet(np.ones(nu), size=nv)
+        c_order = InputDesign(p_x, p_v, p_u)
+        f_order = InputDesign(p_x, np.asfortranarray(p_v), np.asfortranarray(p_u))
+        joint = build_joint(spec, c_order)
+        sizes = dict(zip(info.VAR_NAMES, joint.probs.shape))
+        expect = [n for n in ("X", "V", "U", "S1", "S2", "Y1", "Y2") if sizes[n] > 1]
+        for s, design in ((spec, c_order), (spec, f_order), (fortran, c_order)):
+            other = build_joint(s, design)
+            assert _memory_order(other.probs) == expect, (nv, nu)
+            assert other.probs.tobytes() == joint.probs.tobytes(), (nv, nu)
+        assert inner_bound_ps(spec, f_order) == inner_bound_ps(spec, c_order)
 
 
 def test_pareto_filter_matches_quadratic_reference():
