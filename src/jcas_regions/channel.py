@@ -66,8 +66,7 @@ def check_tolerance(tol: float) -> float:
 #: bool, is a DomainError.
 COUNT_RULES = {"grid_step": (2, EmptyGrid), "n_samples": (1, DomainError),
                "seed": (0, DomainError), "n": (1, DegenerateInput),
-               "threads": (1, DomainError), "nu": (1, DomainError),
-               "nv": (1, DomainError)}
+               "threads": (1, DomainError)}
 
 
 def check_count(name: str, v: int) -> int:

@@ -16,12 +16,12 @@ Sweeps evaluate all sampled designs at one P_X together: :func:`joint_batches`
 stacks their joints on a leading axis, in chunks of at most ``BATCH_CELLS``
 cells, and :class:`JointBatch` sums each distinct marginal once per chunk
 and takes its rows' entropies as arrays, bit for bit as the reference API.
-A chunk is built with broadcast products in the order of
-:func:`build_joint`'s einsum, in the same memory order behind the design
-axis.  A large chunk sums its marginals in two stages that add the same
-terms in the same order as ``np.sum`` (numpy's order rule is spelled out
-at :class:`JointBatch`): elementwise adds that repeat numpy's pairwise sum
-over each trailing run of summed-out axes, shared among marginals, then
+Every joint, one design or a chunk, comes from one product,
+:func:`_joint_product`, so the two paths hold the same bits in the same
+memory order.  A large chunk sums its marginals in two stages that add the
+same terms in the same order as ``np.sum`` (numpy's order rule is spelled
+out at :class:`JointBatch`): elementwise adds that repeat numpy's pairwise
+sum over each trailing run of summed-out axes, shared among marginals, then
 one ``sum`` over the other axes.
 
 Everything else here is a pure function over immutable tensors.
@@ -163,11 +163,10 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
     """Product-form joint over (U, V, X, S1, S2, Y1, Y2).
 
     The tensor is P(u|v) P(v|x) P(x) P(s1,s2) P(y1,y2|s1,s2,x), so the states
-    are independent of (U, V, X) by construction.  einsum writes it C-order
-    as (X, V, U, S1, S2, Y1, Y2), which fixes its memory order whatever the
-    operands' strides; the returned view has the axes of ``VAR_NAMES``.
-    This is the reference path; sweeps use :func:`joint_batches`, which
-    agrees with it bit for bit.
+    are independent of (U, V, X) by construction.  It is the one-design
+    :func:`_joint_product`, the product :func:`joint_batches` stacks, so its
+    memory order is X, V, U, S1, S2, Y1, Y2 whatever the operands' strides,
+    and its axes are those of ``VAR_NAMES``.  This is the reference path.
     """
     nx = spec.nx
     if len(design.p_x) != nx:
@@ -185,10 +184,8 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
     elif p_u.shape[0] != nv:
         raise DimensionMismatch("p_u_given_v must have one row per v symbol")
     _check_cells(p_u.size * spec.kernel.size)
-    probs = np.einsum(
-        "vu,xv,x,ab,xabcd->xvuabcd",
-        p_u, p_v, design.p_x, spec.state_dist, spec.kernel, order="C")
-    return JointDistribution(VAR_NAMES, probs.transpose(2, 1, 0, 3, 4, 5, 6))
+    return JointDistribution(
+        VAR_NAMES, _joint_product(spec, design.p_x, p_v[None], p_u[None])[0])
 
 
 def _check_cells(size: int) -> None:
@@ -238,15 +235,18 @@ def mutual_information(j: JointDistribution, a, b, givens=()) -> float:
     return entropy(j, a, givens) - entropy(j, a, tuple(b) + tuple(givens))
 
 
+#: The axes of a :class:`JointBatch`, (K, U, V, X, S1, S2, Y1, Y2), in the
+#: memory order of :func:`_joint_product`, outermost first.
+_MEMORY_ORDER = (0, 3, 2, 1, 4, 5, 6, 7)
+
+
 @functools.lru_cache(maxsize=1024)
-def _sum_plan(shape, strides, drop):
-    """How :class:`JointBatch` sums the axes ``drop`` out of a dense array of
-    this shape and strides: the transpose to memory order without length-1
-    axes, that order's shape, where the trailing dropped run starts, the
-    run's copy layout, its axes to sum, and the transpose back to axis
-    order."""
-    axes = sorted((a for a, n in enumerate(shape) if n > 1),
-                  key=lambda a: -strides[a])
+def _sum_plan(shape, drop):
+    """How :class:`JointBatch` sums the axes ``drop`` out of a batch of this
+    shape: the transpose to memory order without length-1 axes, that
+    order's shape, where the trailing dropped run starts, the run's copy
+    layout, its axes to sum, and the transpose back to axis order."""
+    axes = [a for a in _MEMORY_ORDER if shape[a] > 1]
     mem_shape = tuple(shape[a] for a in axes)
     start = len(axes)
     while start and axes[start - 1] in drop:
@@ -284,14 +284,13 @@ class JointBatch:
 
     :meth:`entropy` and :meth:`mutual_information` return one value per
     design, each equal bit for bit to the scalar function of the same name
-    on that design's :func:`build_joint`: :func:`joint_batches` multiplies
-    in the same order into the same memory layout, every marginal adds the
-    same terms in the same order as ``probs.sum`` over its axes, and
-    differences are taken in the same order.  Each distinct marginal is
-    summed once per batch.  Arguments are trusted, not checked: ``probs``
-    has the axes (K, U, V, X, S1, S2, Y1, Y2) and must be dense in memory
-    order K, X, V, U, S1, S2, Y1, Y2, as :func:`joint_batches` allocates
-    it, and hold no -0.0.
+    on that design's :func:`build_joint`: both hold the same product, every
+    marginal adds the same terms in the same order as ``probs.sum`` over its
+    axes, and differences are taken in the same order.  Each distinct
+    marginal is summed once per batch.  Arguments are trusted, not checked:
+    ``probs`` has the axes (K, U, V, X, S1, S2, Y1, Y2) and must be dense in
+    memory order K, X, V, U, S1, S2, Y1, Y2 and hold no -0.0, as
+    :func:`_joint_product` makes it.
 
     The order rule: ``np.sum`` walks the array in memory order, ignoring
     length-1 axes.  It adds the trailing run of dropped axes (the innermost
@@ -335,8 +334,7 @@ class JointBatch:
         probs = self.probs
         if probs.size < TWO_STAGE_CELLS:
             return probs.sum(axis=drop).reshape(len(probs), -1)
-        perm, mem_shape, start, layout, rest, back = _sum_plan(
-            probs.shape, probs.strides, drop)
+        perm, mem_shape, start, layout, rest, back = _sum_plan(probs.shape, drop)
         run = self._runs.get(start)
         if run is None:
             run = probs.transpose(perm).reshape(mem_shape[:start] + (-1,))
@@ -374,30 +372,38 @@ def joint_batches(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
 
     ``p_v`` (K, nx, nv) and ``p_u`` (K, nv, nu) stack the designs'
     auxiliary channels, with V = X written as the identity and a constant U
-    as a column of ones, as :func:`build_joint` fills them in.  Shapes are
-    the caller's job, and so is keeping -0.0 out of ``p_x``, ``p_v`` and
-    ``p_u`` (the sweep's grid and draws hold none).  The designs are split
-    along K so that each batch holds at most ``BATCH_CELLS`` cells, or one
-    design where a single joint is larger.  Each batch holds the bits of the
-    designs' :func:`build_joint` tensors, built with broadcast products in
-    einsum's order of products, in one C-order (K, X, V, U, S1, S2, Y1, Y2)
-    buffer viewed with the axes of :class:`JointBatch`.
+    as a column of ones, as :func:`build_joint` fills them in; shapes are
+    the caller's job.  The designs are split along K so that each batch
+    holds at most ``BATCH_CELLS`` cells, or one design where a single joint
+    is larger.  Each batch holds the bits of the designs'
+    :func:`build_joint` tensors: both come from :func:`_joint_product`.
     """
     cells = p_u[0].size * spec.kernel.size
     _check_cells(cells)
     step = max(1, BATCH_CELLS // cells)
-    # a channel file may hold -0.0; + 0.0 makes it +0.0, as einsum's
-    # 0.0 + product does
-    p_s, w = spec.state_dist + 0.0, spec.kernel + 0.0
     for lo in range(0, len(p_v), step):
-        u, v = p_u[lo:lo + step], p_v[lo:lo + step]
-        probs = np.empty((len(u), len(p_x), *u.shape[1:], *w.shape[1:]))
-        probs = probs.transpose(0, 3, 2, 1, 4, 5, 6, 7)
-        # einsum's order of products, (((p_u p_v) p_x) P_S) W, so that only
-        # the last two are more than K |U||V||X| cells
-        uvx = u.transpose(0, 2, 1)[..., None] * v.transpose(0, 2, 1)[:, None] * p_x
-        np.multiply((uvx[..., None, None] * p_s)[..., None, None], w, out=probs)
-        yield JointBatch(probs)
+        yield JointBatch(_joint_product(spec, p_x, p_v[lo:lo + step],
+                                        p_u[lo:lo + step]))
+
+
+def _joint_product(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
+                   p_u: np.ndarray) -> np.ndarray:
+    """P(u|v) P(v|x) P(x) P(s1,s2) P(y1,y2|s1,s2,x) of the K designs
+    (p_x, p_v[k], p_u[k]), in one C-order (K, X, V, U, S1, S2, Y1, Y2)
+    buffer viewed with the axes (K, U, V, X, S1, S2, Y1, Y2).
+
+    The products run (((p_u p_v) p_x) P_S) W, so that only the last is more
+    than K |U||V||X||S| cells.  A channel file or a design may hold -0.0;
+    adding 0.0 to the two factors of the last product makes it +0.0, so the
+    joint holds none, as the two-stage sums of :class:`JointBatch` need.
+    """
+    w = spec.kernel
+    probs = np.empty((len(p_u), len(p_x), *p_u.shape[1:], *w.shape[1:]))
+    probs = probs.transpose(0, 3, 2, 1, 4, 5, 6, 7)
+    uvx = p_u.transpose(0, 2, 1)[..., None] * p_v.transpose(0, 2, 1)[:, None] * p_x
+    uvxs = uvx[..., None, None] * spec.state_dist + 0.0
+    np.multiply(uvxs[..., None, None], w + 0.0, out=probs)
+    return probs
 
 
 def _pairwise_sum(v: np.ndarray) -> np.ndarray:

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelSpec,
-    DEGRADEDNESS_TOL,
-    check_count,
-    classify_degradedness,
-)
+from .channel import ChannelSpec, check_count, classify_degradedness
 from .errors import (
     CardinalityExceeded,
     DomainError,
@@ -229,10 +224,10 @@ _MODE_TABLE = {
 MODES = tuple(_MODE_TABLE)
 
 
-def _require(spec: ChannelSpec, mode: _Mode, tol: float) -> None:
+def _require(spec: ChannelSpec, mode: _Mode) -> None:
     if not mode.degraded:
         return
-    cls = classify_degradedness(spec, tol)
+    cls = classify_degradedness(spec)
     if mode.degraded == "physically":
         ok, residual = cls.is_physically_degraded, cls.residual_phys
     else:
@@ -242,10 +237,10 @@ def _require(spec: ChannelSpec, mode: _Mode, tol: float) -> None:
             f"channel is not {mode.degraded} degraded (residual {residual:.3g})")
 
 
-def _terms(mode: _Mode, batch: JointBatch) -> list[tuple[float, float, float]]:
-    """(r1 bound, secrecy cap, budget) of each design in ``batch``."""
-    columns = mode.terms(batch, "V" if mode.aux else "X")
-    return list(zip(*(c.tolist() for c in columns)))
+def _terms(mode: _Mode, batch: JointBatch) -> np.ndarray:
+    """(r1 bound, secrecy cap, budget) of each design in ``batch``, one row
+    per design."""
+    return np.stack(mode.terms(batch, "V" if mode.aux else "X"), axis=1)
 
 
 def _rates(mode: _Mode, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,30 +273,27 @@ def _point(rates, d12, tag: str) -> RegionPoint:
     return RegionPoint(r=rates[0], d1=d1, d2=d2, design_tag=tag)
 
 
-def _admit(spec: ChannelSpec, mode: _Mode, nu: int, nv: int) -> None:
-    """Refuse |U| = nu or |V| = nv where ``mode``'s caps or constant U forbid."""
-    caps = cardinality_caps(spec)
-    if mode.aux == "UV" and nu > caps.u:
-        raise CardinalityExceeded(f"|U| = {nu} exceeds the cap {caps.u}")
-    if mode.constant_u and nu != 1:
-        raise DomainError("this region requires a constant U auxiliary")
-    if mode.v_cap is not None and nv > getattr(caps, mode.v_cap):
-        raise CardinalityExceeded(
-            f"|V| = {nv} exceeds the cap {getattr(caps, mode.v_cap)}")
-
-
-def _evaluate(name: str, spec: ChannelSpec, design, tag: str | None,
-              tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
-    """Points of one design under mode ``name``; a bare P_X where V = X."""
+def _evaluate(name: str, spec: ChannelSpec, design,
+              tag: str | None) -> list[RegionPoint]:
+    """Points of one design under mode ``name``; a bare P_X where V = X.
+    Refuses |U| or |V| above the mode's caps, and a non-constant U where
+    the mode needs a constant one."""
     mode = _MODE_TABLE[name]
-    _require(spec, mode, tol)
+    _require(spec, mode)
     if not mode.aux:
         design = InputDesign(p_x=np.asarray(design, dtype=float))
-    _admit(spec, mode, design.nu, design.nv)
+    caps = cardinality_caps(spec)
+    if mode.aux == "UV" and design.nu > caps.u:
+        raise CardinalityExceeded(f"|U| = {design.nu} exceeds the cap {caps.u}")
+    if mode.constant_u and design.nu != 1:
+        raise DomainError("this region requires a constant U auxiliary")
+    if mode.v_cap is not None and design.nv > getattr(caps, mode.v_cap):
+        raise CardinalityExceeded(
+            f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
     terms = _terms(mode, JointBatch(build_joint(spec, design).probs[None]))
     tag = tag if tag is not None else _auto_tag(design)
     d12 = _both_receivers(spec, design.p_x)[1]
-    return [_point(r, d12, tag) for r in _rates(mode, np.array(terms))[0].tolist()]
+    return [_point(r, d12, tag) for r in _rates(mode, terms)[0].tolist()]
 
 
 def inner_bound_ps(spec: ChannelSpec, design: InputDesign,
@@ -327,18 +319,16 @@ def outer_bound_ps(spec: ChannelSpec, design: InputDesign,
 
 
 def exact_region_degraded_ps(spec: ChannelSpec, design: InputDesign,
-                             design_tag: str | None = None,
-                             tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
+                             design_tag: str | None = None) -> list[RegionPoint]:
     """Exact trade-off for physically-degraded channels (constant U)."""
-    return _evaluate("ps_exact_deg", spec, design, design_tag, tol)
+    return _evaluate("ps_exact_deg", spec, design, design_tag)
 
 
 def exact_region_reverse_ps(spec: ChannelSpec, design: InputDesign,
-                            design_tag: str | None = None,
-                            tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
+                            design_tag: str | None = None) -> list[RegionPoint]:
     """Exact trade-off for reversely-degraded channels: the secrecy cap
     collapses to H(Y1|Y2,S2)."""
-    return _evaluate("ps_exact_rev", spec, design, design_tag, tol)
+    return _evaluate("ps_exact_rev", spec, design, design_tag)
 
 
 def inner_bound_single(spec: ChannelSpec, design: InputDesign,
@@ -354,21 +344,19 @@ def outer_bound_single(spec: ChannelSpec, p_x,
 
 
 def exact_region_degraded_single(spec: ChannelSpec, p_x,
-                                 design_tag: str | None = None,
-                                 tol: float = DEGRADEDNESS_TOL) -> RegionPoint:
+                                 design_tag: str | None = None) -> RegionPoint:
     """Exact single-message trade-off for physically-degraded channels.
 
     Identical formula to :func:`outer_bound_single`; degradedness is what
     makes the bound tight, so it is enforced here.
     """
-    return _evaluate("single_exact_deg", spec, p_x, design_tag, tol)[0]
+    return _evaluate("single_exact_deg", spec, p_x, design_tag)[0]
 
 
 def exact_region_reverse_single(spec: ChannelSpec, p_x,
-                                design_tag: str | None = None,
-                                tol: float = DEGRADEDNESS_TOL) -> RegionPoint:
+                                design_tag: str | None = None) -> RegionPoint:
     """Exact single-message trade-off for reversely-degraded channels."""
-    return _evaluate("single_exact_rev", spec, p_x, design_tag, tol)[0]
+    return _evaluate("single_exact_rev", spec, p_x, design_tag)[0]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -377,17 +365,14 @@ class SearchConfig:
 
     grid_step fixes the P_X simplex grid (step 1/grid_step); n_samples
     counts the random auxiliary-channel draws per grid point in modes that
-    use auxiliaries.  The overrides nu = |U| and nv = |V| are integers of at
-    least 1, set only for an auxiliary the mode samples, and checked against
-    the evaluators' caps by the sweep; the seed must be nonnegative.
+    use auxiliaries, each drawn at the mode's cardinality caps (the sizes
+    the paper's bounds prove enough); the seed must be nonnegative.
     """
 
     mode: str
     grid_step: int
     n_samples: int = 1
     seed: int = 0
-    nu: int | None = None
-    nv: int | None = None
     convexify: bool = False
 
     def __post_init__(self):
@@ -395,13 +380,6 @@ class SearchConfig:
             raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
         check_count("n_samples", self.n_samples)
         check_count("seed", self.seed)
-        aux = _MODE_TABLE[self.mode].aux
-        for name, sampled in (("nu", aux == "UV"), ("nv", aux != "")):
-            if getattr(self, name) is not None:
-                check_count(name, getattr(self, name))
-                if not sampled:
-                    raise DomainError(f"{name} cannot be set: {self.mode} does "
-                                      f"not sample {name[1].upper()}")
 
 
 def _simplex_grid(k: int, step: int):
@@ -433,8 +411,7 @@ def _mixtures(points: list[RegionPoint]) -> list[RegionPoint]:
     return out
 
 
-def sweep_region(spec: ChannelSpec, cfg: SearchConfig, *,
-                 tol: float = DEGRADEDNESS_TOL) -> list[RegionPoint]:
+def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     """Search the design space and return the Pareto-nondominated points.
 
     P_X is enumerated exhaustively on the simplex grid; conditional rows of
@@ -444,31 +421,29 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, *,
     means growing n_samples only extends the stream: points found with a
     shorter prefix are never produced differently.
 
-    Degradedness is checked once per sweep and the distortions once per
-    P_X grid point; the rate terms of all samples at one P_X come from one
-    stacked joint per chunk of at most ``info.BATCH_CELLS`` cells.  The
-    grid is enumerated lazily, one P_X at a time.  Every sample at one P_X
-    shares its distortions, so a rate row that another row of the same P_X
-    dominates is dropped before it becomes a point.  Dominance is
-    transitive, so the final filter keeps the same points either way.
-    The auxiliary sizes drawn (the overrides, else the caps) pass the same
-    admission check as the evaluators.  With ``convexify`` set,
+    Degradedness is checked once per sweep, at ``DEGRADEDNESS_TOL``, and
+    the distortions once per P_X grid point; the rate terms of all samples
+    at one P_X come from one stacked joint per chunk of at most
+    ``info.BATCH_CELLS`` cells.  |U| and |V| are drawn at the mode's
+    cardinality caps, which the evaluators admit.  The grid is enumerated
+    lazily, one P_X at a time.  Every sample at one P_X shares its
+    distortions, so a rate row that another row of the same P_X dominates
+    is dropped before it becomes a point.  Dominance is transitive, so the
+    final filter keeps the same points either way.  With ``convexify`` set,
     time-sharing mixtures between neighbouring retained points are added
     before the final filter.
     """
     check_count("grid_step", cfg.grid_step)
     mode = _MODE_TABLE[cfg.mode]
-    _require(spec, mode, tol)
-    caps = cardinality_caps(spec)
-    nv = cfg.nv or (getattr(caps, mode.v_cap) if mode.aux else spec.nx)
-    nu = cfg.nu or (caps.u if mode.aux == "UV" else 1)
-    _admit(spec, mode, nu, nv)
+    _require(spec, mode)
 
     # One stack of auxiliary channels, shared by every P_X: V = X and a
     # constant U unless the mode samples them.
     p_v, p_u = np.eye(spec.nx)[None], np.ones((1, spec.nx, 1))
     suffixes = [""]
     if mode.aux:
+        caps = cardinality_caps(spec)
+        nv, nu = getattr(caps, mode.v_cap), caps.u
         rng = np.random.default_rng(cfg.seed)
         draws_v, draws_u = [], []
         for _ in range(cfg.n_samples):
@@ -482,9 +457,9 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig, *,
     for px in _simplex_grid(spec.nx, cfg.grid_step):
         px_tag = "|".join(_fmt(v) for v in px)
         d12 = _both_receivers(spec, px)[1]
-        terms = [t for batch in joint_batches(spec, px, p_v, p_u)
-                 for t in _terms(mode, batch)]
-        rows, design = _rates(mode, np.array(terms))
+        terms = np.concatenate([_terms(mode, batch)
+                                for batch in joint_batches(spec, px, p_v, p_u)])
+        rows, design = _rates(mode, terms)
         keep = ~_dominated(rows)
         points += [_point(r, d12, f"px={px_tag}{suffixes[k]}")
                    for r, k in zip(rows[keep].tolist(), design[keep].tolist())]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSpec, _frozen, check_count, check_tolerance
-from .estimators import EstimatorTable, expected_distortion, synthesize_estimator
+from .estimators import EstimatorTable, _both_receivers
 
 __all__ = ["EmpiricalStats", "DistortionReport", "sample_run", "verify_distortion"]
 
@@ -41,6 +41,7 @@ class EmpiricalStats:
     mean_d2: float
     freq: np.ndarray  # (nx, ns1, ns2, ny1, ny2), counts / n
     estimators: tuple[EstimatorTable, EstimatorTable]  # the tables applied
+    analytic: tuple[float, float]  # their exact expected distortions
 
     def __post_init__(self):
         object.__setattr__(self, "freq", _frozen(self.freq))
@@ -56,8 +57,7 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     check_count("seed", seed)
     check_count("n", n)
     p_x = np.asarray(p_x, dtype=float)
-    est1 = synthesize_estimator(spec, p_x, 1)  # also validates p_x
-    est2 = synthesize_estimator(spec, p_x, 2)
+    (est1, est2), analytic = _both_receivers(spec, p_x)  # also validates p_x
 
     cum_state = np.cumsum(spec.state_dist.reshape(-1))
     cum_state[-1] = 1.0
@@ -87,7 +87,8 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     mean_d1 = float((counts * d1).sum() / n)
     mean_d2 = float((counts * d2).sum() / n)
     return EmpiricalStats(n=n, seed=seed, mean_d1=mean_d1, mean_d2=mean_d2,
-                          freq=counts / n, estimators=(est1, est2))
+                          freq=counts / n, estimators=(est1, est2),
+                          analytic=analytic)
 
 
 @dataclass(frozen=True)
@@ -105,18 +106,17 @@ def verify_distortion(spec: ChannelSpec, p_x, n: int, seed: int,
                       tol: float) -> DistortionReport:
     """Compare empirical against analytic distortions at the given tolerance.
 
-    The reported standard errors are binomial-style: sqrt(v (1 - v/m) / n)
-    with v the analytic mean and m the largest distortion value, which is
+    The reported standard errors are sqrt(v (m - v) / n), with v the
+    analytic mean and m the largest distortion value: the Bhatia-Davis
+    bound on the variance of a distortion in [0, m] with mean v.  That is
     exact for 0/1 metrics and conservative for rescaled ones.  ``tol`` must
     be finite and nonnegative.
     """
     check_tolerance(tol)
     stats = sample_run(spec, p_x, n, seed)
-    analytic = []
+    analytic = stats.analytic
     stderr = []
-    for j, d, est in zip((1, 2), (spec.d1, spec.d2), stats.estimators):
-        v = expected_distortion(spec, p_x, est, j)
-        analytic.append(v)
+    for d, v in zip((spec.d1, spec.d2), analytic):
         dmax = float(d.max())
         if dmax <= 0:
             stderr.append(0.0)
@@ -126,7 +126,7 @@ def verify_distortion(spec: ChannelSpec, p_x, n: int, seed: int,
     passed = all(abs(e - a) <= tol for e, a in zip(empirical, analytic))
     return DistortionReport(
         n=n, seed=seed, tol=tol,
-        analytic=(analytic[0], analytic[1]),
+        analytic=analytic,
         empirical=empirical,
         stderr=(stderr[0], stderr[1]),
         passed=passed,

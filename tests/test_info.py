@@ -70,13 +70,19 @@ def test_build_joint_normalized():
 
 
 def test_build_joint_matches_nested_loop_oracle():
+    # the oracle multiplies in the same order, one cell at a time, so the
+    # shared product must match it bit for bit, at |V| = 1 and |U| = 1 too
     rng = np.random.default_rng(1)
-    spec = random_channel_spec(rng)
-    design = random_design(rng, spec, nv=3, nu=2)
-    j = build_joint(spec, design)
-    ref = oracle_joint(spec, design)
-    for key, p in ref.items():
-        assert j.probs[key] == pytest.approx(p, abs=1e-15)
+    for dims, nv, nu in [((2, 2, 2, 2, 2), 3, 2), ((3, 2, 1, 3, 2), 1, 3),
+                         ((2, 1, 2, 2, 3), 2, 1), ((3, 2, 2, 3, 3), None, None),
+                         ((1, 2, 2, 2, 2), 1, 1), ((2, 3, 2, 1, 2), 4, None)]:
+        spec = random_channel_spec(rng, *dims)
+        design = random_design(rng, spec, nv=nv, nu=nu)
+        j = build_joint(spec, design)
+        ref = oracle_joint(spec, design)
+        assert j.probs.size == len(ref)
+        for key, p in ref.items():
+            assert j.probs[key] == p, (dims, nv, nu, key)
 
 
 def test_build_joint_dimension_mismatch():
@@ -384,9 +390,9 @@ def _assert_batch_equals_reference(spec, p_x, p_v, p_u, two_stage):
 
 @pytest.mark.parametrize("two_stage", [False, True], ids=["one-call", "two-stage"])
 def test_batch_equals_reference_on_negative_zero_entries(two_stage):
-    # check_distribution admits -0.0 in a channel file, and einsum's
-    # 0.0 + product turns it into +0.0 in build_joint; a plain product
-    # would keep it
+    # check_distribution admits -0.0 in a channel file; the joint product
+    # makes it +0.0 for build_joint and the batches alike, as the two-stage
+    # sums need
     doc = json.loads(serialize_channel_spec(make_binary_multiplicative(0.5, 0.5)))
     for key in ("state_dist", "kernel"):
         doc[key] = np.where(np.array(doc[key]) == 0.0, -0.0, doc[key]).tolist()

@@ -1,0 +1,122 @@
+"""The paper's own inequalities between its bounds, as properties of the
+public evaluators.
+
+These check the theory, not the arithmetic (the dict oracles in
+``conftest.py`` do that), so they hold whatever kernel computes the rate
+terms: the outer terms peak at V = X (data processing over V - X - (S, Y),
+with V independent of S), each inner region lies inside the outer one at
+the same P_X, and on physically-degraded channels the single-message inner
+bound at V = X is the exact region.  Specs are random, physically degraded
+or reversely degraded, with alphabets of 2-3 symbols (so the caps admit
+V = X), and P_X may sit on a face or a vertex of the simplex.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from jcas_regions import (
+    InputDesign,
+    cardinality_caps,
+    exact_region_degraded_single,
+    exact_region_reverse_ps,
+    inner_bound_ps,
+    inner_bound_single,
+    outer_bound_ps,
+    outer_bound_single,
+)
+from conftest import (
+    random_channel_spec,
+    random_degraded_spec,
+    random_reverse_degraded_spec,
+)
+
+#: Slack allowed for rounding in every inequality.
+MARGIN = 1e-12
+
+_MAKERS = {"random": random_channel_spec, "degraded": random_degraded_spec,
+           "reverse": random_reverse_degraded_spec}
+_SETTINGS = settings(max_examples=100, derandomize=True, database=None,
+                     deadline=None)
+
+
+@st.composite
+def _cases(draw, kinds=tuple(_MAKERS)):
+    """(kind, spec, P_X, rng): P_X has a random support, so a face or a
+    vertex of the simplex as often as its interior."""
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nx = draw(st.integers(2, 3))
+    spec = _MAKERS[kind](rng, nx, *draw(st.tuples(*[st.integers(2, 3)] * 4)))
+    support = draw(st.lists(st.booleans(), min_size=nx, max_size=nx)
+                   .filter(any))
+    p_x = rng.dirichlet(np.ones(nx)) * support
+    return kind, spec, p_x / p_x.sum(), rng
+
+
+def _channel(rng, rows, cols, deterministic):
+    """A random channel with ``rows`` input and ``cols`` output symbols; a
+    0/1 one if ``deterministic``."""
+    if deterministic:
+        return np.eye(cols)[rng.integers(cols, size=rows)]
+    return rng.dirichlet(np.ones(cols), size=rows)
+
+
+def _design(rng, spec, p_x, nv, nu=None, deterministic=False):
+    p_v = _channel(rng, spec.nx, nv, deterministic)
+    p_u = None if nu is None else _channel(rng, nv, nu, deterministic)
+    return InputDesign(p_x=p_x, p_v_given_x=p_v, p_u_given_v=p_u)
+
+
+def _assert_inside(points, outer_points):
+    """Every (r1, r2) of ``points`` lies in the region of one design whose
+    points are ``outer_points``: r1 <= A and r2 <= min(R, A - r1), where A
+    is its largest r1 and R its r2 at r1 = 0.  That is the region
+    {r1 <= A, r2 <= min(C, B - r1)} of its terms, because the outer and
+    reverse bounds have B = A."""
+    a = max(p.r1 for p in outer_points)
+    r = max(p.r2 for p in outer_points if p.r1 == 0.0)
+    for p in points:
+        assert p.r1 <= a + MARGIN, (p, a)
+        assert p.r2 <= min(r, a - p.r1) + MARGIN, (p, a, r)
+
+
+@_SETTINGS
+@given(_cases(), st.integers(1, 4), st.booleans())
+def test_outer_terms_peak_at_v_equal_x(case, nv, deterministic):
+    # no sampled V gives a larger outer (or, on reversely-degraded
+    # channels, reverse) region than V = X
+    kind, spec, p_x, rng = case
+    caps = cardinality_caps(spec)
+    at_x = InputDesign(p_x=p_x)
+    sampled = _design(rng, spec, p_x, nv, deterministic=deterministic)
+    if nv <= caps.v_outer:
+        _assert_inside(outer_bound_ps(spec, sampled), outer_bound_ps(spec, at_x))
+    if kind == "reverse" and nv <= caps.v_reverse:
+        _assert_inside(exact_region_reverse_ps(spec, sampled),
+                       exact_region_reverse_ps(spec, at_x))
+
+
+@_SETTINGS
+@given(_cases(), st.integers(1, 6), st.integers(1, 3), st.booleans())
+def test_inner_region_inside_outer_region(case, nv, nu, deterministic):
+    # each inner design's rates lie in the outer region of V = X at the
+    # same P_X, in both message modes
+    _, spec, p_x, rng = case
+    caps = cardinality_caps(spec)
+    outer = outer_bound_ps(spec, InputDesign(p_x=p_x))
+    design = _design(rng, spec, p_x, min(nv, caps.v_inner), nu, deterministic)
+    _assert_inside(inner_bound_ps(spec, design), outer)
+    single = _design(rng, spec, p_x, min(nv, caps.v_outer),
+                     deterministic=deterministic)
+    [point] = inner_bound_single(spec, single)
+    assert point.r <= outer_bound_single(spec, p_x).r + MARGIN
+
+
+@_SETTINGS
+@given(_cases(kinds=("degraded",)))
+def test_inner_single_at_v_equal_x_is_exact_on_degraded_channels(case):
+    _, spec, p_x, _ = case
+    [inner] = inner_bound_single(spec, InputDesign(p_x=p_x))
+    exact = exact_region_degraded_single(spec, p_x)
+    assert abs(inner.r - exact.r) <= MARGIN
+    assert inner.distortions == exact.distortions

@@ -379,7 +379,9 @@ def test_sweep_finds_reference_point():
     ("nv", 0), ("nu", 0), ("nv", -2), ("seed", -1), ("n_samples", 0),
     ("nu", 1.5), ("nv", float("nan")), ("nv", 2.0)])
 def test_search_config_rejects_out_of_range_values(field, value):
-    with pytest.raises(DomainError):
+    # nu and nv are no longer fields, so any value of them is refused
+    error = TypeError if field in ("nu", "nv") else DomainError
+    with pytest.raises(error):
         SearchConfig(mode="ps_inner", grid_step=4, **{field: value})
 
 
@@ -390,11 +392,19 @@ def test_sweep_rejects_tiny_grid():
 
 
 def test_sweep_takes_tol_by_keyword_only():
-    # a positional argument that once was a thread count must not become the
-    # degradedness tolerance
+    # a positional argument that once was a thread count must not be taken,
+    # and the degradedness tolerance is DEGRADEDNESS_TOL: the sweep and the
+    # exact evaluators no longer take tol=, even as a keyword
+    spec = swap_receivers(binary_spec())
+    cfg = SearchConfig(mode="single_exact_deg", grid_step=4)
     with pytest.raises(TypeError):
-        sweep_region(swap_receivers(binary_spec()),
-                     SearchConfig(mode="single_exact_deg", grid_step=4), 2)
+        sweep_region(spec, cfg, 2)
+    with pytest.raises(TypeError, match="tol"):
+        sweep_region(spec, cfg, tol=1.0)
+    for mode in ("ps_exact_deg", "ps_exact_rev", "single_exact_deg",
+                 "single_exact_rev"):
+        with pytest.raises(TypeError, match="tol"):
+            WRAPPERS[mode](mode_spec(mode), direct_input(mode), tol=1.0)
 
 
 def test_sweep_is_deterministic():
@@ -627,15 +637,15 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
         monkeypatch.setattr(info, "BATCH_CELLS", 3 * nu * nv * spec.kernel.size)
     for p_x in (rng.dirichlet(np.ones(spec.nx)), np.eye(spec.nx)[-1],
                 np.full(spec.nx, 1 / spec.nx)):
-        got = [t for batch in info.joint_batches(spec, p_x, p_v, p_u)
-               for t in regions._terms(row, batch)]
+        got = np.concatenate([regions._terms(row, batch) for batch
+                              in info.joint_batches(spec, p_x, p_v, p_u)])
         expect = []
         for k in range(n):
             design = InputDesign(p_x=p_x, p_v_given_x=p_v[k] if row.aux else None,
                                  p_u_given_v=p_u[k] if row.aux == "UV" else None)
             expect.append(REFERENCE_TERMS[mode](
                 build_joint(spec, design), "V" if row.aux else "X"))
-        assert got == expect
+        assert got.tolist() == [list(t) for t in expect]
 
 
 @pytest.mark.parametrize("channel", ["random-3ary", "binary"])
@@ -833,46 +843,31 @@ def test_outer_ps_cardinality_cap():
 @pytest.mark.parametrize("override", ["none", "nu", "nv", "nu-over", "nv-over"])
 @pytest.mark.parametrize("mode", MODES)
 def test_sweep_admits_what_the_evaluator_admits(mode, override):
-    # a mode samples U only in ps_inner and V only where it has a V cap; an
-    # override of anything else is refused, and a size above its cap fails
-    # in the sweep with the evaluator's message
+    # the sweep draws |U| and |V| at the mode's caps and no caller sets
+    # them: the old SearchConfig overrides are unknown keywords.  The
+    # evaluator admits a design of the sizes the sweep draws, and refuses
+    # one above a cap with CardinalityExceeded
     spec = mode_spec(mode)
-    caps = cardinality_caps(spec)
-    v_cap = getattr(caps, V_CAPS[mode]) if mode in V_CAPS else spec.nx
+    if override == "none":
+        assert sweep_region(spec, SearchConfig(mode=mode, grid_step=2, n_samples=1))
+        return
     name = override[:2]
-    value = {"none": None, "nu": 2, "nv": 2,
-             "nu-over": caps.u + 1, "nv-over": v_cap + 1}[override]
-
-    def sweep():
-        kwargs = {} if value is None else {name: value}
-        return sweep_region(spec, SearchConfig(
-            mode=mode, grid_step=2, n_samples=1, **kwargs))
-
-    sampled = mode == "ps_inner" if name == "nu" else mode in V_CAPS
-    if value is not None and not sampled:
-        with pytest.raises(DomainError, match="cannot be set"):
-            sweep()
-    elif override.endswith("-over"):
-        nu = value if name == "nu" else None
-        nv = value if name == "nv" else v_cap
-        design = random_design(np.random.default_rng(7), spec, nv=nv, nu=nu)
-        with pytest.raises(CardinalityExceeded) as swept:
-            sweep()
-        with pytest.raises(CardinalityExceeded) as evaluated:
-            WRAPPERS[mode](spec, design)
-        assert str(swept.value) == str(evaluated.value)
-    else:
-        assert sweep()
-
-
-def test_sweep_cardinality_override_only_downward():
-    spec = binary_spec()
-    with pytest.raises(CardinalityExceeded):
-        sweep_region(spec, SearchConfig(
-            mode="ps_outer", grid_step=4, n_samples=1, nv=99))
-    pts = sweep_region(spec, SearchConfig(
-        mode="ps_outer", grid_step=4, n_samples=1, nv=2))
-    assert pts
+    with pytest.raises(TypeError, match=name):
+        SearchConfig(mode=mode, grid_step=2, n_samples=1, **{name: 2})
+    if not (mode == "ps_inner" if name == "nu" else mode in V_CAPS):
+        return  # the mode does not sample that auxiliary
+    caps = cardinality_caps(spec)
+    sizes = {"nu": caps.u if mode == "ps_inner" else None,
+             "nv": getattr(caps, V_CAPS[mode])}
+    if not override.endswith("-over"):
+        assert WRAPPERS[mode](spec, random_design(
+            np.random.default_rng(7), spec, **sizes))
+        return
+    cap = sizes[name]
+    sizes[name] += 1
+    design = random_design(np.random.default_rng(7), spec, **sizes)
+    with pytest.raises(CardinalityExceeded, match=rf"\| = {cap + 1} exceeds the cap {cap}$"):
+        WRAPPERS[mode](spec, design)
 
 
 def test_sweep_reverse_modes_on_swapped_binary():
@@ -932,8 +927,7 @@ def _memory_order(probs):
 
 def test_joint_has_one_memory_order():
     # X, V, U, S1, S2, Y1, Y2 from outermost in memory, whatever the layout
-    # of the spec and the design; at |V| = 1 einsum's own choice would put U
-    # before X
+    # of the spec and the design, at |V| = 1 and |U| = 1 too
     (spec, fortran), _, _ = _layout_copies()
     rng = np.random.default_rng(8)
     for nv, nu in ((4, 3), (1, 3), (3, 1)):

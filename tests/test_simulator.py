@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from jcas_regions import (
     verify_distortion,
 )
 from jcas_regions import simulator
+from jcas_regions.estimators import _both_receivers
 from jcas_regions.simulator import CHUNK
 from conftest import oracle_sample_run, random_channel_spec
 
@@ -123,21 +125,37 @@ def test_rejects_non_integer_count_and_bad_seed(n, seed):
 
 
 def test_verify_distortion_synthesizes_each_estimator_once(monkeypatch):
+    # one estimator pass gives both tables and both analytic distortions
     calls = []
 
-    def counting(spec, p_x, j):
-        calls.append(j)
-        return synthesize_estimator(spec, p_x, j)
+    def counting(spec, p_x):
+        calls.append(list(p_x))
+        return _both_receivers(spec, p_x)
 
-    monkeypatch.setattr(simulator, "synthesize_estimator", counting)
+    monkeypatch.setattr(simulator, "_both_receivers", counting)
     spec, p_x = make_binary_multiplicative(0.3, 0.5), [0.4, 0.6]
     report = verify_distortion(spec, p_x, 1000, 7, 0.1)
-    assert sorted(calls) == [1, 2]
+    assert calls == [p_x]
     stats = sample_run(spec, p_x, 1000, 7)
     assert report.empirical == (stats.mean_d1, stats.mean_d2)
-    assert report.analytic == tuple(
+    assert report.analytic == stats.analytic == tuple(
         expected_distortion(spec, p_x, synthesize_estimator(spec, p_x, j), j)
         for j in (1, 2))
+    assert [e.table.tolist() for e in stats.estimators] == [
+        synthesize_estimator(spec, p_x, j).table.tolist() for j in (1, 2)]
+
+
+def test_verify_stderr_on_rescaled_distortion():
+    # d1 = 2 Hamming, so m = 2: the variance bound is v (m - v), not the
+    # Bernoulli v (1 - v/m), which is smaller by a factor of 2 here
+    spec = make_binary_multiplicative(0.3, 0.5)
+    spec = make_channel_spec(spec.state_dist, spec.kernel, d1=2 * spec.d1)
+    n = 10 ** 4
+    rep = verify_distortion(spec, [0.5, 0.5], n, seed=4, tol=0.05)
+    v = rep.analytic[0]
+    assert v == pytest.approx(0.3, abs=1e-12)
+    assert rep.stderr[0] == math.sqrt(v * (2.0 - v) / n)
+    assert rep.stderr[0] == pytest.approx(math.sqrt(0.3 * 1.7 / n), rel=1e-12)
 
 
 @pytest.mark.parametrize("spec, p_x", [
