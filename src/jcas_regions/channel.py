@@ -15,6 +15,7 @@ construction, so channel specs can be shared freely across workers.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import numbers
@@ -168,6 +169,13 @@ class ChannelSpec:
     @property
     def nshat2(self) -> int:
         return self.d2.shape[1]
+
+    @functools.cached_property
+    def _degradedness_residuals(self) -> tuple[float, float]:
+        # the arrays are read-only, so the residuals of
+        # classify_degradedness are computed once per spec object; an error
+        # is not cached, so it is raised on every call
+        return _residuals(self)
 
 
 def make_channel_spec(state_dist, kernel, d1=None, d2=None) -> ChannelSpec:
@@ -369,9 +377,20 @@ def make_binary_multiplicative(q: float, alpha: float) -> ChannelSpec:
     Bernoulli variables with P(s1=0, s2=0) = 1-q, P(s1=1, s2=0) = q(1-alpha),
     P(s1=1, s2=1) = q*alpha and P(s1=0, s2=1) = 0, so receiver 2's state can
     be active only when receiver 1's is.  Both distortions are Hamming.
+
+    Calls with the same (q, alpha), of the same types and signs, return one
+    shared immutable spec from a cache of the last 1,024, so its
+    degradedness residuals are computed once.
     """
     check_probability("q", q)
     check_probability("alpha", alpha)
+    # the cache finds -0.0 equal to 0.0, but a -0.0 state mass has other bits
+    return _binary_multiplicative(q, alpha, math.copysign(1.0, q),
+                                  math.copysign(1.0, alpha))
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _binary_multiplicative(q, alpha, *signs) -> ChannelSpec:
     state = np.array([[1.0 - q, 0.0], [q * (1.0 - alpha), q * alpha]])
     kernel = np.zeros((2, 2, 2, 2, 2))
     for x in range(2):
@@ -434,6 +453,22 @@ def _conditional_residual(joint: np.ndarray) -> float:
     return worst
 
 
+def _residuals(spec: ChannelSpec) -> tuple[float, float]:
+    """(physical, reverse) factorization residuals of ``spec``; a NaN or
+    infinite state or kernel entry is a :class:`DegenerateInput`, since a
+    NaN would drop out of every comparison and read as a zero residual."""
+    if not (np.isfinite(spec.state_dist).all() and np.isfinite(spec.kernel).all()):
+        raise DegenerateInput("state_dist and kernel must be finite to classify")
+    nx = spec.nx
+    # joint[x, s1, s2, y1, y2] under uniform full-support input
+    joint = spec.state_dist[None, :, :, None, None] * spec.kernel / nx
+    ns1, ns2, ny1, ny2 = spec.ns1, spec.ns2, spec.ny1, spec.ny2
+
+    phys = joint.transpose(0, 1, 3, 2, 4).reshape(nx, ns1 * ny1, ns2 * ny2)
+    rev = joint.transpose(0, 2, 4, 1, 3).reshape(nx, ns2 * ny2, ns1 * ny1)
+    return _conditional_residual(phys), _conditional_residual(rev)
+
+
 def classify_degradedness(spec: ChannelSpec,
                           tol: float = DEGRADEDNESS_TOL) -> DegradednessClass:
     """Decide whether receiver 2's pair is a degraded version of receiver 1's
@@ -444,19 +479,13 @@ def classify_degradedness(spec: ChannelSpec,
     X do not depend on the input law.  Physical degradedness holds when
     (Y2, S2) is conditionally independent of X given (S1, Y1); the reverse
     direction swaps the two pairs.  Residuals are exact max deviations, not
-    averages, so deterministic channels come out at exactly zero.
+    averages, so deterministic channels come out at exactly zero.  They are
+    computed once per spec object and kept on it; only the comparison with
+    ``tol`` is made per call.  A NaN or infinite entry in ``state_dist`` or
+    ``kernel`` raises :class:`DegenerateInput`.
     """
     check_tolerance(tol)
-    nx = spec.nx
-    # joint[x, s1, s2, y1, y2] under uniform full-support input
-    joint = spec.state_dist[None, :, :, None, None] * spec.kernel / nx
-    ns1, ns2, ny1, ny2 = spec.ns1, spec.ns2, spec.ny1, spec.ny2
-
-    phys = joint.transpose(0, 1, 3, 2, 4).reshape(nx, ns1 * ny1, ns2 * ny2)
-    rev = joint.transpose(0, 2, 4, 1, 3).reshape(nx, ns2 * ny2, ns1 * ny1)
-    residual_phys = _conditional_residual(phys)
-    residual_rev = _conditional_residual(rev)
-
+    residual_phys, residual_rev = spec._degradedness_residuals
     p = residual_phys <= tol
     r = residual_rev <= tol
     if p and r:

@@ -54,18 +54,20 @@ def _receiver(spec: ChannelSpec, joint: np.ndarray, j: int):
     """d_j, the (x, s_j, y1, y2) masses of ``joint`` and the prior P_{S_j}."""
     if j not in (1, 2):
         raise DimensionMismatch("receiver index j must be 1 or 2")
-    if j == 1:
-        return spec.d1, joint.sum(axis=2), spec.state_dist.sum(axis=1)
-    return spec.d2, joint.sum(axis=1), spec.state_dist.sum(axis=0)
+    # the other receiver's state axis of joint, summed out with
+    # np.add.reduce: ndarray.sum without its Python wrapper, the same bits
+    other = 2 if j == 1 else 1
+    return ((spec.d1, spec.d2)[j - 1], np.add.reduce(joint, axis=other),
+            np.add.reduce(spec.state_dist, axis=other - 1))
 
 
 def _table(d: np.ndarray, w: np.ndarray, prior: np.ndarray) -> np.ndarray:
     # posterior weights over s_j per (x, y1, y2); normalisation is irrelevant
     # to the argmin so the raw masses are used directly
     w = w.transpose(0, 2, 3, 1)                      # (x, y1, y2, s_j)
-    table = np.argmin(w @ d, axis=3)                 # costs (x, y1, y2, nshat)
-    empty = w.sum(axis=3) == 0.0
-    if np.any(empty):
+    table = (w @ d).argmin(axis=3)                   # costs (x, y1, y2, nshat)
+    empty = np.add.reduce(w, axis=3) == 0.0
+    if empty.any():
         table[empty] = int(np.argmin(prior @ d))
     return table
 

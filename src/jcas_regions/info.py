@@ -208,7 +208,7 @@ def _entropy_of(probs: np.ndarray) -> float:
     flat = flat[flat > MIN_PROB]
     if flat.size == 0:
         return 0.0
-    return float(-(flat * np.log2(flat)).sum())
+    return float(-np.add.reduce(flat * np.log2(flat)))
 
 
 def entropy(j: JointDistribution, targets, givens=()) -> float:
@@ -259,12 +259,22 @@ def _sum_plan(shape, drop):
             tuple(sorted(range(len(kept)), key=kept.__getitem__)))
 
 
+@functools.lru_cache(maxsize=128)
+def _dropped_axes(keep: frozenset) -> tuple[int, ...]:
+    """The axes of a :class:`JointBatch` that its marginal on ``keep`` sums
+    out; 128 entries hold every subset of ``VAR_NAMES``."""
+    return tuple(i + 1 for i, n in enumerate(VAR_NAMES) if n not in keep)
+
+
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
     """:func:`_entropy_of` of every row, bit for bit: the rows with m cells of
     mass form one C-contiguous (rows, m) array, whose sum along the last axis
     adds each row pairwise in the scalar path's order (``np.add.reduce`` is
     ``sum`` without its Python wrapper).  ``reduceat``, or a column selection
-    that is not contiguous, would add sequentially."""
+    that is not contiguous, would add sequentially.  One row, as a
+    one-design evaluation has, goes straight to :func:`_entropy_of`."""
+    if len(rows) == 1:
+        return np.array([_entropy_of(rows[0])])
     mask = rows > MIN_PROB
     sizes = np.add.reduce(mask, axis=1)
     groups = set(sizes.tolist())
@@ -333,7 +343,7 @@ class JointBatch:
         into the C order that :func:`_row_entropies` needs."""
         probs = self.probs
         if probs.size < TWO_STAGE_CELLS:
-            return probs.sum(axis=drop).reshape(len(probs), -1)
+            return np.add.reduce(probs, axis=drop).reshape(len(probs), -1)
         perm, mem_shape, start, layout, rest, back = _sum_plan(probs.shape, drop)
         run = self._runs.get(start)
         if run is None:
@@ -345,8 +355,7 @@ class JointBatch:
     def _joint_entropy(self, names) -> np.ndarray:
         key = frozenset(names)
         if key not in self._h:
-            drop = tuple(i + 1 for i, n in enumerate(VAR_NAMES) if n not in key)
-            self._h[key] = _row_entropies(self._rows(drop))
+            self._h[key] = _row_entropies(self._rows(_dropped_axes(key)))
         return self._h[key]
 
     def entropy(self, targets, givens=()) -> np.ndarray:

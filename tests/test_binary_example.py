@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -10,6 +12,7 @@ from jcas_regions import (
     crosscheck,
     separation_baseline,
 )
+from jcas_regions import channel
 
 
 def hb(p):
@@ -129,3 +132,18 @@ def test_crosscheck_lattice_17():
             for m in range(17):
                 rep = crosscheck(i / 16, k / 16, m / 16, 1e-9)
                 assert rep.passed, (i / 16, k / 16, m / 16, rep.max_abs_dev)
+
+
+def test_crosscheck_reports_do_not_depend_on_call_order():
+    # the spec cache and the residuals kept on each spec must not change a
+    # bit: a sorted lattice from a cold cache on every call against the
+    # same lattice shuffled on a warm cache (repr tells -0.0 from 0.0)
+    lattice = list(itertools.product([k / 8 for k in range(9)], repeat=3))
+    cold = {}
+    for q, alpha, p in lattice:
+        channel._binary_multiplicative.cache_clear()
+        cold[q, alpha, p] = repr(crosscheck(q, alpha, p, 1e-9))
+    random.Random(3).shuffle(lattice)
+    warm = {(q, alpha, p): repr(crosscheck(q, alpha, p, 1e-9))
+            for q, alpha, p in lattice}
+    assert warm == cold

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from jcas_regions import (
     swap_receivers,
     validate,
 )
+from jcas_regions import channel
 from jcas_regions.channel import (DEGRADEDNESS_TOL, check_count, check_distribution,
                                   check_probability, check_tolerance)
 from jcas_regions.info import binary_entropy
@@ -159,10 +161,10 @@ def test_make_binary_multiplicative_degenerate_corners():
 
 
 def test_make_binary_multiplicative_domain():
-    with pytest.raises(DomainError):
-        make_binary_multiplicative(1.2, 0.5)
-    with pytest.raises(DomainError):
-        make_binary_multiplicative(0.5, -0.1)
+    # checked before the spec cache is looked up
+    for q, alpha in ((1.2, 0.5), (0.5, -0.1), (float("nan"), 0.5), (0.5, float("nan"))):
+        with pytest.raises(DomainError):
+            make_binary_multiplicative(q, alpha)
 
 
 _BAD_UNIT = [float("nan"), -0.1, 1.1, float("inf"), float("-inf")]
@@ -221,6 +223,94 @@ def test_classify_rejects_bad_tolerance(tol):
     # a NaN tolerance used to classify every channel as "neither"
     with pytest.raises(DomainError):
         classify_degradedness(make_binary_multiplicative(0.5, 0.5), tol)
+
+
+def _spec_bytes(spec):
+    return [a.tobytes() for a in (spec.state_dist, spec.kernel, spec.d1, spec.d2)]
+
+
+@pytest.mark.parametrize("first", [-0.0, 0.0])
+def test_binary_spec_cache_tells_negative_zero_apart(first):
+    # the cache finds -0.0 == 0.0, but a -0.0 state mass has other bits;
+    # either order of first calls must give each sign its own spec
+    channel._binary_multiplicative.cache_clear()
+    build = channel._binary_multiplicative.__wrapped__  # uncached
+    for q in (first, -first):
+        for alpha in (-0.0, 0.0, 0.25):
+            got = make_binary_multiplicative(q, alpha)
+            assert _spec_bytes(got) == _spec_bytes(build(q, alpha)), (q, alpha)
+    assert np.signbit(make_binary_multiplicative(-0.0, 0.25).state_dist).any()
+    assert not np.signbit(make_binary_multiplicative(0.0, 0.25).state_dist).any()
+
+
+def test_binary_spec_is_shared_and_read_only():
+    spec = make_binary_multiplicative(0.3, 0.6)
+    assert make_binary_multiplicative(0.3, 0.6) is spec
+    for name in ("state_dist", "kernel", "d1", "d2"):
+        arr = getattr(spec, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, arr.copy())
+    assert _spec_bytes(make_binary_multiplicative(0.3, 0.6)) == _spec_bytes(
+        channel._binary_multiplicative.__wrapped__(0.3, 0.6))
+
+
+def test_binary_spec_cache_is_bounded():
+    make_binary_multiplicative(0.5, 0.5)
+    for k in range(5000):
+        make_binary_multiplicative(k / 5000, 0.5)
+    info = channel._binary_multiplicative.cache_info()
+    assert info.currsize == info.maxsize == 1024
+
+
+def test_classify_computes_residuals_once_per_spec(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return residuals(spec)
+
+    residuals = channel._residuals
+    monkeypatch.setattr(channel, "_residuals", counted)
+    spec = random_channel_spec(np.random.default_rng(5), ny1=3)
+    # both residuals lie strictly between 0 and 1 and differ, so tol 1, 0
+    # and one between them give three kinds, in any call order
+    first = classify_degradedness(spec, 1.0)
+    lo, hi = sorted((first.residual_phys, first.residual_rev))
+    assert 0.0 < lo < hi < 1.0
+    one_sided = (DegradednessKind.PHYSICALLY_DEGRADED if first.residual_phys == lo
+                 else DegradednessKind.REVERSELY_DEGRADED)
+    kinds = []
+    for tol in (0.0, 1.0, (lo + hi) / 2, 0.0):
+        cls = classify_degradedness(spec, tol)
+        assert (cls.residual_phys, cls.residual_rev) == (
+            first.residual_phys, first.residual_rev)
+        kinds.append(cls.kind)
+    assert kinds == [DegradednessKind.NEITHER, DegradednessKind.BOTH, one_sided,
+                     DegradednessKind.NEITHER]
+    assert len(calls) == 1
+    classify_degradedness(swap_receivers(spec))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("kernel", (1, 0, 1, 0, 1), float("nan")),
+    ("state_dist", (1, 0), float("nan")),
+    ("kernel", (0, 1, 1, 1, 1), float("inf")),
+    ("state_dist", (0, 0), float("-inf")),
+], ids=["kernel-nan", "state-nan", "kernel-inf", "state-neg-inf"])
+def test_classify_rejects_nonfinite_entries(name, index, value):
+    # a NaN used to drop out of every comparison and classify as BOTH with
+    # zero residuals; the error is raised on every call, not cached away
+    arrays = {"state_dist": np.full((2, 2), 0.25),
+              "kernel": np.full((2, 2, 2, 2, 2), 0.25)}
+    arrays[name][index] = value
+    spec = make_channel_spec(arrays["state_dist"], arrays["kernel"])
+    for _ in range(2):
+        with pytest.raises(DegenerateInput, match="finite"):
+            classify_degradedness(spec)
 
 
 def test_identical_receivers_classified_both():

@@ -404,6 +404,78 @@ def test_batch_equals_reference_on_negative_zero_entries(two_stage):
         _assert_batch_equals_reference(spec, np.array(p_x), p_v, p_u, two_stage)
 
 
+_MASSES = st.one_of(
+    st.sampled_from([0.0, 5e-324, info.MIN_PROB, _ABOVE_MIN, 0.5, 1.0]),
+    st.floats(0.0, 1.0))
+
+
+def _sum_entropy(row):
+    # _entropy_of written with ndarray.sum, the wrapper np.add.reduce skips
+    flat = row[row > info.MIN_PROB]
+    return float(-(flat * np.log2(flat)).sum()) if flat.size else 0.0
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(rows=st.integers(1, 40).flatmap(lambda m: st.lists(
+           st.lists(_MASSES, min_size=m, max_size=m), min_size=1, max_size=4)),
+       pick=st.integers(0, 3))
+@example(rows=[[0.0] * 5], pick=0)
+@example(rows=[[info.MIN_PROB, 5e-324, 0.0]], pick=0)
+@example(rows=[[1.0, 0.0, info.MIN_PROB], [0.5, 0.5, 0.0]], pick=0)
+def test_one_row_entropies_equal_reference(rows, pick):
+    # the one-row path of _row_entropies and np.add.reduce in _entropy_of
+    # give the bits of the ndarray.sum reference, and of the same row inside
+    # a batch of several rows (tobytes tells -0.0 from 0.0)
+    rows = np.array(rows)
+    row = rows[pick % len(rows)]
+    want = np.array([_sum_entropy(row)])
+    assert np.array([info._entropy_of(row)]).tobytes() == want.tobytes()
+    assert info._row_entropies(row[None]).tobytes() == want.tobytes()
+    batch = info._row_entropies(np.vstack([rows, row]))
+    assert batch[-1:].tobytes() == want.tobytes()
+    assert batch[pick % len(rows)].tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(p_x=st.one_of(
+           st.sampled_from([(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0),
+                            (0.5, 0.5, 0.0), (0.0, 0.25, 0.75)]),
+           st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda t: sum(t) > 0)
+           .map(lambda t: tuple(v / sum(t) for v in t))),
+       nv=st.sampled_from([None, 1, 2]), nu=st.sampled_from([None, 2]),
+       state_zero=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_design_batch_equals_build_joint_entropies(p_x, nv, nu, state_zero,
+                                                       seed):
+    # the one-design JointBatch of a region evaluator, against entropy() on
+    # the same build_joint and against a batch of two designs; P_X such as
+    # 0|0|1, and a state cell of no mass, give all-zero rows and marginals
+    rng = np.random.default_rng(seed)
+    spec = random_channel_spec(rng, 3, 2, 2, 2, 2)
+    if state_zero:
+        state = spec.state_dist.copy()
+        state[0, 1] = 0.0
+        spec = make_channel_spec(state / state.sum(), spec.kernel)
+    p_x = np.array(p_x)
+    if abs(p_x.sum() - 1.0) > 1e-12:
+        p_x[-1] = 1.0 - p_x[:-1].sum()
+    p_v = None if nv is None else rng.dirichlet(np.ones(nv), size=3)
+    p_u = None if nu is None else rng.dirichlet(np.ones(nu), size=nv or 3)
+    design = InputDesign(p_x=p_x, p_v_given_x=p_v, p_u_given_v=p_u)
+    joint = build_joint(spec, design)
+    one = info.JointBatch(joint.probs[None])
+    # a second design, with other auxiliary channels where there are any
+    other = p_v if p_v is None else rng.dirichlet(np.ones(nv), size=3)
+    p_vs = np.stack([np.eye(3) if v is None else v for v in (p_v, other)])
+    p_us = np.stack([np.ones((p_vs.shape[2], 1)) if p_u is None else p_u] * 2)
+    [two] = info.joint_batches(spec, p_x, p_vs, p_us)
+    for keep in _SUBSETS:
+        want = np.array([entropy(joint, keep)])
+        assert one.entropy(keep).tobytes() == want.tobytes(), keep
+        assert two.entropy(keep)[:1].tobytes() == want.tobytes(), keep
+    want = np.array([entropy(joint, "Y1", ("Y2", "S2", "V"))])
+    assert one.entropy("Y1", ("Y2", "S2", "V")).tobytes() == want.tobytes()
+
+
 def test_pairwise_sum_equals_numpy_sum():
     # every run length through numpy's 8-cell unroll, its 128-cell block and
     # two levels of splitting, with zeros and subnormals; the run axis is
