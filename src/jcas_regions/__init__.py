@@ -51,7 +51,6 @@ from .errors import (
     SchemaError,
     StochasticityError,
     UnknownVariable,
-    UsageError,
 )
 from .estimators import EstimatorTable, expected_distortion, synthesize_estimator
 from .info import (
@@ -92,7 +91,7 @@ __all__ = [
     "InputDesign", "JcasError", "JointDistribution", "MixedArity",
     "NegativeProbability", "NotDegraded", "OverlapError", "RegionPoint",
     "SchemaError", "SearchConfig", "StochasticityError", "UnknownVariable",
-    "UsageError", "ValidationReport",
+    "ValidationReport",
     "binary_entropy", "build_joint", "cardinality_caps", "classify_degradedness",
     "closed_form_point", "closed_form_sweep", "crosscheck", "entropy",
     "exact_region_degraded_ps", "exact_region_degraded_single",

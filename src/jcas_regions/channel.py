@@ -308,12 +308,10 @@ def parse_channel_document(text: str) -> ChannelSpec:
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise SchemaError(f"alphabet size {key!r} must be a positive integer")
         sizes[key] = value
-    nshat1 = sizes.get("shat1", sizes["s1"])
-    nshat2 = sizes.get("shat2", sizes["s2"])
 
-    def _array(key, shape, default=None):
-        if key not in doc or doc[key] is None:
-            return default
+    def _array(key, shape):
+        if doc.get(key) is None:
+            return None
         try:
             arr = np.array(doc[key], dtype=float)
         except (TypeError, ValueError):
@@ -331,9 +329,13 @@ def parse_channel_document(text: str) -> ChannelSpec:
         (sizes["x"], sizes["s1"], sizes["s2"], sizes["y1"] * sizes["y2"]))
     kernel = flat.reshape(
         sizes["x"], sizes["s1"], sizes["s2"], sizes["y1"], sizes["y2"])
-    d1 = _array("d1", (sizes["s1"], nshat1), hamming_distortion(sizes["s1"], nshat1))
-    d2 = _array("d2", (sizes["s2"], nshat2), hamming_distortion(sizes["s2"], nshat2))
-    return ChannelSpec(state, kernel, d1, d2)
+    dists = []
+    for j in (1, 2):
+        ns, nshat = sizes[f"s{j}"], sizes.get(f"shat{j}", sizes[f"s{j}"])
+        d = _array(f"d{j}", (ns, nshat))
+        # built only when absent: its size is whatever the file declares
+        dists.append(hamming_distortion(ns, nshat) if d is None else d)
+    return ChannelSpec(state, kernel, *dists)
 
 
 def parse_channel_spec(text: str) -> ChannelSpec:

@@ -5,8 +5,8 @@ Subcommands::
     validate <file>
     classify <file> [--tol T]
     estimator <file> --px p0,p1,...
-    region <file> --mode M --grid G --samples N --seed S [--convexify]
-                  [--threads K] [--out F]
+    region <file> --mode M --grid G --samples N --seed S [--threads K]
+                  [--out F]
     example --q Q --alpha A --grid G [--out F]
     baseline --q Q --alpha A --grid G [--out F]
     simulate <file> --px ... --n N --seed S --tol T
@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_count("grid_step"), default=16)
     p.add_argument("--samples", type=_count("n_samples"), default=16)
     p.add_argument("--seed", type=_count("seed"), default=0)
-    p.add_argument("--convexify", action="store_true")
     p.add_argument("--threads", type=_count("threads"), default=1,
                    help="accepted for compatibility; evaluation is serial")
     p.add_argument("--out")
@@ -164,10 +163,10 @@ def _cmd_classify(ns) -> tuple[str, int]:
 
 def _cmd_estimator(ns) -> tuple[str, int]:
     spec = _read_spec(ns.file)
-    (est1, est2), (d1, d2) = _both_receivers(spec, ns.px)
+    (table1, table2), (d1, d2) = _both_receivers(spec, ns.px)
     lines = ["x,y1,y2,shat1,shat2"]
-    for (x, y1, y2), shat1 in np.ndenumerate(est1.table):
-        lines.append(f"{x},{y1},{y2},{shat1},{est2.table[x, y1, y2]}")
+    for (x, y1, y2), shat1 in np.ndenumerate(table1):
+        lines.append(f"{x},{y1},{y2},{shat1},{table2[x, y1, y2]}")
     lines += [f"expected_d1,{_fmt(d1)}", f"expected_d2,{_fmt(d2)}"]
     return "\n".join(lines) + "\n", 0
 
@@ -175,8 +174,7 @@ def _cmd_estimator(ns) -> tuple[str, int]:
 def _cmd_region(ns) -> tuple[str, int]:
     spec = _read_spec(ns.file)
     cfg = regions.SearchConfig(
-        mode=ns.mode, grid_step=ns.grid, n_samples=ns.samples,
-        seed=ns.seed, convexify=ns.convexify)
+        mode=ns.mode, grid_step=ns.grid, n_samples=ns.samples, seed=ns.seed)
     if ns.mode in ("ps_outer", "single_outer"):
         print("note: sampled outer-bound sweep is a necessary-condition "
               "envelope, not a converse region", file=sys.stderr)

@@ -51,7 +51,3 @@ class EmptyGrid(JcasError):
 
 class MixedArity(JcasError):
     """Region points with different rate arities were mixed in one set."""
-
-
-class UsageError(JcasError):
-    """Command line usage error (maps to exit status 2)."""

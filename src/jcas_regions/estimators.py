@@ -77,12 +77,14 @@ def _expected(d: np.ndarray, w: np.ndarray, table: np.ndarray) -> float:
 
 
 def _both_receivers(spec: ChannelSpec, p_x):
-    """``((est1, est2), (d1, d2))`` from one check of P_X and one joint."""
+    """``((table1, table2), (d1, d2))`` from one check of P_X and one joint;
+    each table is a bare (nx, ny1, ny2) index array, not an
+    :class:`EstimatorTable`."""
     joint, pairs = _joint5(spec, p_x), []
     for j in (1, 2):
         d, w, prior = _receiver(spec, joint, j)
         table = _table(d, w, prior)
-        pairs.append((EstimatorTable(j=j, table=table), _expected(d, w, table)))
+        pairs.append((table, _expected(d, w, table)))
     return tuple(zip(*pairs))
 
 

@@ -37,18 +37,7 @@ from .errors import (
     NotDegraded,
 )
 from .estimators import _both_receivers
-# entropy, mutual_information, synthesize_estimator and expected_distortion
-# are no longer called here, but the benchmark's tracer (bench/tracing.py)
-# looks these names up on this module.
-from .estimators import expected_distortion, synthesize_estimator  # noqa: F401
-from .info import (  # noqa: F401
-    InputDesign,
-    JointBatch,
-    build_joint,
-    entropy,
-    joint_batches,
-    mutual_information,
-)
+from .info import InputDesign, JointBatch, build_joint, joint_batches
 
 __all__ = [
     "RegionPoint",
@@ -373,7 +362,6 @@ class SearchConfig:
     grid_step: int
     n_samples: int = 1
     seed: int = 0
-    convexify: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -394,23 +382,6 @@ def _sort_key(p: RegionPoint):
     return tuple(-r for r in p.rates) + p.distortions + (p.design_tag,)
 
 
-def _mixtures(points: list[RegionPoint]) -> list[RegionPoint]:
-    # Chords between neighbours in canonical order.  Any mixture of
-    # achievable points is achievable by time sharing, so emitting only
-    # these keeps the output sound and linear in the frontier size; no
-    # completeness of the convexification is claimed.
-    lams = [k / 8 for k in range(1, 8)]
-    ordered = sorted(points, key=_sort_key)
-    out = []
-    for a, b in zip(ordered, ordered[1:]):
-        for lam in lams:
-            mix = [lam * u + (1 - lam) * v
-                   for u, v in zip(a.rates + a.distortions, b.rates + b.distortions)]
-            out.append(_point(mix[:-2], mix[-2:],
-                              f"ts({a.design_tag}~{b.design_tag}@{_fmt(lam)})"))
-    return out
-
-
 def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     """Search the design space and return the Pareto-nondominated points.
 
@@ -429,9 +400,9 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     lazily, one P_X at a time.  Every sample at one P_X shares its
     distortions, so a rate row that another row of the same P_X dominates
     is dropped before it becomes a point.  Dominance is transitive, so the
-    final filter keeps the same points either way.  With ``convexify`` set,
-    time-sharing mixtures between neighbouring retained points are added
-    before the final filter.
+    final filter keeps the same points either way.  No time-sharing
+    mixtures are added: the rows describe their down-closed convex hull,
+    and a mixture of two rows lies inside it.
     """
     check_count("grid_step", cfg.grid_step)
     mode = _MODE_TABLE[cfg.mode]
@@ -464,10 +435,7 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
         points += [_point(r, d12, f"px={px_tag}{suffixes[k]}")
                    for r, k in zip(rows[keep].tolist(), design[keep].tolist())]
 
-    frontier = pareto_filter(points)
-    if cfg.convexify and len(frontier) > 1:
-        frontier = pareto_filter(frontier + _mixtures(frontier))
-    return sorted(frontier, key=_sort_key)
+    return sorted(pareto_filter(points), key=_sort_key)
 
 
 def _dominated(rates: np.ndarray) -> np.ndarray:

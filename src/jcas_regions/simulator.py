@@ -57,7 +57,7 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     check_count("seed", seed)
     check_count("n", n)
     p_x = np.asarray(p_x, dtype=float)
-    (est1, est2), analytic = _both_receivers(spec, p_x)  # also validates p_x
+    (table1, table2), analytic = _both_receivers(spec, p_x)  # also validates p_x
 
     cum_state = np.cumsum(spec.state_dist.reshape(-1))
     cum_state[-1] = 1.0
@@ -82,12 +82,14 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
 
     counts = counts.reshape(spec.nx, spec.ns1, spec.ns2, spec.ny1, spec.ny2)
     # d_j[s_j, shat_j(x, y1, y2)] on the axes of the count table
-    d1 = spec.d1[np.arange(spec.ns1)[:, None, None, None], est1.table[:, None, None]]
-    d2 = spec.d2[np.arange(spec.ns2)[:, None, None], est2.table[:, None, None]]
+    d1 = spec.d1[np.arange(spec.ns1)[:, None, None, None], table1[:, None, None]]
+    d2 = spec.d2[np.arange(spec.ns2)[:, None, None], table2[:, None, None]]
     mean_d1 = float((counts * d1).sum() / n)
     mean_d2 = float((counts * d2).sum() / n)
     return EmpiricalStats(n=n, seed=seed, mean_d1=mean_d1, mean_d2=mean_d2,
-                          freq=counts / n, estimators=(est1, est2),
+                          freq=counts / n,
+                          estimators=(EstimatorTable(j=1, table=table1),
+                                      EstimatorTable(j=2, table=table2)),
                           analytic=analytic)
 
 

@@ -76,6 +76,37 @@ def test_parse_missing_distortion_defaults_to_hamming():
     assert np.array_equal(back.d2, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("given", [(), ("d1",), ("d2",), ("d1", "d2")])
+def test_parse_builds_hamming_default_only_for_missing_distortions(monkeypatch, given):
+    # a file that supplies d_j must not pay for a default sized by shat_j
+    rng = np.random.default_rng(5)
+    spec = dataclasses.replace(
+        random_channel_spec(rng, ns1=2, ns2=3),
+        d1=rng.random((2, 3)), d2=rng.random((3, 2)))
+    doc = json.loads(serialize_channel_spec(spec))
+    expected, missing = [], []
+    for key, d in (("d1", spec.d1), ("d2", spec.d2)):
+        if key in given:
+            expected.append(d)
+        else:
+            del doc[key]
+            expected.append(channel.hamming_distortion(*d.shape))
+            missing.append(d.shape)
+    calls, real = [], channel.hamming_distortion
+
+    def spy(n, n_hat=None):
+        calls.append((n, n_hat))
+        return real(n, n_hat)
+
+    monkeypatch.setattr(channel, "hamming_distortion", spy)
+    back = parse_channel_document(json.dumps(doc))
+    assert calls == missing
+    assert np.array_equal(back.state_dist, spec.state_dist)
+    assert np.array_equal(back.kernel, spec.kernel)
+    assert np.array_equal(back.d1, expected[0])
+    assert np.array_equal(back.d2, expected[1])
+
+
 def test_parse_rejects_wrong_dimension():
     spec = make_binary_multiplicative(0.5, 0.5)
     doc = json.loads(serialize_channel_spec(spec))

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from jcas_regions import make_binary_multiplicative, serialize_channel_spec
+import jcas_regions
+from jcas_regions import errors, make_binary_multiplicative, serialize_channel_spec
 from jcas_regions.cli import main
 
 
@@ -24,9 +25,21 @@ def test_no_arguments_is_usage_error(capsys):
     assert "usage" in err
 
 
-def test_unknown_flag_rejected(capsys, tmp_path):
-    rc, _, _ = run(capsys, ["classify", write_binary_spec(tmp_path), "--bogus"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--bogus"],
+    # time-sharing mixtures of printed rows add nothing, so the flag is gone
+    ["region", "--mode", "single_exact_deg", "--convexify"],
+], ids=["classify-bogus", "region-convexify"])
+def test_unknown_flag_rejected(capsys, tmp_path, argv):
+    rc, _, _ = run(capsys, argv[:1] + [write_binary_spec(tmp_path)] + argv[1:])
     assert rc == 2
+
+
+def test_usage_errors_have_no_exception_class():
+    # argparse exits with status 2 by itself, so nothing raises a UsageError
+    assert not hasattr(jcas_regions, "UsageError")
+    assert not hasattr(errors, "UsageError")
+    assert "UsageError" not in jcas_regions.__all__
 
 
 def test_out_of_domain_option_is_usage_error(capsys, tmp_path):

@@ -377,10 +377,11 @@ def test_sweep_finds_reference_point():
 
 @pytest.mark.parametrize("field, value", [
     ("nv", 0), ("nu", 0), ("nv", -2), ("seed", -1), ("n_samples", 0),
-    ("nu", 1.5), ("nv", float("nan")), ("nv", 2.0)])
+    ("nu", 1.5), ("nv", float("nan")), ("nv", 2.0), ("convexify", True)])
 def test_search_config_rejects_out_of_range_values(field, value):
-    # nu and nv are no longer fields, so any value of them is refused
-    error = TypeError if field in ("nu", "nv") else DomainError
+    # nu, nv and convexify are no longer fields, so any value of them is
+    # refused
+    error = TypeError if field in ("nu", "nv", "convexify") else DomainError
     with pytest.raises(error):
         SearchConfig(mode="ps_inner", grid_step=4, **{field: value})
 
@@ -748,35 +749,6 @@ def test_sweep_distortions_decouple_from_rates():
         for j, d in ((1, p.d1), (2, p.d2)):
             est = synthesize_estimator(spec, p_x, j)
             assert d == expected_distortion(spec, p_x, est, j)
-
-
-def test_sweep_convexify_adds_mixture_points():
-    spec = binary_spec()
-    base = sweep_region(spec, SearchConfig(mode="single_exact_deg", grid_step=4))
-    mixed = sweep_region(spec, SearchConfig(
-        mode="single_exact_deg", grid_step=4, convexify=True))
-    assert len(mixed) >= len(base)
-    assert any(p.design_tag.startswith("ts(") for p in mixed)
-
-
-@pytest.mark.parametrize("mode", ["ps_outer", "single_exact_deg"])
-def test_sweep_convexify_mixes_every_coordinate(mode):
-    # each ts(a~b@lam) point is lam * a + (1 - lam) * b in every rate and
-    # distortion, for neighbours a, b of the sorted frontier without mixtures
-    spec = binary_spec()
-    cfg = dict(mode=mode, grid_step=8, n_samples=2, seed=3) if mode.startswith("ps") \
-        else dict(mode=mode, grid_step=8)
-    base = sweep_region(spec, SearchConfig(**cfg))
-    expect = {(f"ts({a.design_tag}~{b.design_tag}@{k / 8:.12g})", tuple(
-        k / 8 * u + (1 - k / 8) * v
-        for u, v in zip(a.rates + a.distortions, b.rates + b.distortions)))
-        for a, b in zip(base, base[1:]) for k in range(1, 8)}
-    mixed = [p for p in sweep_region(spec, SearchConfig(**cfg, convexify=True))
-             if p.design_tag.startswith("ts(")]
-    assert mixed
-    for p in mixed:
-        assert p.arity == base[0].arity
-        assert (p.design_tag, p.rates + p.distortions) in expect
 
 
 def test_sweep_rates_nonnegative_finite():
