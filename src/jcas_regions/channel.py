@@ -280,7 +280,7 @@ def parse_channel_document(text: str) -> ChannelSpec:
         }
 
     Missing distortion matrices default to Hamming distortion on the matching
-    state alphabet.
+    state alphabet, of at most as many cells as the kernel.
     """
     try:
         doc = json.loads(text)
@@ -333,7 +333,12 @@ def parse_channel_document(text: str) -> ChannelSpec:
     for j in (1, 2):
         ns, nshat = sizes[f"s{j}"], sizes.get(f"shat{j}", sizes[f"s{j}"])
         d = _array(f"d{j}", (ns, nshat))
-        # built only when absent: its size is whatever the file declares
+        if d is None and ns * nshat > kernel.size:
+            # a default sized by the declared alphabet alone could dwarf
+            # the file; one no larger than the kernel stays proportional
+            raise SchemaError(
+                f"default Hamming d{j} would have {ns * nshat} cells, more "
+                f"than the kernel's {kernel.size}; give 'd{j}' explicitly")
         dists.append(hamming_distortion(ns, nshat) if d is None else d)
     return ChannelSpec(state, kernel, *dists)
 

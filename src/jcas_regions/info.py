@@ -12,17 +12,20 @@ denormal noise out of the logs.
 
 :func:`build_joint`, :func:`marginalize`, :func:`entropy` and
 :func:`mutual_information` are the reference API, one design at a time.
-Sweeps evaluate all sampled designs at one P_X together: :func:`joint_batches`
-stacks their joints on a leading axis, in chunks of at most ``BATCH_CELLS``
-cells, and :class:`JointBatch` sums each distinct marginal once per chunk
-and takes its rows' entropies as arrays, bit for bit as the reference API.
+A sweep evaluates its designs as one stream of (P_X, auxiliary channels)
+rows: :func:`joint_batches` stacks their joints on a leading axis, in
+chunks of ``BATCH_CELLS`` cells that may cross P_X boundaries, and
+:class:`JointBatch` sums each distinct marginal once per chunk and takes
+its rows' entropies as arrays, bit for bit as the reference API.
 Every joint, one design or a chunk, comes from one product,
-:func:`_joint_product`, so the two paths hold the same bits in the same
-memory order.  A large chunk sums its marginals in two stages that add the
-same terms in the same order as ``np.sum`` (numpy's order rule is spelled
-out at :class:`JointBatch`): elementwise adds that repeat numpy's pairwise
-sum over each trailing run of summed-out axes, shared among marginals, then
-one ``sum`` over the other axes.
+:func:`_joint_product`, so the two paths hold the same bits, and each
+design's cells lie in the same memory order; a chunk puts its design axis
+innermost.  A chunk sums its marginals in two stages that add the same
+terms in the same order as ``np.sum`` on one design's joint (numpy's order
+rule is spelled out at :class:`JointBatch`): elementwise adds over the
+designs that repeat numpy's pairwise sum over each trailing run of
+summed-out axes, shared among marginals, then one ``sum`` over the other
+axes.
 
 Everything else here is a pure function over immutable tensors.
 """
@@ -49,26 +52,26 @@ VAR_NAMES = ("U", "V", "X", "S1", "S2", "Y1", "Y2")
 #: Hard cap on dense joint size, checked at construction.
 MAX_JOINT_CELLS = 10 ** 8
 
-#: Cells per batch in :func:`joint_batches`; a larger stack of designs is
-#: split along the design axis, so memory stays flat in ``--samples``.
+#: Cells per chunk in :func:`joint_batches`: the stream of designs is cut
+#: into chunks of as many whole designs as fit in this many cells (one
+#: design where a joint is larger), so memory stays flat in the grid and in
+#: ``--samples``.  Every chunk but the last holds the same number of designs.
 #: Scratch budget of a batch's two-stage sums (:class:`JointBatch`): the
-#: runs it caches stay under 2x the batch's bytes, as at most one reordered
-#: copy of the batch and partial sums that at least halve from one run to
-#: the next.  While stage 1 sums a run of n >= 8 cells, its accumulators
-#: and their pairwise sums, each 1/n of the batch, add at most 3/4 of the
-#: batch's bytes (12/n at n = 16; a shorter run needs none).  The marginal
-#: being summed, its rows in C order and their entropy arrays come on top,
-#: as they do in the one-call path.
-BATCH_CELLS = 2 ** 20
+#: runs it caches stay under the batch's bytes, as sums of at least 2 cells
+#: each that at least halve from one run to the next (a marginal with no
+#: run reads the batch itself).  While stage 1 sums a run of n >= 8 cells,
+#: its accumulators and their pairwise sums, each 1/n of the batch, add at
+#: most 3/4 of the batch's bytes (12/n at n = 16; a shorter run needs
+#: none).  The marginal being summed, its rows in C order and their
+#: entropy arrays come on top, as they would with one ``np.sum`` per
+#: marginal.
+BATCH_CELLS = 2 ** 17
 
-#: A batch of fewer cells sums each marginal with one ``np.sum`` call; a
-#: larger one in the two stages of :class:`JointBatch`.  The bits are equal.
-#: Where they take as long depends on the channel.  Timed alternately in
-#: one process, a mode's terms took 0.83-1.06x as long in two stages at
-#: 576-768 cells of the binary channel and 0.60-0.88x at 1,152-1,536, but
-#: 1.13-1.37x at 432-1,296 cells of a random 3x2x2x3x3 channel and
-#: 1.00-1.05x at 1,728.  2^10 keeps the binary sweeps' 1,536-cell batches
-#: in two stages.
+#: A batch of one design and fewer cells, as a region evaluator makes, sums
+#: each marginal with one ``np.sum`` call, whose per-call cost the two
+#: stages of :class:`JointBatch` do not pay back; the bits are equal.  A
+#: batch of several designs always takes the two stages: its design axis is
+#: innermost, so one ``np.sum`` would not add in a design's order.
 TWO_STAGE_CELLS = 2 ** 10
 
 
@@ -185,7 +188,7 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
         raise DimensionMismatch("p_u_given_v must have one row per v symbol")
     _check_cells(p_u.size * spec.kernel.size)
     return JointDistribution(
-        VAR_NAMES, _joint_product(spec, design.p_x, p_v[None], p_u[None])[0])
+        VAR_NAMES, _joint_product(spec, design.p_x[None], p_v[None], p_u[None])[0])
 
 
 def _check_cells(size: int) -> None:
@@ -237,25 +240,25 @@ def mutual_information(j: JointDistribution, a, b, givens=()) -> float:
 
 #: The axes of a :class:`JointBatch`, (K, U, V, X, S1, S2, Y1, Y2), in the
 #: memory order of :func:`_joint_product`, outermost first.
-_MEMORY_ORDER = (0, 3, 2, 1, 4, 5, 6, 7)
+_MEMORY_ORDER = (3, 2, 1, 4, 5, 6, 7, 0)
 
 
 @functools.lru_cache(maxsize=1024)
 def _sum_plan(shape, drop):
     """How :class:`JointBatch` sums the axes ``drop`` out of a batch of this
-    shape: the transpose to memory order without length-1 axes, that
-    order's shape, where the trailing dropped run starts, the run's copy
-    layout, its axes to sum, and the transpose back to axis order."""
-    axes = [a for a in _MEMORY_ORDER if shape[a] > 1]
-    mem_shape = tuple(shape[a] for a in axes)
+    shape: the transpose to memory order, with the variables' length-1 axes
+    first; that order's shape with the trailing dropped run merged into
+    one axis, next to last; where the run starts; whether there is one; the
+    axes to sum after it; and the transpose back to axis order."""
+    axes = [a for a in _MEMORY_ORDER[:-1] if shape[a] > 1]
     start = len(axes)
     while start and axes[start - 1] in drop:
         start -= 1
-    order = sorted(axes[:start], key=lambda a: a == 0)  # design axis last
-    kept = [a for a in order if a not in drop]
-    perm = tuple(a for a, n in enumerate(shape) if n == 1) + tuple(axes)
-    return (perm, mem_shape, start, tuple(axes.index(a) for a in order),
-            tuple(i for i, a in enumerate(order) if a in drop),
+    kept = [a for a in axes[:start] if a not in drop] + [0]
+    perm = tuple(a for a in range(1, 8) if shape[a] == 1) + tuple(axes) + (0,)
+    run_shape = tuple(shape[a] for a in axes[:start]) + (-1, shape[0])
+    rest = tuple(i for i, a in enumerate(axes[:start]) if a in drop)
+    return (perm, run_shape, start, start < len(axes), rest,
             tuple(sorted(range(len(kept)), key=kept.__getitem__)))
 
 
@@ -290,17 +293,19 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
 
 
 class JointBatch:
-    """The joints of K designs that share P_X, stacked on a leading axis.
+    """The joints of K designs, stacked on a leading axis.
 
     :meth:`entropy` and :meth:`mutual_information` return one value per
     design, each equal bit for bit to the scalar function of the same name
     on that design's :func:`build_joint`: both hold the same product, every
-    marginal adds the same terms in the same order as ``probs.sum`` over its
-    axes, and differences are taken in the same order.  Each distinct
-    marginal is summed once per batch.  Arguments are trusted, not checked:
-    ``probs`` has the axes (K, U, V, X, S1, S2, Y1, Y2) and must be dense in
-    memory order K, X, V, U, S1, S2, Y1, Y2 and hold no -0.0, as
-    :func:`_joint_product` makes it.
+    marginal adds the same terms in the same order as ``np.sum`` over that
+    design's joint, and differences are taken in the same order.  Each
+    distinct marginal is summed once per batch.  Arguments are trusted, not
+    checked: ``probs`` has the axes (K, U, V, X, S1, S2, Y1, Y2) and must be
+    dense in memory order X, V, U, S1, S2, Y1, Y2, K, design axis innermost,
+    and hold no -0.0, as :func:`_joint_product` makes it.  Each design's
+    cells then lie in the memory order of its :func:`build_joint`, K cells
+    apart.
 
     The order rule: ``np.sum`` walks the array in memory order, ignoring
     length-1 axes.  It adds the trailing run of dropped axes (the innermost
@@ -311,25 +316,25 @@ class JointBatch:
     through the run by 8, combines them as
     ``((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))`` and adds the
     remainder left to right.  A longer run is split at n/2, rounded down to
-    a multiple of 8, and each half is summed the same way.  A batch of at
-    least ``TWO_STAGE_CELLS`` cells sums in two stages that follow this
-    rule:
+    a multiple of 8, and each half is summed the same way.  A batch sums in
+    two stages that follow this rule, applied to each design's joint:
 
     1. The run: :func:`_pairwise_sum` repeats ``pairwise_sum`` with
-       elementwise adds across all of the batch's runs at once, and writes
-       the sums straight into a C-order array in memory order with the
-       design axis moved innermost.  Every marginal whose run starts at the
-       same axis shares it, so it is summed once per batch and cached.  A
-       marginal that keeps the innermost axis has no run; it caches a copy
-       of the batch in that order.
-    2. The other dropped axes: one ``sum`` over the cached run.  Every
-       marginal keeps the design axis and the run's last axis, the run's
+       elementwise adds across all of the batch's runs at once, each over
+       the K designs side by side, and writes the sums into a C-order
+       array in memory order, design axis innermost.  Every marginal whose
+       run starts at the same axis shares it, so it is summed once per
+       batch and cached.  A marginal that keeps the innermost variable has
+       no run; it reads the batch itself.
+    2. The other dropped axes: one ``sum`` over the run.  Every marginal
+       keeps the design axis and the last axis before the run, the
        innermost two, so numpy adds each output cell's terms one at a time
-       in the memory order of the dropped axes, as it would on ``probs``,
-       with inner loops over that kept block of at least K cells.
+       in the memory order of the dropped axes, as it would on one
+       design's joint, with inner loops over that kept block of at least K
+       cells.
 
-    A smaller batch calls ``probs.sum`` directly, whose per-call cost the
-    two stages do not pay back.
+    One design of fewer than ``TWO_STAGE_CELLS`` cells calls ``np.sum``
+    directly: its memory order is its :func:`build_joint`'s.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -338,17 +343,19 @@ class JointBatch:
         self._runs: dict[int, np.ndarray] = {}
 
     def _rows(self, drop: tuple[int, ...]) -> np.ndarray:
-        """``probs.sum(axis=drop)`` bit for bit, one row per design.  The
+        """Each design's marginal without the batch axes ``drop``, bit for
+        bit as ``np.sum`` over its own joint, one row per design.  The
         two-stage sum has the design axis innermost, so its rows are copied
         into the C order that :func:`_row_entropies` needs."""
         probs = self.probs
-        if probs.size < TWO_STAGE_CELLS:
-            return np.add.reduce(probs, axis=drop).reshape(len(probs), -1)
-        perm, mem_shape, start, layout, rest, back = _sum_plan(probs.shape, drop)
+        if len(probs) == 1 and probs.size < TWO_STAGE_CELLS:
+            return np.add.reduce(probs, axis=drop).reshape(1, -1)
+        perm, run_shape, start, has_run, rest, back = _sum_plan(probs.shape, drop)
         run = self._runs.get(start)
         if run is None:
-            run = probs.transpose(perm).reshape(mem_shape[:start] + (-1,))
-            run = self._runs[start] = _pairwise_sum(run.transpose(layout + (start,)))
+            v = probs.transpose(perm).reshape(run_shape)  # a view
+            run = self._runs[start] = \
+                _pairwise_sum(v.swapaxes(-1, -2)) if has_run else v[..., 0, :]
         out = (run.sum(axis=rest) if rest else run).transpose(back)
         return np.ascontiguousarray(out.reshape(len(probs), -1))
 
@@ -376,29 +383,30 @@ class JointBatch:
 
 def joint_batches(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
                   p_u: np.ndarray):
-    """Yield one :class:`JointBatch` per chunk of the K designs
-    (p_x, p_v[k], p_u[k]), in order.
+    """Yield one :class:`JointBatch` per chunk of the stream of designs
+    (p_x[m], p_v[k], p_u[k]), m-major, in order.
 
-    ``p_v`` (K, nx, nv) and ``p_u`` (K, nv, nu) stack the designs'
-    auxiliary channels, with V = X written as the identity and a constant U
-    as a column of ones, as :func:`build_joint` fills them in; shapes are
-    the caller's job.  The designs are split along K so that each batch
-    holds at most ``BATCH_CELLS`` cells, or one design where a single joint
-    is larger.  Each batch holds the bits of the designs'
-    :func:`build_joint` tensors: both come from :func:`_joint_product`.
+    ``p_x`` (M, nx) holds one P_X per row; ``p_v`` (K, nx, nv) and ``p_u``
+    (K, nv, nu) stack the auxiliary channels that every P_X is paired with,
+    with V = X written as the identity and a constant U as a column of
+    ones, as :func:`build_joint` fills them in; shapes are the caller's
+    job.  The M K designs are cut into chunks of ``BATCH_CELLS`` cells
+    (whole designs, at least one), which may cross P_X boundaries.  Each
+    batch holds the bits of the designs' :func:`build_joint` tensors: both
+    come from :func:`_joint_product`.
     """
     cells = p_u[0].size * spec.kernel.size
     _check_cells(cells)
-    step = max(1, BATCH_CELLS // cells)
-    for lo in range(0, len(p_v), step):
-        yield JointBatch(_joint_product(spec, p_x, p_v[lo:lo + step],
-                                        p_u[lo:lo + step]))
+    step, k = max(1, BATCH_CELLS // cells), len(p_v)
+    for lo in range(0, len(p_x) * k, step):
+        m, j = np.divmod(np.arange(lo, min(lo + step, len(p_x) * k)), k)
+        yield JointBatch(_joint_product(spec, p_x[m], p_v[j], p_u[j]))
 
 
 def _joint_product(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
                    p_u: np.ndarray) -> np.ndarray:
     """P(u|v) P(v|x) P(x) P(s1,s2) P(y1,y2|s1,s2,x) of the K designs
-    (p_x, p_v[k], p_u[k]), in one C-order (K, X, V, U, S1, S2, Y1, Y2)
+    (p_x[k], p_v[k], p_u[k]), in one C-order (X, V, U, S1, S2, Y1, Y2, K)
     buffer viewed with the axes (K, U, V, X, S1, S2, Y1, Y2).
 
     The products run (((p_u p_v) p_x) P_S) W, so that only the last is more
@@ -407,21 +415,23 @@ def _joint_product(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
     joint holds none, as the two-stage sums of :class:`JointBatch` need.
     """
     w = spec.kernel
-    probs = np.empty((len(p_u), len(p_x), *p_u.shape[1:], *w.shape[1:]))
-    probs = probs.transpose(0, 3, 2, 1, 4, 5, 6, 7)
-    uvx = p_u.transpose(0, 2, 1)[..., None] * p_v.transpose(0, 2, 1)[:, None] * p_x
+    probs = np.empty((p_x.shape[1], *p_u.shape[1:], *w.shape[1:], len(p_u)))
+    probs = probs.transpose(7, 2, 1, 0, 3, 4, 5, 6)
+    uvx = p_u.transpose(0, 2, 1)[..., None] * p_v.transpose(0, 2, 1)[:, None] \
+        * p_x[:, None, None]
     uvxs = uvx[..., None, None] * spec.state_dist + 0.0
     np.multiply(uvxs[..., None, None], w + 0.0, out=probs)
     return probs
 
 
 def _pairwise_sum(v: np.ndarray) -> np.ndarray:
-    """``np.sum(v, axis=-1)`` bit for bit, as a new C-order array, where the
-    last axis of ``v`` is its innermost in memory, so that numpy adds each
-    run along it with ``pairwise_sum`` (its steps are listed under the order
-    rule of :class:`JointBatch`), and ``v`` holds no -0.0 (numpy adds each
-    sum to 0.0, which changes only -0.0).  Each step of ``pairwise_sum`` is
-    one elementwise add across all runs at once."""
+    """The sums along the last axis of ``v`` that numpy's ``pairwise_sum``
+    takes of runs innermost in memory, bit for bit, as a new C-order array:
+    ``np.sum(v, axis=-1)`` where that axis is innermost.  The steps are
+    listed under the order rule of :class:`JointBatch`; each is one
+    elementwise add across all runs at once, so ``v`` may have any strides.
+    ``v`` holds no -0.0 (numpy adds each sum to 0.0, which changes only
+    -0.0)."""
     n = v.shape[-1]
     if n > 128:
         half = n // 2 - n // 2 % 8

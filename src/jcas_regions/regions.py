@@ -12,12 +12,15 @@ channels, so those evaluators check degradedness first and refuse otherwise.
 Sampled sweeps of the outer bounds are a necessary-condition envelope of the
 per-design bounds, not a converse region; they are labelled as such.
 
-A sweep evaluates the sampled designs of one P_X as one batch
-(:func:`jcas_regions.info.joint_batches`) and makes their rate rows as one
-array.  All share that P_X's distortions, so the sweep drops rate rows
-another row of the same P_X dominates before it makes points; the final
-filter compares the survivors a block at a time.  Both give the same
-points, bit for bit, as evaluating and comparing designs one by one.
+A sweep evaluates its designs, every P_X grid point paired with every
+sampled auxiliary draw, as one stream of rows
+(:func:`jcas_regions.info.joint_batches`), in fixed-size chunks that may
+cross P_X boundaries, and makes the rate rows of each group of whole P_X as
+one array.  The samples of one P_X share its distortions, so the sweep
+drops rate rows another row of the same P_X dominates; the survivors stay
+one float matrix through the final filter, and only the frontier becomes
+points.  Both give the same points, bit for bit, as evaluating and
+comparing designs one by one.
 """
 
 from __future__ import annotations
@@ -69,6 +72,10 @@ DOMINANCE_EPS = 1e-12
 
 #: Block size and comparison budget of :func:`pareto_filter`.
 PARETO_BLOCK, PARETO_CELLS = 256, 2 ** 18
+
+#: Most designs, P_X grid points times auxiliary draws, that one sweep
+#: evaluates; :func:`sweep_region` refuses a larger sweep before any work.
+MAX_SWEEP_DESIGNS = 10 ** 6
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -392,20 +399,29 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     means growing n_samples only extends the stream: points found with a
     shorter prefix are never produced differently.
 
+    A sweep of more than ``MAX_SWEEP_DESIGNS`` designs (grid points times
+    draws) is refused with :class:`DomainError` before any work.
     Degradedness is checked once per sweep, at ``DEGRADEDNESS_TOL``, and
-    the distortions once per P_X grid point; the rate terms of all samples
-    at one P_X come from one stacked joint per chunk of at most
-    ``info.BATCH_CELLS`` cells.  |U| and |V| are drawn at the mode's
-    cardinality caps, which the evaluators admit.  The grid is enumerated
-    lazily, one P_X at a time.  Every sample at one P_X shares its
-    distortions, so a rate row that another row of the same P_X dominates
-    is dropped before it becomes a point.  Dominance is transitive, so the
-    final filter keeps the same points either way.  No time-sharing
-    mixtures are added: the rows describe their down-closed convex hull,
-    and a mixture of two rows lies inside it.
+    the distortions once per P_X grid point.  The designs, P_X-major, run
+    as one stream through :func:`jcas_regions.info.joint_batches`, in
+    chunks of ``info.BATCH_CELLS`` cells.  |U| and |V| are drawn at the
+    mode's cardinality caps, which the evaluators admit.  After each chunk
+    the P_X whose samples are all in make their rate rows together.  Every
+    sample at one P_X shares its distortions, so a rate row that another
+    row of the same P_X dominates is dropped.  Dominance is transitive, so
+    the final filter keeps the same rows either way.  Rows stay arrays
+    until that filter, and only the frontier becomes points.  No
+    time-sharing mixtures are added: the rows describe their down-closed
+    convex hull, and a mixture of two rows lies inside it.
     """
     check_count("grid_step", cfg.grid_step)
     mode = _MODE_TABLE[cfg.mode]
+    n_px = math.comb(cfg.grid_step + spec.nx - 1, spec.nx - 1)
+    k = cfg.n_samples if mode.aux else 1
+    if n_px * k > MAX_SWEEP_DESIGNS:
+        raise DomainError(
+            f"the sweep would evaluate {n_px * k} designs ({n_px} P_X x {k} "
+            f"each), more than the budget of {MAX_SWEEP_DESIGNS}")
     _require(spec, mode)
 
     # One stack of auxiliary channels, shared by every P_X: V = X and a
@@ -417,25 +433,59 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
         nv, nu = getattr(caps, mode.v_cap), caps.u
         rng = np.random.default_rng(cfg.seed)
         draws_v, draws_u = [], []
-        for _ in range(cfg.n_samples):
+        for _ in range(k):
             draws_v.append(rng.dirichlet(np.ones(nv), size=spec.nx))
             draws_u.append(rng.dirichlet(np.ones(nu), size=nv)
                            if mode.aux == "UV" else np.ones((nv, 1)))
         p_v, p_u = np.array(draws_v), np.array(draws_u)
-        suffixes = [f";s={k}" for k in range(cfg.n_samples)]
+        suffixes = [f";s={j}" for j in range(k)]
 
-    points = []
-    for px in _simplex_grid(spec.nx, cfg.grid_step):
-        px_tag = "|".join(_fmt(v) for v in px)
-        d12 = _both_receivers(spec, px)[1]
-        terms = np.concatenate([_terms(mode, batch)
-                                for batch in joint_batches(spec, px, p_v, p_u)])
-        rows, design = _rates(mode, terms)
-        keep = ~_dominated(rows)
-        points += [_point(r, d12, f"px={px_tag}{suffixes[k]}")
-                   for r, k in zip(rows[keep].tolist(), design[keep].tolist())]
+    flat = itertools.chain.from_iterable
+    p_x = np.fromiter(flat(_simplex_grid(spec.nx, cfg.grid_step)), float,
+                      n_px * spec.nx).reshape(n_px, spec.nx)
+    d12 = np.fromiter(flat(_both_receivers(spec, px)[1] for px in p_x), float,
+                      2 * n_px).reshape(n_px, 2)
 
-    return sorted(pareto_filter(points), key=_sort_key)
+    # Kept rows (rates, -d1, -d2) and their stream positions, one array of
+    # each per group of whole P_X; tail holds the terms of the P_X whose
+    # samples run on into the next chunk.
+    rows, where, tail, done = [], [], np.empty((0, 3)), 0
+    chunks = joint_batches(spec, p_x, p_v, p_u)
+    for terms in map(_terms, itertools.repeat(mode), chunks):  # holds no chunk
+        terms = np.concatenate([tail, terms])
+        whole = len(terms) // k * k
+        if whole:
+            kept, at = _px_survivors(mode, terms[:whole], done, k, d12)
+            rows.append(kept)
+            where.append(at)
+        tail, done = terms[whole:], done + whole
+    m, where = np.concatenate(rows), np.concatenate(where)
+
+    points, px_tags = [], {}
+    front = _pareto_front(m)
+    for rates, at in zip(m[front, :-2].tolist(), where[front].tolist()):
+        i, j = divmod(at, k)
+        if i not in px_tags:
+            px_tags[i] = "|".join(_fmt(v) for v in p_x[i])
+        tag = f"px={px_tags[i]}{suffixes[j]}"
+        points.append(_point(rates, d12[i].tolist(), tag))
+    return sorted(points, key=_sort_key)
+
+
+def _px_survivors(mode: _Mode, terms: np.ndarray, start: int, k: int,
+                  d12: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rate rows of ``terms``, the designs at stream positions ``start``
+    on (k per P_X, whole P_X only), that no other row of the same P_X
+    dominates, as (rates, -d1, -d2) rows, and the stream position of each."""
+    rates, at = _rates(mode, terms)
+    at += start
+    px = at // k
+    keep = np.ones(len(rates), dtype=bool)
+    edges = np.flatnonzero(np.diff(px, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo > 1:
+            keep[lo:hi] = ~_dominated(rates[lo:hi])
+    return np.hstack([rates[keep], -d12[px[keep]]]), at[keep]
 
 
 def _dominated(rates: np.ndarray) -> np.ndarray:
@@ -469,11 +519,8 @@ def pareto_filter(points) -> list[RegionPoint]:
 
     A point dominates another when every rate coordinate is >= and every
     distortion coordinate is <=, with at least one coordinate better by more
-    than ``DOMINANCE_EPS``.  Retained points keep their input order.  Blocks
-    of ``PARETO_BLOCK`` points, in descending coordinate-sum order, then
-    descending lexicographic order, are compared with the points kept so far
-    and with themselves; a block shrinks so that (kept + block) x block
-    stays within ``PARETO_CELLS``.
+    than ``DOMINANCE_EPS``.  Retained points keep their input order.  The
+    comparison is :func:`_pareto_front` on one row per point.
     """
     points = list(points)
     if not points:
@@ -481,19 +528,37 @@ def pareto_filter(points) -> list[RegionPoint]:
     arities = {p.arity for p in points}
     if len(arities) > 1:
         raise MixedArity("cannot filter points of mixed arity")
-
-    # One matrix with distortions negated turns dominance into a uniform
-    # componentwise >= plus one strict margin.
     m = np.array([p.rates + tuple(-d for d in p.distortions) for p in points])
-    # Floating-point sums are monotone, so a dominating point comes first in
-    # this order, and a point is dropped exactly when an earlier one dominates it.
+    return [points[i] for i in _pareto_front(m)]
+
+
+def _pareto_front(m: np.ndarray) -> list[int]:
+    """Indices, ascending, of the rows of ``m`` that no other row dominates,
+    in the sense of :func:`pareto_filter`.  A row holds a point's rates and
+    then its two distortions negated, which turns dominance into a uniform
+    componentwise >= plus one strict margin.  A coordinate that is not
+    finite and >= 0 raises :class:`DomainError`, as a :class:`RegionPoint`
+    would.
+
+    Blocks of ``PARETO_BLOCK`` rows, in descending coordinate-sum order,
+    then descending lexicographic order, are compared with the rows kept so
+    far and with themselves; a block shrinks so that (kept + block) x block
+    stays within ``PARETO_CELLS``.
+    """
+    coords = m * np.where(np.arange(m.shape[1]) < m.shape[1] - 2, 1.0, -1.0)
+    bad = ~(np.isfinite(coords) & (coords >= 0))
+    if bad.any():
+        raise DomainError(
+            f"coordinates must be finite and >= 0, got {coords[bad][0].item()!r}")
+    # Floating-point sums are monotone, so a dominating row comes first in
+    # this order, and a row is dropped exactly when an earlier one dominates it.
     order = np.lexsort((*(-m.T[::-1]), -m.sum(axis=1)))
     kept, lo = [], 0
     while lo < len(order):
         step = max(1, min(PARETO_BLOCK, PARETO_CELLS // (len(kept) + PARETO_BLOCK)))
         block, lo = order[lo:lo + step], lo + step
-        # [i, j]: kept or block point i dominates block point j; a block
-        # point counts only against the block points before it
+        # [i, j]: kept or block row i dominates block row j; a block row
+        # counts only against the block rows before it
         rows = m[kept + block.tolist()]
         weak = np.ones((len(rows), len(block)), dtype=bool)
         strict = np.zeros_like(weak)
@@ -501,4 +566,4 @@ def pareto_filter(points) -> list[RegionPoint]:
             weak &= a[:, None] >= b
             strict |= a[:, None] > b + DOMINANCE_EPS
         kept += block[~np.triu(weak & strict, 1 - len(kept)).any(axis=0)].tolist()
-    return [points[i] for i in sorted(kept)]
+    return sorted(kept)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,27 @@ def test_parse_builds_hamming_default_only_for_missing_distortions(monkeypatch, 
     assert np.array_equal(back.kernel, spec.kernel)
     assert np.array_equal(back.d1, expected[0])
     assert np.array_equal(back.d2, expected[1])
+
+
+def test_parse_refuses_default_distortion_larger_than_the_kernel():
+    # a few hundred bytes that declare shat1 = 2,000,000 must not allocate a
+    # 2 x 2,000,000 Hamming default
+    doc = json.loads(serialize_channel_spec(make_binary_multiplicative(0.5, 0.5)))
+    del doc["d1"], doc["d2"]
+    doc["alphabets"]["shat1"] = 2_000_000
+    text = json.dumps(doc)
+    assert len(text) < 400
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match="default Hamming d1"):
+            parse_channel_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # a default exactly as large as the kernel is still built
+    doc["alphabets"]["shat1"] = 16
+    assert parse_channel_document(json.dumps(doc)).d1.shape == (2, 16)
 
 
 def test_parse_rejects_wrong_dimension():

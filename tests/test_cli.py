@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -155,6 +156,21 @@ def test_region_on_malformed_file(capsys, tmp_path):
         "region", str(path), "--mode", "single_exact_deg", "--grid", "8"])
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("mode", ["ps_inner", "single_outer"])
+def test_region_past_the_design_budget_is_one_line_error(capsys, tmp_path, mode):
+    # 10^8 + 1 grid points are refused before any of them is evaluated
+    start = time.perf_counter()
+    rc, out, err = run(capsys, [
+        "region", write_binary_spec(tmp_path), "--mode", mode,
+        "--grid", "100000000"])
+    assert time.perf_counter() - start < 5.0
+    assert (rc, out) == (1, "")
+    k = 16 if mode == "ps_inner" else 1  # the default --samples, or V = X
+    assert [line for line in err.splitlines() if not line.startswith("note:")] == [
+        f"error: the sweep would evaluate {100000001 * k} designs (100000001 P_X "
+        f"x {k} each), more than the budget of 1000000"]
 
 
 def test_region_not_degraded_exit_code(capsys, tmp_path):

@@ -367,10 +367,14 @@ def test_batch_marginals_equal_numpy_sum_and_reference(alphabets, k, x_zeros,
 
 def _assert_batch_equals_reference(spec, p_x, p_v, p_u, two_stage):
     # every marginal's rows, byte for byte: against numpy's sum over the
-    # batch and against marginalize on each design's build_joint
+    # designs' joints stacked design-major, each in build_joint's memory
+    # order, and against marginalize on each design's build_joint; only a
+    # batch of one design can take the one-call path
     k = len(p_v)
-    [batch] = info.joint_batches(spec, p_x, p_v, p_u)
+    [batch] = info.joint_batches(spec, p_x[None], p_v, p_u)
     joints = [build_joint(spec, InputDesign(p_x, p_v[d], p_u[d])) for d in range(k)]
+    outer = np.stack([j.probs.transpose(2, 1, 0, 3, 4, 5, 6) for j in joints])
+    outer = outer.transpose(0, 3, 2, 1, 4, 5, 6, 7)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(info, "TWO_STAGE_CELLS", 0 if two_stage else math.inf)
         stack = info.JointBatch(batch.probs)
@@ -378,14 +382,13 @@ def _assert_batch_equals_reference(spec, p_x, p_v, p_u, two_stage):
             drop = tuple(i + 1 for i, n in enumerate(info.VAR_NAMES)
                          if n not in keep)
             got = stack._rows(drop)
-            assert got.tobytes() == batch.probs.sum(axis=drop).reshape(
-                k, -1).tobytes(), keep
+            assert got.tobytes() == outer.sum(axis=drop).reshape(k, -1).tobytes(), keep
             for row, joint in zip(got, joints):
                 assert row.tobytes() == marginalize(
                     joint, keep).probs.reshape(-1).tobytes(), keep
             assert stack.entropy(keep).tolist() == [
                 entropy(joint, keep) for joint in joints], keep
-        assert bool(stack._runs) == two_stage
+        assert bool(stack._runs) == (two_stage or k > 1)
 
 
 @pytest.mark.parametrize("two_stage", [False, True], ids=["one-call", "two-stage"])
@@ -401,7 +404,9 @@ def test_batch_equals_reference_on_negative_zero_entries(two_stage):
     p_v = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.25, 0.75]]])
     p_u = np.array([[[0.5, 0.5], [1.0, 0.0]]] * 2)
     for p_x in ([0.0, 1.0], [0.25, 0.75]):
-        _assert_batch_equals_reference(spec, np.array(p_x), p_v, p_u, two_stage)
+        for k in (1, 2):  # one design can take the one-call path, two cannot
+            _assert_batch_equals_reference(spec, np.array(p_x), p_v[:k], p_u[:k],
+                                           two_stage)
 
 
 _MASSES = st.one_of(
@@ -467,7 +472,7 @@ def test_one_design_batch_equals_build_joint_entropies(p_x, nv, nu, state_zero,
     other = p_v if p_v is None else rng.dirichlet(np.ones(nv), size=3)
     p_vs = np.stack([np.eye(3) if v is None else v for v in (p_v, other)])
     p_us = np.stack([np.ones((p_vs.shape[2], 1)) if p_u is None else p_u] * 2)
-    [two] = info.joint_batches(spec, p_x, p_vs, p_us)
+    [two] = info.joint_batches(spec, p_x[None], p_vs, p_us)
     for keep in _SUBSETS:
         want = np.array([entropy(joint, keep)])
         assert one.entropy(keep).tobytes() == want.tobytes(), keep

@@ -498,41 +498,137 @@ def test_sweep_classifies_once_and_synthesizes_once_per_px(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["ps_inner", "single_inner"])
 def test_sweep_hands_pareto_only_px_survivors(mode, monkeypatch):
-    # every sample at one P_X shares its distortions, so a rate row that
-    # another row of the same P_X dominates never becomes a point
+    # every sample at one P_X shares its distortions, so the rows that reach
+    # the final filter are, P_X by P_X, exactly the quadratic oracle's
+    # survivors among the public evaluator's points of that P_X's samples;
+    # the whole sweep in one chunk, and chunks of 5 designs that split P_X
     handed = []
 
-    def recording(points):
-        handed.append(points)
-        return pareto_filter(points)
+    def recording(m):
+        handed.append(m.copy())
+        return front(m)
 
-    monkeypatch.setattr(regions, "pareto_filter", recording)
-    sweep_region(binary_spec(), SearchConfig(
-        mode=mode, grid_step=4, n_samples=6, seed=4))
-    [points] = handed
-    groups = {}
-    for p in points:
-        groups.setdefault(p.design_tag.split(";")[0], []).append(p)
-    assert len(groups) == 5
-    for group in groups.values():
-        assert [id(p) for p in quadratic_pareto(group)] == [id(p) for p in group]
+    front = regions._pareto_front
+    monkeypatch.setattr(regions, "_pareto_front", recording)
+    spec, seed, n = binary_spec(), 4, 6
+    cfg = SearchConfig(mode=mode, grid_step=4, n_samples=n, seed=seed)
+    caps = cardinality_caps(spec)
+    nv, nu = getattr(caps, V_CAPS[mode]), caps.u if mode == "ps_inner" else 1
+    sweep_region(spec, cfg)
+    monkeypatch.setattr(info, "BATCH_CELLS", 5 * nu * nv * spec.kernel.size)
+    sweep_region(spec, cfg)
+    rng = np.random.default_rng(seed)
+    draws = [(rng.dirichlet(np.ones(nv), size=2),
+              rng.dirichlet(np.ones(caps.u), size=nv) if mode == "ps_inner" else None)
+             for _ in range(n)]
+    expect = []
+    for i in range(5):
+        p_x = np.array([i, 4 - i]) / 4
+        points = [p for p_v, p_u in draws
+                  for p in WRAPPERS[mode](spec, InputDesign(p_x, p_v, p_u))]
+        expect += [p.rates + (-p.d1, -p.d2) for p in quadratic_pareto(points)]
+    assert len(handed) == 2
+    for m in handed:
+        assert [tuple(r) for r in m.tolist()] == expect
 
 
 def test_sweep_nan_rate_raises_domain_error(monkeypatch):
-    # at P_X = (0.5, 0.5), a NaN r1 bound and a zero secrecy cap give rows
-    # (nan, 0.0), which the other samples' rows would dominate if NaN were
-    # compared; they are kept, so RegionPoint still refuses them
+    # a NaN r1 bound and a zero secrecy cap at P_X = (0.5, 0.5), sample 1:
+    # the third P_X of the grid, so stream row 2 * 4 + 1 in whichever chunk
+    # holds it (chunks of the default size, and of 1 and 3 designs of 1,536
+    # cells); the rows (nan, 0.0) would be dominated if NaN were compared
     def with_nan(mode, batch):
         terms = original(mode, batch)
-        if next(calls) == 2:
-            terms[1] = (float("nan"), 0.0, terms[1][2])
+        at = target - seen[0]
+        if 0 <= at < len(terms):
+            terms[at] = (float("nan"), 0.0, terms[at][2])
+        seen[0] += len(terms)
         return terms
 
-    original, calls = regions._terms, itertools.count()
+    original, target = regions._terms, 2 * 4 + 1
     monkeypatch.setattr(regions, "_terms", with_nan)
-    with pytest.raises(DomainError):
-        sweep_region(binary_spec(), SearchConfig(
-            mode="ps_inner", grid_step=4, n_samples=4, seed=3))
+    for cells in (info.BATCH_CELLS, 1536, 3 * 1536):
+        monkeypatch.setattr(info, "BATCH_CELLS", cells)
+        seen = [0]
+        with pytest.raises(DomainError, match="rate terms must be finite"):
+            sweep_region(binary_spec(), SearchConfig(
+                mode="ps_inner", grid_step=4, n_samples=4, seed=3))
+        assert seen[0] > target
+
+
+@pytest.mark.parametrize("mode", ["ps_inner", "ps_outer", "single_outer"])
+@pytest.mark.parametrize("channel", ["binary", "random-3ary"])
+def test_sweep_points_do_not_depend_on_chunk_size(mode, channel, monkeypatch):
+    # chunks of one design, of 5 designs (which split the 6 samples of a
+    # P_X), and of the whole sweep give the default's points
+    spec = binary_spec() if channel == "binary" else random_channel_spec(
+        np.random.default_rng(31), nx=3, ny1=3, ny2=3)
+    cfg = SearchConfig(mode=mode, grid_step=4, n_samples=6, seed=2)
+    default = sweep_region(spec, cfg)
+    row, caps = regions._MODE_TABLE[mode], cardinality_caps(spec)
+    nv = getattr(caps, row.v_cap) if row.aux else spec.nx
+    nu = caps.u if row.aux == "UV" else 1
+    designs = math.comb(4 + spec.nx - 1, spec.nx - 1) * (6 if row.aux else 1)
+    for per_chunk in (1, 5, designs):
+        monkeypatch.setattr(info, "BATCH_CELLS", per_chunk * nu * nv * spec.kernel.size)
+        assert sweep_region(spec, cfg) == default, per_chunk
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+@pytest.mark.parametrize("column", [0, 1], ids=["d1", "d2"])
+def test_sweep_refuses_bad_distortions_before_the_filter(monkeypatch, bad, column):
+    # RegionPoint checks only the frontier now; the rows reaching the final
+    # filter are checked as one array
+    def with_bad(spec, p_x):
+        tables, d12 = original(spec, p_x)
+        return tables, tuple(bad if i == column else d for i, d in enumerate(d12))
+
+    def no_point(*args):
+        raise AssertionError("a point was built")
+
+    original = regions._both_receivers
+    monkeypatch.setattr(regions, "_both_receivers", with_bad)
+    monkeypatch.setattr(regions, "_point", no_point)
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        sweep_region(binary_spec(), SearchConfig(mode="ps_outer", grid_step=2))
+
+
+@pytest.mark.parametrize("row", [[math.nan, -0.1, -0.1], [math.inf, -0.1, -0.1],
+                                 [-1e-300, -0.1, -0.1], [0.5, 0.1, -0.1],
+                                 [0.5, -0.1, -math.inf]])
+def test_pareto_front_refuses_bad_coordinates(row):
+    m = np.array([[0.25, -0.2, -0.2], row])
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        regions._pareto_front(m)
+    assert regions._pareto_front(np.array([[0.0, -0.0, 0.0], [0.25, -0.2, -0.2]])) \
+        == [0, 1]
+
+
+def test_sweep_refuses_designs_past_the_budget(monkeypatch):
+    # grid points times samples, counted before any work; exactly the budget
+    # passes and one more design is refused
+    spec = binary_spec()
+    cfg = SearchConfig(mode="ps_inner", grid_step=4, n_samples=3)  # 5 x 3
+    monkeypatch.setattr(regions, "MAX_SWEEP_DESIGNS", 15)
+    assert sweep_region(spec, cfg)
+    monkeypatch.setattr(regions, "MAX_SWEEP_DESIGNS", 14)
+    with pytest.raises(DomainError, match=r"15 designs \(5 P_X x 3 each\), more than the budget of 14"):
+        sweep_region(spec, cfg)
+    # the V = X modes draw nothing, so --samples does not count
+    monkeypatch.setattr(regions, "MAX_SWEEP_DESIGNS", 5)
+    assert sweep_region(spec, SearchConfig(mode="single_exact_deg", grid_step=4,
+                                           n_samples=3))
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(regions, "classify_degradedness", no_work)
+    monkeypatch.setattr(regions, "joint_batches", no_work)
+    with pytest.raises(DomainError, match=r"6 designs \(6 P_X x 1 each\), more than the budget of 5"):
+        sweep_region(spec, SearchConfig(mode="single_exact_deg", grid_step=5))
+    monkeypatch.setattr(regions, "MAX_SWEEP_DESIGNS", 10 ** 6)
+    with pytest.raises(DomainError, match="more than the budget of 1000000"):
+        sweep_region(spec, SearchConfig(mode="ps_inner", grid_step=10 ** 8))
 
 
 @pytest.mark.parametrize("mode, evaluator, column", [
@@ -634,39 +730,46 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
     p_u = rng.dirichlet(np.ones(nu), size=(n, nv)) if row.aux == "UV" \
         else np.ones((n, nv, 1))
     if chunked:
-        # three designs per batch, so five designs span two chunks
+        # three designs per batch, so chunks cross P_X boundaries
         monkeypatch.setattr(info, "BATCH_CELLS", 3 * nu * nv * spec.kernel.size)
-    for p_x in (rng.dirichlet(np.ones(spec.nx)), np.eye(spec.nx)[-1],
-                np.full(spec.nx, 1 / spec.nx)):
-        got = np.concatenate([regions._terms(row, batch) for batch
-                              in info.joint_batches(spec, p_x, p_v, p_u)])
-        expect = []
+    p_xs = np.array([rng.dirichlet(np.ones(spec.nx)), np.eye(spec.nx)[-1],
+                     np.full(spec.nx, 1 / spec.nx)])
+    got = np.concatenate([regions._terms(row, batch) for batch
+                          in info.joint_batches(spec, p_xs, p_v, p_u)])
+    expect = []
+    for p_x in p_xs:
         for k in range(n):
             design = InputDesign(p_x=p_x, p_v_given_x=p_v[k] if row.aux else None,
                                  p_u_given_v=p_u[k] if row.aux == "UV" else None)
             expect.append(REFERENCE_TERMS[mode](
                 build_joint(spec, design), "V" if row.aux else "X"))
-        assert got.tolist() == [list(t) for t in expect]
+    assert got.tolist() == [list(t) for t in expect]
+
+
+class _OneCallBatch(info.JointBatch):
+    # numpy's own sum over the whole batch: not a design's order of
+    # additions, but the allocations of the one-call path
+    def _rows(self, drop):
+        return np.add.reduce(self.probs, axis=drop).reshape(len(self.probs), -1)
 
 
 @pytest.mark.parametrize("channel", ["random-3ary", "binary"])
-def test_batch_sums_stay_within_scratch_budget(channel, monkeypatch):
+def test_batch_sums_stay_within_scratch_budget(channel):
     # the budget stated at info.BATCH_CELLS, on one batch of that size for
-    # each mode's rate terms: the two stages cache runs of under 2x the
-    # batch's bytes, and allocate at most that much more than the one-call
-    # path does for the same terms
+    # each mode's rate terms: the two stages cache runs of under the batch's
+    # bytes (a marginal with no run reads the batch itself), and with stage
+    # 1's accumulators allocate at most 7/4 of it more than one np.sum per
+    # marginal does for the same terms
     rng = np.random.default_rng(80)
     spec = {"random-3ary": random_channel_spec(rng, nx=3, ny1=3, ny2=3),
             "binary": binary_spec()}[channel]
     caps = cardinality_caps(spec)
 
-    def peak_bytes(terms, probs, two_stage_cells):
-        monkeypatch.setattr(info, "TWO_STAGE_CELLS", two_stage_cells)
-        batch = info.JointBatch(probs)
+    def peak_bytes(terms, batch):
         tracemalloc.start()
         try:
             terms(batch, "V")
-            return tracemalloc.get_traced_memory()[1], batch
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
@@ -677,13 +780,14 @@ def test_batch_sums_stay_within_scratch_budget(channel, monkeypatch):
         k = info.BATCH_CELLS // (nu * nv * spec.kernel.size)
         p_v = rng.dirichlet(np.ones(nv), size=(k, spec.nx))
         p_u = rng.dirichlet(np.ones(nu), size=(k, nv))
-        [batch] = info.joint_batches(spec, rng.dirichlet(np.ones(spec.nx)),
+        [batch] = info.joint_batches(spec, rng.dirichlet(np.ones(spec.nx))[None],
                                      p_v, p_u)
-        budget = 2 * batch.probs.nbytes
-        one_call, _ = peak_bytes(row.terms, batch.probs, math.inf)
-        two_stage, batch = peak_bytes(row.terms, batch.probs, 0)
-        assert sum(r.nbytes for r in batch._runs.values()) < budget
-        assert two_stage <= one_call + budget, (mode, two_stage, one_call)
+        nbytes = batch.probs.nbytes
+        one_call = peak_bytes(row.terms, _OneCallBatch(batch.probs))
+        two_stage = peak_bytes(row.terms, batch)
+        assert sum(r.nbytes for r in batch._runs.values()
+                   if not np.shares_memory(r, batch.probs)) < nbytes
+        assert two_stage <= one_call + 7 * nbytes // 4, (mode, two_stage, one_call)
 
 
 # (r1 bound, secrecy cap, budget) of designs whose rate rows hit the edge
