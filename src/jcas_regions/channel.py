@@ -208,54 +208,56 @@ class ValidationReport:
         return not self.findings
 
 
+def _findings(loc: str, a: np.ndarray, nonfinite: str, negative: str,
+              total: float | None = None) -> list[Finding]:
+    """One finding per NaN, infinite or negative entry of ``a``, in C order,
+    named ``loc`` plus its indices; then one ``sum`` finding if ``total`` is
+    more than ``PROB_TOL`` from 1 (a NaN total is not)."""
+    found = []
+    # NaN fails every comparison, so it fails the mask as a bad entry
+    for idx in zip(*np.nonzero(~(np.isfinite(a) & (a >= 0)))):
+        at = loc + "".join(f"[{i}]" for i in idx)
+        v = float(a[idx])
+        if math.isfinite(v):
+            found.append(Finding(negative, at, f"{at} = {v!r} is negative", -v))
+        else:
+            found.append(Finding(nonfinite, at, f"{at} = {v!r} is not finite",
+                                 math.inf))
+    gap = 0.0 if total is None else abs(total - 1.0)
+    if gap > PROB_TOL:
+        found.append(Finding(
+            "sum", loc, f"{loc} sums to {total!r}, off by {gap:.3g}", gap))
+    return found
+
+
 def validate(spec: ChannelSpec) -> ValidationReport:
     """Check every probabilistic invariant and report all violations.
 
-    Findings come in a fixed traversal order (state entries, state sum,
-    kernel entries and row sums in (x, s1, s2) order, then d1 and d2), so a
-    given spec always yields the same report.  A NaN or infinite
-    probability is a ``nonfinite`` finding, which :func:`parse_channel_spec`
+    Each NaN, infinite or negative entry is one finding, and so is each
+    probability row whose sum is more than ``PROB_TOL`` from 1.  Findings
+    come in a fixed traversal order: state entries, then the state sum;
+    each kernel row in (x, s1, s2) order, its entries before its sum; then
+    the entries of d1 and d2.  So a given spec always yields the same
+    report.  Messages print values as plain Python floats.  A row whose
+    entries include both infinities sums to NaN, so it gets no sum finding;
+    its entries are ``nonfinite`` findings, which :func:`parse_channel_spec`
     raises as a :class:`SchemaError`.
     """
-    findings: list[Finding] = []
-
-    def entry(loc: str, v, nonfinite: str, negative: str) -> None:
-        # NaN fails every comparison, so test finiteness before the sign
-        if not np.isfinite(v):
-            findings.append(Finding(
-                nonfinite, loc, f"{loc} = {v!r} is not finite", float("inf")))
-        elif v < 0:
-            findings.append(Finding(
-                negative, loc, f"{loc} = {v!r} is negative", abs(v)))
-
-    sd = spec.state_dist
-    for (i, k), v in np.ndenumerate(sd):
-        entry(f"state_dist[{i}][{k}]", v, "nonfinite", "negative")
-    gap = abs(float(sd.sum()) - 1.0)
-    if gap > PROB_TOL:
-        findings.append(Finding(
-            "sum", "state_dist",
-            f"state_dist sums to {float(sd.sum())!r}, off by {gap:.3g}", gap))
-
-    for x in range(spec.nx):
-        for s1 in range(spec.ns1):
-            for s2 in range(spec.ns2):
-                row = spec.kernel[x, s1, s2]
-                loc = f"kernel[{x}][{s1}][{s2}]"
-                for (y1, y2), v in np.ndenumerate(row):
-                    entry(f"{loc}[{y1 * spec.ny2 + y2}]", v, "nonfinite", "negative")
-                gap = abs(float(row.sum()) - 1.0)
-                if gap > PROB_TOL:
-                    findings.append(Finding(
-                        "sum", loc,
-                        f"{loc} sums to {float(row.sum())!r}, off by {gap:.3g}",
-                        gap))
-
-    for name, d in (("d1", spec.d1), ("d2", spec.d2)):
-        for (i, k), v in np.ndenumerate(d):
-            entry(f"{name}[{i}][{k}]", v, "distortion", "distortion")
-
-    return ValidationReport(tuple(findings))
+    rows = spec.kernel.reshape(spec.nx, spec.ns1, spec.ns2, -1)
+    # inf + -inf sums to NaN, NaN compares false and 1e308 + 1e308 sums to
+    # inf: none of these is a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        row_sums = rows.sum(axis=-1)
+        found = _findings("state_dist", spec.state_dist, "nonfinite",
+                          "negative", float(spec.state_dist.sum()))
+        visit = (~(np.isfinite(rows) & (rows >= 0)).all(axis=-1)
+                 | (abs(row_sums - 1.0) > PROB_TOL))
+        for x, s1, s2 in zip(*np.nonzero(visit)):
+            found += _findings(f"kernel[{x}][{s1}][{s2}]", rows[x, s1, s2],
+                               "nonfinite", "negative", float(row_sums[x, s1, s2]))
+        for name, d in (("d1", spec.d1), ("d2", spec.d2)):
+            found += _findings(name, d, "distortion", "distortion")
+    return ValidationReport(tuple(found))
 
 
 _REQUIRED_ALPHABETS = ("x", "s1", "s2", "y1", "y2")
@@ -446,18 +448,15 @@ class DegradednessClass:
 def _conditional_residual(joint: np.ndarray) -> float:
     # joint axes: (x, c, t) where c indexes the conditioning pair and t the
     # tested pair.  Residual = worst spread, over x values that can occur
-    # with the conditioning cell, of the conditional distribution of t.
-    nx, nc, nt = joint.shape
-    mass = joint.sum(axis=2)
-    worst = 0.0
-    for c in range(nc):
-        ok = mass[:, c] > MIN_PROB
-        if ok.sum() < 2:
-            continue
-        cond = joint[ok, c, :] / mass[ok, c][:, None]
-        spread = float((cond.max(axis=0) - cond.min(axis=0)).max())
-        worst = max(worst, spread)
-    return worst
+    # with the conditioning cell, of the conditional distribution of t.  A
+    # cell with one such x has spread 0 and one with none -inf, so keeping
+    # spreads above 0 skips both; a NaN spread is skipped too.
+    mass = joint.sum(axis=2, keepdims=True)
+    ok = mass > MIN_PROB
+    cond = np.divide(joint, mass, out=np.zeros_like(joint), where=ok)
+    spread = (cond.max(axis=0, where=ok, initial=-math.inf)
+              - cond.min(axis=0, where=ok, initial=math.inf)).max(axis=-1)
+    return float(spread.max(where=spread > 0, initial=0.0))
 
 
 def _residuals(spec: ChannelSpec) -> tuple[float, float]:

@@ -67,13 +67,6 @@ MAX_JOINT_CELLS = 10 ** 8
 #: marginal.
 BATCH_CELLS = 2 ** 17
 
-#: A batch of one design and fewer cells, as a region evaluator makes, sums
-#: each marginal with one ``np.sum`` call, whose per-call cost the two
-#: stages of :class:`JointBatch` do not pay back; the bits are equal.  A
-#: batch of several designs always takes the two stages: its design axis is
-#: innermost, so one ``np.sum`` would not add in a design's order.
-TWO_STAGE_CELLS = 2 ** 10
-
 
 def binary_entropy(p: float) -> float:
     """Entropy in bits of a Bernoulli(p) variable; 0 at both endpoints."""
@@ -333,8 +326,10 @@ class JointBatch:
        design's joint, with inner loops over that kept block of at least K
        cells.
 
-    One design of fewer than ``TWO_STAGE_CELLS`` cells calls ``np.sum``
-    directly: its memory order is its :func:`build_joint`'s.
+    A batch of one design, as a region evaluator makes, sums each marginal
+    with one ``np.sum`` call: its memory order is its :func:`build_joint`'s.
+    A batch of several designs always takes the two stages: its design axis
+    is innermost, so one ``np.sum`` would not add in a design's order.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -348,7 +343,7 @@ class JointBatch:
         two-stage sum has the design axis innermost, so its rows are copied
         into the C order that :func:`_row_entropies` needs."""
         probs = self.probs
-        if len(probs) == 1 and probs.size < TWO_STAGE_CELLS:
+        if len(probs) == 1:
             return np.add.reduce(probs, axis=drop).reshape(1, -1)
         perm, run_shape, start, has_run, rest, back = _sum_plan(probs.shape, drop)
         run = self._runs.get(start)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from jcas_regions import ChannelSpec, InputDesign, make_channel_spec, synthesize_estimator
+from jcas_regions.channel import MIN_PROB, PROB_TOL
 from jcas_regions.info import _entropy_of
 
 
@@ -244,3 +245,60 @@ def oracle_rates(ps: bool, terms, grid: int = 33) -> list[tuple[float, ...]]:
 def oracle_row_entropies(rows) -> list[float]:
     """Entropy in bits of each row, one row at a time."""
     return [_entropy_of(row) for row in rows]
+
+
+def oracle_validate(spec) -> list[tuple]:
+    """``validate``'s findings as (kind, location, message, magnitude), found
+    one entry at a time: state entries, the state sum, each kernel row's
+    entries then its sum in (x, s1, s2) order, then d1 and d2."""
+    found = []
+
+    def entry(loc, v, nonfinite, negative):
+        v = float(v)
+        if not math.isfinite(v):
+            found.append((nonfinite, loc, f"{loc} = {v!r} is not finite", math.inf))
+        elif v < 0:
+            found.append((negative, loc, f"{loc} = {v!r} is negative", abs(v)))
+
+    def total(loc, t):
+        gap = abs(t - 1.0)
+        if gap > PROB_TOL:
+            found.append(("sum", loc, f"{loc} sums to {t!r}, off by {gap:.3g}", gap))
+
+    for i, k in itertools.product(range(spec.ns1), range(spec.ns2)):
+        entry(f"state_dist[{i}][{k}]", spec.state_dist[i, k], "nonfinite", "negative")
+    with np.errstate(invalid="ignore", over="ignore"):
+        total("state_dist", float(spec.state_dist.sum()))
+    for x, s1, s2 in itertools.product(range(spec.nx), range(spec.ns1), range(spec.ns2)):
+        row = spec.kernel[x, s1, s2]
+        loc = f"kernel[{x}][{s1}][{s2}]"
+        for y1, y2 in itertools.product(range(spec.ny1), range(spec.ny2)):
+            entry(f"{loc}[{y1 * spec.ny2 + y2}]", row[y1, y2], "nonfinite", "negative")
+        with np.errstate(invalid="ignore", over="ignore"):
+            total(loc, float(row.sum()))
+    for name, d in (("d1", spec.d1), ("d2", spec.d2)):
+        for i, k in itertools.product(*map(range, d.shape)):
+            entry(f"{name}[{i}][{k}]", d[i, k], "distortion", "distortion")
+    return found
+
+
+def oracle_residuals(spec) -> tuple[float, float]:
+    """``channel._residuals`` one conditioning cell at a time: the worst
+    spread over admissible x of the tested pair's conditional law, over
+    cells with at least two admissible x."""
+    nx, ns1, ns2, ny1, ny2 = spec.kernel.shape
+    joint = spec.state_dist[None, :, :, None, None] * spec.kernel / nx
+
+    def worst(j):
+        mass = j.sum(axis=2)
+        out = 0.0
+        for c in range(j.shape[1]):
+            ok = mass[:, c] > MIN_PROB
+            if ok.sum() < 2:
+                continue
+            cond = j[ok, c, :] / mass[ok, c][:, None]
+            out = max(out, float((cond.max(axis=0) - cond.min(axis=0)).max()))
+        return out
+
+    return (worst(joint.transpose(0, 1, 3, 2, 4).reshape(nx, ns1 * ny1, ns2 * ny2)),
+            worst(joint.transpose(0, 2, 4, 1, 3).reshape(nx, ns2 * ny2, ns1 * ny1)))

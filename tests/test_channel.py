@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jcas_regions import (
     ChannelSpec,
@@ -28,8 +31,9 @@ from jcas_regions import channel
 from jcas_regions.channel import (DEGRADEDNESS_TOL, check_count, check_distribution,
                                   check_probability, check_tolerance)
 from jcas_regions.info import binary_entropy
-from conftest import (oracle_conditionally_independent, random_channel_spec,
-                      random_degraded_spec)
+from conftest import (oracle_conditionally_independent, oracle_residuals,
+                      oracle_validate, random_channel_spec, random_degraded_spec,
+                      random_reverse_degraded_spec)
 
 
 def test_parse_serialize_round_trip():
@@ -198,6 +202,81 @@ def test_validate_flags_nonfinite_probability(array, index, location, value):
         doc["kernel"][1][0][1][2] = value
     with pytest.raises(SchemaError, match="not finite"):
         parse_channel_spec(json.dumps(doc))
+
+
+_ARRAYS = ("state_dist", "kernel", "d1", "d2")
+_EDITS = st.one_of(
+    # set one entry, to a bad value or to any value in a row
+    st.tuples(st.just("set"), st.sampled_from(_ARRAYS), st.integers(0, 255),
+              st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.1, -0.0,
+                                         -1e-300, -2.0, 0.0, 1.0, 1e308]),
+                        st.floats(-1.0, 2.0))),
+    # move a row's sum, past PROB_TOL or not
+    st.tuples(st.just("add"), st.sampled_from(_ARRAYS), st.integers(0, 255),
+              st.sampled_from([2e-9, -2e-9, 5e-10, 1e-3])),
+    # both infinities in one row, whose sum is then NaN, or two entries
+    # whose sum overflows
+    st.tuples(st.just("pair"), st.sampled_from(["state_dist", "kernel"]),
+              st.integers(0, 255), st.sampled_from([(math.inf, -math.inf),
+                                                    (1e308, 1e308)])),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(alphabets=st.tuples(*[st.integers(1, 3)] * 7),
+       seed=st.integers(0, 2 ** 32 - 1), edits=st.lists(_EDITS, max_size=4))
+@example(alphabets=(2, 2, 2, 2, 2, 2, 2), seed=0,
+         edits=[("pair", "kernel", 3, (math.inf, -math.inf)),
+                ("pair", "state_dist", 0, (1e308, 1e308))])
+def test_validate_equals_per_entry_oracle(alphabets, seed, edits):
+    # kind, location, message, magnitude and order of every finding
+    nx, ns1, ns2, ny1, ny2, nshat1, nshat2 = alphabets
+    rng = np.random.default_rng(seed)
+    spec = random_channel_spec(rng, nx, ns1, ns2, ny1, ny2)
+    arrays = {"state_dist": spec.state_dist.reshape(1, -1).copy(),
+              "kernel": spec.kernel.reshape(-1, ny1 * ny2).copy(),
+              "d1": rng.random((ns1, nshat1)), "d2": rng.random((ns2, nshat2))}
+    for op, name, i, value in edits:
+        rows = arrays[name]
+        row, col = divmod(i % rows.size, rows.shape[1])
+        if op == "set":
+            rows[row, col] = value
+        elif op == "add":
+            rows[row, col] += value
+        else:
+            rows[row, col], rows[row, (col + 1) % rows.shape[1]] = value
+    bad = make_channel_spec(arrays["state_dist"].reshape(ns1, ns2),
+                            arrays["kernel"].reshape(nx, ns1, ns2, ny1, ny2),
+                            arrays["d1"], arrays["d2"])
+    got = [(f.kind, f.location, f.message, f.magnitude) for f in validate(bad).findings]
+    assert got == oracle_validate(bad)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(alphabets=st.tuples(*[st.integers(1, 3)] * 5),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "degraded", "reverse", "deterministic"]),
+       zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+       state_zero=st.sampled_from([None, 0.0, -0.0, 1e-318]))
+def test_residuals_equal_per_cell_oracle(alphabets, seed, kind, zero_frac, state_zero):
+    # bit for bit, -0.0 included; zeroed kernel entries and state rows make
+    # conditioning cells with no mass or one admissible x
+    nx, ns1, ns2, ny1, ny2 = alphabets
+    rng = np.random.default_rng(seed)
+    make = {"random": random_channel_spec, "degraded": random_degraded_spec,
+            "reverse": random_reverse_degraded_spec,
+            "deterministic": random_channel_spec}[kind]
+    spec = make(rng, nx, ns1, ns2, ny1, ny2)
+    kernel, state = spec.kernel.copy(), spec.state_dist.copy()
+    if kind == "deterministic":
+        kernel = np.eye(ny1 * ny2)[rng.integers(0, ny1 * ny2, (nx, ns1, ns2))]
+        kernel = kernel.reshape(nx, ns1, ns2, ny1, ny2)
+    kernel[rng.random(kernel.shape) < zero_frac] = 0.0
+    if state_zero is not None:
+        state[rng.integers(ns1)] = state_zero
+    spec = make_channel_spec(state, kernel)
+    got = channel._residuals(spec)
+    assert [v.hex() for v in got] == [v.hex() for v in oracle_residuals(spec)]
 
 
 def test_make_binary_multiplicative_state_dist():

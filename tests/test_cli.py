@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -107,6 +110,38 @@ def test_nonfinite_probability_rejected(capsys, tmp_path, array):
         assert (rc, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "is not finite" in err
+
+
+@pytest.mark.parametrize("array, values, finding", [
+    ("state_dist", (float("inf"), float("-inf")), "[0][1] = -inf is not finite"),
+    ("kernel", (float("inf"), float("-inf")), "[1] = -inf is not finite"),
+    ("kernel", (1e308, 1e308), "sums to inf, off by inf"),
+], ids=["state-infs", "kernel-infs", "kernel-overflow"])
+def test_row_summing_to_nan_or_overflowing_prints_no_warning(tmp_path, array, values,
+                                                             finding):
+    # Infinity and -Infinity in one row sum to NaN, and two entries of 1e308
+    # overflow; the checks must say so without a numpy warning or a numpy
+    # scalar repr, so the commands run in a fresh interpreter whose stderr
+    # is the user's
+    doc = json.loads(serialize_channel_spec(make_binary_multiplicative(0.5, 0.5)))
+    row = doc["state_dist"][0] if array == "state_dist" else doc["kernel"][1][0][1]
+    row[:2] = values
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # json writes the bare tokens
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jcas_regions.__file__)))
+
+    def jcas(*argv):
+        done = subprocess.run(
+            [sys.executable, "-c", "from jcas_regions.cli import entrypoint; entrypoint()",
+             *argv], capture_output=True, text=True, env=env, timeout=60)
+        assert "np.float64(" not in done.stdout + done.stderr
+        assert "Warning" not in done.stdout + done.stderr
+        return done.returncode, done.stdout, done.stderr
+
+    rc, out, err = jcas("validate", str(path))
+    assert (rc, err) == (1, "")
+    assert finding in out
+    assert_one_error_line(*jcas("classify", str(path)))
 
 
 def test_classify_prints_class(capsys, tmp_path):

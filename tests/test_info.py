@@ -332,17 +332,16 @@ _SUBSETS = [keep for r in range(1, 8)
 @given(alphabets=st.tuples(*[st.integers(1, 3)] * 7),
        k=st.sampled_from([1, 2, 5]),
        x_zeros=st.lists(st.booleans(), min_size=3, max_size=3),
-       swap=st.booleans(), fortran=st.booleans(), two_stage=st.booleans(),
+       swap=st.booleans(), fortran=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(alphabets=(3, 2, 2, 3, 3, 3, 3), k=2, x_zeros=[True, True, False],
-         swap=False, fortran=False, two_stage=True, seed=0)
+         swap=False, fortran=False, seed=0)
 # S1 S2 Y1 Y2 is a trailing run of 150 cells, past the pairwise sum's
 # 128-cell block
 @example(alphabets=(2, 2, 3, 5, 5, 2, 2), k=2, x_zeros=[False, True, False],
-         swap=False, fortran=False, two_stage=True, seed=1)
+         swap=False, fortran=False, seed=1)
 def test_batch_marginals_equal_numpy_sum_and_reference(alphabets, k, x_zeros,
-                                                       swap, fortran, two_stage,
-                                                       seed):
+                                                       swap, fortran, seed):
     # alphabets of 1 give length-1 axes, which numpy's order skips; the
     # swapped spec is made from transposed views and the Fortran-order one
     # from reversed arrays, which the spec stores C-order and the joints
@@ -362,37 +361,34 @@ def test_batch_marginals_equal_numpy_sum_and_reference(alphabets, k, x_zeros,
     p_x /= p_x.sum()
     p_v = rng.dirichlet(np.ones(nv), size=(k, nx))
     p_u = rng.dirichlet(np.ones(nu), size=(k, nv))
-    _assert_batch_equals_reference(spec, p_x, p_v, p_u, two_stage)
+    _assert_batch_equals_reference(spec, p_x, p_v, p_u)
 
 
-def _assert_batch_equals_reference(spec, p_x, p_v, p_u, two_stage):
+def _assert_batch_equals_reference(spec, p_x, p_v, p_u):
     # every marginal's rows, byte for byte: against numpy's sum over the
     # designs' joints stacked design-major, each in build_joint's memory
-    # order, and against marginalize on each design's build_joint; only a
-    # batch of one design can take the one-call path
+    # order, and against marginalize on each design's build_joint; a batch
+    # of one design takes the one-call path, of several the two stages
     k = len(p_v)
     [batch] = info.joint_batches(spec, p_x[None], p_v, p_u)
     joints = [build_joint(spec, InputDesign(p_x, p_v[d], p_u[d])) for d in range(k)]
     outer = np.stack([j.probs.transpose(2, 1, 0, 3, 4, 5, 6) for j in joints])
     outer = outer.transpose(0, 3, 2, 1, 4, 5, 6, 7)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(info, "TWO_STAGE_CELLS", 0 if two_stage else math.inf)
-        stack = info.JointBatch(batch.probs)
-        for keep in _SUBSETS:
-            drop = tuple(i + 1 for i, n in enumerate(info.VAR_NAMES)
-                         if n not in keep)
-            got = stack._rows(drop)
-            assert got.tobytes() == outer.sum(axis=drop).reshape(k, -1).tobytes(), keep
-            for row, joint in zip(got, joints):
-                assert row.tobytes() == marginalize(
-                    joint, keep).probs.reshape(-1).tobytes(), keep
-            assert stack.entropy(keep).tolist() == [
-                entropy(joint, keep) for joint in joints], keep
-        assert bool(stack._runs) == (two_stage or k > 1)
+    for keep in _SUBSETS:
+        drop = tuple(i + 1 for i, n in enumerate(info.VAR_NAMES)
+                     if n not in keep)
+        got = batch._rows(drop)
+        assert got.tobytes() == outer.sum(axis=drop).reshape(k, -1).tobytes(), keep
+        for row, joint in zip(got, joints):
+            assert row.tobytes() == marginalize(
+                joint, keep).probs.reshape(-1).tobytes(), keep
+        assert batch.entropy(keep).tolist() == [
+            entropy(joint, keep) for joint in joints], keep
+    assert bool(batch._runs) == (k > 1)
 
 
-@pytest.mark.parametrize("two_stage", [False, True], ids=["one-call", "two-stage"])
-def test_batch_equals_reference_on_negative_zero_entries(two_stage):
+@pytest.mark.parametrize("k", [1, 2], ids=["one-call", "two-stage"])
+def test_batch_equals_reference_on_negative_zero_entries(k):
     # check_distribution admits -0.0 in a channel file; the joint product
     # makes it +0.0 for build_joint and the batches alike, as the two-stage
     # sums need
@@ -404,9 +400,7 @@ def test_batch_equals_reference_on_negative_zero_entries(two_stage):
     p_v = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.25, 0.75]]])
     p_u = np.array([[[0.5, 0.5], [1.0, 0.0]]] * 2)
     for p_x in ([0.0, 1.0], [0.25, 0.75]):
-        for k in (1, 2):  # one design can take the one-call path, two cannot
-            _assert_batch_equals_reference(spec, np.array(p_x), p_v[:k], p_u[:k],
-                                           two_stage)
+        _assert_batch_equals_reference(spec, np.array(p_x), p_v[:k], p_u[:k])
 
 
 _MASSES = st.one_of(
