@@ -127,7 +127,7 @@ def crosscheck(q: float, alpha: float, p: float, tol: float) -> CrosscheckReport
     check_tolerance(tol)
     cf = closed_form_point(q, alpha, p)
     spec = make_binary_multiplicative(q, alpha)
-    pt = exact_region_degraded_single(spec, [1.0 - p, p])
+    pt = exact_region_degraded_single(spec, [1.0 - p, p], "")
     dev = max(abs(cf.r - pt.r), abs(cf.d1 - pt.d1), abs(cf.d2 - pt.d2))
     return CrosscheckReport(
         q=q, alpha=alpha, p=p, tol=tol,

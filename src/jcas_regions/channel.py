@@ -177,6 +177,13 @@ class ChannelSpec:
         # is not cached, so it is raised on every call
         return _residuals(self)
 
+    @functools.cached_property
+    def _output_tables(self):
+        # the V = X rate terms' per-x output tables, built on first use, so
+        # parsing a spec builds none
+        from .info import _output_tables
+        return _output_tables(self)
+
 
 def make_channel_spec(state_dist, kernel, d1=None, d2=None) -> ChannelSpec:
     """Build a spec, defaulting missing distortions to Hamming on S_j."""
@@ -460,11 +467,15 @@ def _conditional_residual(joint: np.ndarray) -> float:
 
 
 def _residuals(spec: ChannelSpec) -> tuple[float, float]:
-    """(physical, reverse) factorization residuals of ``spec``; a NaN or
-    infinite state or kernel entry is a :class:`DegenerateInput`, since a
-    NaN would drop out of every comparison and read as a zero residual."""
-    if not (np.isfinite(spec.state_dist).all() and np.isfinite(spec.kernel).all()):
-        raise DegenerateInput("state_dist and kernel must be finite to classify")
+    """(physical, reverse) factorization residuals of ``spec``; a NaN,
+    infinite or negative state or kernel entry is a
+    :class:`DegenerateInput`, since a NaN would drop out of every comparison
+    and read as a zero residual, and a negative mass can cancel the masses
+    beside it.  Rows that sum to less than one are measured as they are."""
+    for a in (spec.state_dist, spec.kernel):
+        if not (np.isfinite(a) & (a >= 0)).all():
+            raise DegenerateInput(
+                "state_dist and kernel must be finite and nonnegative to classify")
     nx = spec.nx
     # joint[x, s1, s2, y1, y2] under uniform full-support input
     joint = spec.state_dist[None, :, :, None, None] * spec.kernel / nx
@@ -487,8 +498,8 @@ def classify_degradedness(spec: ChannelSpec,
     direction swaps the two pairs.  Residuals are exact max deviations, not
     averages, so deterministic channels come out at exactly zero.  They are
     computed once per spec object and kept on it; only the comparison with
-    ``tol`` is made per call.  A NaN or infinite entry in ``state_dist`` or
-    ``kernel`` raises :class:`DegenerateInput`.
+    ``tol`` is made per call.  A NaN, infinite or negative entry in
+    ``state_dist`` or ``kernel`` raises :class:`DegenerateInput`.
     """
     check_tolerance(tol)
     residual_phys, residual_rev = spec._degradedness_residuals

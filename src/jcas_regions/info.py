@@ -17,6 +17,9 @@ rows: :func:`joint_batches` stacks their joints on a leading axis, in
 chunks of ``BATCH_CELLS`` cells that may cross P_X boundaries, and
 :class:`JointBatch` sums each distinct marginal once per chunk and takes
 its rows' entropies as arrays, bit for bit as the reference API.
+The modes that fix V = X need no joint at all: :class:`OutputTableBatch`
+takes their entropies from tables of P(O | x) that each channel builds once,
+within 1e-12 of the reference API.
 Every joint, one design or a chunk, comes from one product,
 :func:`_joint_product`, so the two paths hold the same bits, and each
 design's cells lie in the same memory order; a chunk puts its design axis
@@ -56,6 +59,7 @@ MAX_JOINT_CELLS = 10 ** 8
 #: into chunks of as many whole designs as fit in this many cells (one
 #: design where a joint is larger), so memory stays flat in the grid and in
 #: ``--samples``.  Every chunk but the last holds the same number of designs.
+#: :func:`output_batches` cuts its input laws by the same budget.
 #: Scratch budget of a batch's two-stage sums (:class:`JointBatch`): the
 #: runs it caches stay under the batch's bytes, as sums of at least 2 cells
 #: each that at least halve from one run to the next (a marginal with no
@@ -164,10 +168,7 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
     memory order is X, V, U, S1, S2, Y1, Y2 whatever the operands' strides,
     and its axes are those of ``VAR_NAMES``.  This is the reference path.
     """
-    nx = spec.nx
-    if len(design.p_x) != nx:
-        raise DimensionMismatch(
-            f"p_x has {len(design.p_x)} entries for an input alphabet of {nx}")
+    nx = _check_input_length(spec, design.p_x)
     p_v = design.p_v_given_x
     if p_v is None:
         p_v = np.eye(nx)
@@ -182,6 +183,15 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
     _check_cells(p_u.size * spec.kernel.size)
     return JointDistribution(
         VAR_NAMES, _joint_product(spec, design.p_x[None], p_v[None], p_u[None])[0])
+
+
+def _check_input_length(spec: ChannelSpec, p_x: np.ndarray) -> int:
+    """The input alphabet's size; a ``p_x`` of another length is a
+    :class:`DimensionMismatch`."""
+    if len(p_x) != spec.nx:
+        raise DimensionMismatch(
+            f"p_x has {len(p_x)} entries for an input alphabet of {spec.nx}")
+    return spec.nx
 
 
 def _check_cells(size: int) -> None:
@@ -374,6 +384,82 @@ class JointBatch:
         a = _as_names(a)
         givens = _as_names(givens)
         return self.entropy(a, givens) - self.entropy(a, _as_names(b) + givens)
+
+
+#: The variables besides X that a V = X rate term reads.  Subset b of them
+#: holds ``_OUTPUTS[i]`` where bit i of b is set.
+_OUTPUTS = ("S1", "S2", "Y1", "Y2")
+
+#: The column of :class:`OutputTableBatch` that holds the entropy of each
+#: subset of X and ``_OUTPUTS``: H(O) in column b, H(X, O) in 16 + b.
+_VX_COLUMNS = {
+    frozenset(n for i, n in enumerate(("X",) + _OUTPUTS) if c >> i & 1):
+        16 * (c & 1) + (c >> 1)
+    for c in range(32)}
+
+
+def _output_tables(spec: ChannelSpec):
+    """P(O | x) of all 16 subsets O of ``_OUTPUTS``, side by side in one
+    (nx, C) table, C = (ns1 + 1)(ns2 + 1)(ny1 + 1)(ny2 + 1), subset b in the
+    columns from ``starts[b]`` on; and the (nx, 16) entropies H(O | X = x).
+    :attr:`ChannelSpec._output_tables` keeps them, built on first use."""
+    cond = spec.state_dist[:, :, None, None] * spec.kernel
+    parts = [np.add.reduce(cond, axis=tuple(i + 1 for i in range(4) if not b >> i & 1))
+             .reshape(spec.nx, -1) for b in range(16)]
+    starts = np.cumsum([0] + [p.shape[1] for p in parts[:-1]])
+    table = np.concatenate(parts, axis=1)
+    return table, starts, _segment_entropies(table, starts)
+
+
+def _segment_entropies(p: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over each segment of the last axis of ``p`` that
+    ``starts`` begins, masses at or below ``MIN_PROB`` left out."""
+    mask = p > MIN_PROB
+    plogp = np.log2(p, out=np.zeros_like(p), where=mask)
+    np.multiply(plogp, p, out=plogp, where=mask)
+    return 0.0 - np.add.reduceat(plogp, starts, axis=-1)
+
+
+class OutputTableBatch(JointBatch):
+    """The joint entropies of M designs at V = X, one per input law of
+    ``p_x`` (M, nx), without their joints.
+
+    Every term of a V = X rate formula is H(O) or H(X, O), with O a subset
+    of (S1, S2, Y1, Y2).  The states do not depend on X, so P(x, o) =
+    P(x) P(o | x): H(O) is the entropy of sum_x P(x) P(O | x), and H(X, O)
+    is H(X) + sum_x P(x) H(O | X = x), from the channel's
+    :func:`_output_tables`.  Sums over x reduce the middle axis of an
+    (M, nx, .) product and segment sums use ``reduceat``, so each row is
+    computed the same way, bit for bit, whatever M is.  They agree with
+    the reference API within rounding, not bit for bit, on a stochastic
+    channel; where a row sums to one only within ``PROB_TOL``, as
+    :func:`~jcas_regions.channel.validate` admits, one entropy may differ
+    by about as much.  Only the names X, S1, S2, Y1 and Y2 are known; the
+    rest of the interface is :class:`JointBatch`'s.
+    """
+
+    def __init__(self, spec: ChannelSpec, p_x: np.ndarray):
+        table, starts, h_given_x = spec._output_tables
+        p = p_x[:, :, None]
+        h_x = _segment_entropies(p_x, np.zeros(1, dtype=np.intp))
+        h_o = _segment_entropies(np.add.reduce(p * table, axis=1), starts)
+        self._columns = np.concatenate(
+            [h_o, h_x + np.add.reduce(p * h_given_x, axis=1)], axis=1)
+
+    def _joint_entropy(self, names) -> np.ndarray:
+        column = _VX_COLUMNS.get(frozenset(names))
+        if column is None:
+            raise UnknownVariable(f"{names} is not a set of X, S1, S2, Y1 and Y2")
+        return self._columns[:, column]
+
+
+def output_batches(spec: ChannelSpec, p_x: np.ndarray):
+    """Yield one :class:`OutputTableBatch` per chunk of the rows of ``p_x``
+    (M, nx), in order, each of at most ``BATCH_CELLS`` cells of products
+    (one row at least)."""
+    step = max(1, BATCH_CELLS // spec._output_tables[0].size)
+    for lo in range(0, len(p_x), step):
+        yield OutputTableBatch(spec, p_x[lo:lo + step])
 
 
 def joint_batches(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,

@@ -21,6 +21,14 @@ drops rate rows another row of the same P_X dominates; the survivors stay
 one float matrix through the final filter, and only the frontier becomes
 points.  Both give the same points, bit for bit, as evaluating and
 comparing designs one by one.
+
+The modes that fix V = X (``single_outer``, ``single_exact_deg`` and
+``single_exact_rev``) build no joint, one design or a sweep: their terms
+are H(O) and H(X, O) with O among (S1, S2, Y1, Y2), which
+:class:`jcas_regions.info.OutputTableBatch` takes from the channel's
+per-input output tables.  They agree with the :func:`build_joint` path
+within 1e-12, not bit for bit; an evaluator and a sweep give a P_X the same
+bits.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from .errors import (
     NotDegraded,
 )
 from .estimators import _both_receivers
-from .info import InputDesign, JointBatch, build_joint, joint_batches
+from .info import (InputDesign, JointBatch, OutputTableBatch, _check_input_length,
+                   build_joint, joint_batches, output_batches)
 
 __all__ = [
     "RegionPoint",
@@ -276,17 +285,21 @@ def _evaluate(name: str, spec: ChannelSpec, design,
     the mode needs a constant one."""
     mode = _MODE_TABLE[name]
     _require(spec, mode)
-    if not mode.aux:
+    if mode.aux:
+        caps = cardinality_caps(spec)
+        if mode.aux == "UV" and design.nu > caps.u:
+            raise CardinalityExceeded(f"|U| = {design.nu} exceeds the cap {caps.u}")
+        if mode.constant_u and design.nu != 1:
+            raise DomainError("this region requires a constant U auxiliary")
+        if design.nv > getattr(caps, mode.v_cap):
+            raise CardinalityExceeded(
+                f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
+        batch = JointBatch(build_joint(spec, design).probs[None])
+    else:
         design = InputDesign(p_x=np.asarray(design, dtype=float))
-    caps = cardinality_caps(spec)
-    if mode.aux == "UV" and design.nu > caps.u:
-        raise CardinalityExceeded(f"|U| = {design.nu} exceeds the cap {caps.u}")
-    if mode.constant_u and design.nu != 1:
-        raise DomainError("this region requires a constant U auxiliary")
-    if mode.v_cap is not None and design.nv > getattr(caps, mode.v_cap):
-        raise CardinalityExceeded(
-            f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
-    terms = _terms(mode, JointBatch(build_joint(spec, design).probs[None]))
+        _check_input_length(spec, design.p_x)
+        batch = OutputTableBatch(spec, design.p_x[None])
+    terms = _terms(mode, batch)
     tag = tag if tag is not None else _auto_tag(design)
     d12 = _both_receivers(spec, design.p_x)[1]
     return [_point(r, d12, tag) for r in _rates(mode, terms)[0].tolist()]
@@ -404,7 +417,8 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     Degradedness is checked once per sweep, at ``DEGRADEDNESS_TOL``, and
     the distortions once per P_X grid point.  The designs, P_X-major, run
     as one stream through :func:`jcas_regions.info.joint_batches`, in
-    chunks of ``info.BATCH_CELLS`` cells.  |U| and |V| are drawn at the
+    chunks of ``info.BATCH_CELLS`` cells, or at V = X through
+    :func:`jcas_regions.info.output_batches`.  |U| and |V| are drawn at the
     mode's cardinality caps, which the evaluators admit.  After each chunk
     the P_X whose samples are all in make their rate rows together.  Every
     sample at one P_X shares its distortions, so a rate row that another
@@ -424,10 +438,16 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
             f"each), more than the budget of {MAX_SWEEP_DESIGNS}")
     _require(spec, mode)
 
-    # One stack of auxiliary channels, shared by every P_X: V = X and a
-    # constant U unless the mode samples them.
-    p_v, p_u = np.eye(spec.nx)[None], np.ones((1, spec.nx, 1))
-    suffixes = [""]
+    flat = itertools.chain.from_iterable
+    p_x = np.fromiter(flat(_simplex_grid(spec.nx, cfg.grid_step)), float,
+                      n_px * spec.nx).reshape(n_px, spec.nx)
+    d12 = np.fromiter(flat(_both_receivers(spec, px)[1] for px in p_x), float,
+                      2 * n_px).reshape(n_px, 2)
+
+    # V = X reads the channel's output tables; other modes draw one stack
+    # of auxiliary channels, shared by every P_X, with a constant U unless
+    # they sample U too.
+    suffixes, chunks = [""], output_batches(spec, p_x)
     if mode.aux:
         caps = cardinality_caps(spec)
         nv, nu = getattr(caps, mode.v_cap), caps.u
@@ -437,20 +457,13 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
             draws_v.append(rng.dirichlet(np.ones(nv), size=spec.nx))
             draws_u.append(rng.dirichlet(np.ones(nu), size=nv)
                            if mode.aux == "UV" else np.ones((nv, 1)))
-        p_v, p_u = np.array(draws_v), np.array(draws_u)
+        chunks = joint_batches(spec, p_x, np.array(draws_v), np.array(draws_u))
         suffixes = [f";s={j}" for j in range(k)]
-
-    flat = itertools.chain.from_iterable
-    p_x = np.fromiter(flat(_simplex_grid(spec.nx, cfg.grid_step)), float,
-                      n_px * spec.nx).reshape(n_px, spec.nx)
-    d12 = np.fromiter(flat(_both_receivers(spec, px)[1] for px in p_x), float,
-                      2 * n_px).reshape(n_px, 2)
 
     # Kept rows (rates, -d1, -d2) and their stream positions, one array of
     # each per group of whole P_X; tail holds the terms of the P_X whose
     # samples run on into the next chunk.
     rows, where, tail, done = [], [], np.empty((0, 3)), 0
-    chunks = joint_batches(spec, p_x, p_v, p_u)
     for terms in map(_terms, itertools.repeat(mode), chunks):  # holds no chunk
         terms = np.concatenate([tail, terms])
         whole = len(terms) // k * k

@@ -445,6 +445,26 @@ def test_classify_rejects_nonfinite_entries(name, index, value):
             classify_degradedness(spec)
 
 
+@pytest.mark.parametrize("cell", [[[2.0, -1.0], [0.0, 0.0]],
+                                  [[1e300, -1e300], [1e-310, 0.0]]],
+                         ids=["neither", "physically"])
+def test_classify_rejects_negative_entries(cell):
+    # library-built specs skip validate: these kernel rows used to classify
+    # as NEITHER and as PHYSICALLY_DEGRADED; a negative state mass too
+    binary = make_binary_multiplicative(0.5, 0.5)
+    kernel = binary.kernel.copy()
+    kernel[0, 0, 0] = cell
+    state = binary.state_dist * [[1.0, 1.0], [-1.0, 1.0]]
+    for spec in (make_channel_spec(binary.state_dist, kernel),
+                 make_channel_spec(state, binary.kernel)):
+        with pytest.raises(DegenerateInput, match="finite and nonnegative"):
+            classify_degradedness(spec)
+    # -0.0 is not negative
+    kernel[0, 0, 0] = [[1.0, -0.0], [-0.0, -0.0]]
+    assert classify_degradedness(make_channel_spec(binary.state_dist, kernel)).kind \
+        is classify_degradedness(binary).kind
+
+
 def test_identical_receivers_classified_both():
     # y1 = y2 = x with a single constant state on each side
     kernel = np.zeros((2, 1, 1, 2, 2))

@@ -489,3 +489,34 @@ def test_pairwise_sum_equals_numpy_sum():
             got = info._pairwise_sum(v)
             assert got.tobytes() == np.sum(v, axis=-1).tobytes(), (n, v.ndim)
             assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("alphabets", [(2, 2, 2, 2, 2), (3, 2, 2, 3, 3), (3, 3, 3, 3, 3)])
+def test_output_table_row_alone_equals_row_among_others(alphabets):
+    # each P_X of an OutputTableBatch is summed on its own, so a region
+    # evaluator (one row) and a sweep (every grid point) give it the same
+    # bits: every row among 50 others, vertices and a mass below MIN_PROB
+    # included, against the same row alone
+    rng = np.random.default_rng(sum(alphabets))
+    spec = random_channel_spec(rng, *alphabets)
+    nx = spec.nx
+    below_min = np.full(nx, 1 / (nx - 1))
+    below_min[0] = 1e-310
+    p_xs = np.vstack([rng.dirichlet(np.ones(nx), size=47), np.eye(nx)[:2],
+                      np.full((1, nx), 1 / nx), below_min])
+    among = info.OutputTableBatch(spec, p_xs)
+    for i, p_x in enumerate(p_xs):
+        alone = info.OutputTableBatch(spec, p_x[None])
+        for keep in _SUBSETS:
+            if {"U", "V"} & set(keep):
+                continue
+            assert alone.entropy(keep).tobytes() \
+                == among.entropy(keep)[i:i + 1].tobytes(), (i, keep)
+
+
+def test_output_table_batch_knows_only_the_v_equals_x_names():
+    batch = info.OutputTableBatch(make_binary_multiplicative(0.5, 0.5),
+                                  np.array([[0.5, 0.5]]))
+    for names in (("V",), ("U", "Y1"), ("X", "Z")):
+        with pytest.raises(UnknownVariable):
+            batch.entropy(names)

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from jcas_regions import (
     CardinalityExceeded,
+    DegenerateInput,
+    DimensionMismatch,
     DomainError,
     EmptyGrid,
     InputDesign,
@@ -560,17 +562,18 @@ def test_sweep_nan_rate_raises_domain_error(monkeypatch):
 @pytest.mark.parametrize("channel", ["binary", "random-3ary"])
 def test_sweep_points_do_not_depend_on_chunk_size(mode, channel, monkeypatch):
     # chunks of one design, of 5 designs (which split the 6 samples of a
-    # P_X), and of the whole sweep give the default's points
+    # P_X), and of the whole sweep give the default's points; at V = X a
+    # design is one P_X's row of output-table products
     spec = binary_spec() if channel == "binary" else random_channel_spec(
         np.random.default_rng(31), nx=3, ny1=3, ny2=3)
     cfg = SearchConfig(mode=mode, grid_step=4, n_samples=6, seed=2)
     default = sweep_region(spec, cfg)
     row, caps = regions._MODE_TABLE[mode], cardinality_caps(spec)
-    nv = getattr(caps, row.v_cap) if row.aux else spec.nx
-    nu = caps.u if row.aux == "UV" else 1
+    cells = spec._output_tables[0].size if not row.aux else \
+        getattr(caps, row.v_cap) * (caps.u if row.aux == "UV" else 1) * spec.kernel.size
     designs = math.comb(4 + spec.nx - 1, spec.nx - 1) * (6 if row.aux else 1)
     for per_chunk in (1, 5, designs):
-        monkeypatch.setattr(info, "BATCH_CELLS", per_chunk * nu * nv * spec.kernel.size)
+        monkeypatch.setattr(info, "BATCH_CELLS", per_chunk * cells)
         assert sweep_region(spec, cfg) == default, per_chunk
 
 
@@ -624,6 +627,7 @@ def test_sweep_refuses_designs_past_the_budget(monkeypatch):
 
     monkeypatch.setattr(regions, "classify_degradedness", no_work)
     monkeypatch.setattr(regions, "joint_batches", no_work)
+    monkeypatch.setattr(regions, "output_batches", no_work)
     with pytest.raises(DomainError, match=r"6 designs \(6 P_X x 1 each\), more than the budget of 5"):
         sweep_region(spec, SearchConfig(mode="single_exact_deg", grid_step=5))
     monkeypatch.setattr(regions, "MAX_SWEEP_DESIGNS", 10 ** 6)
@@ -706,6 +710,9 @@ REFERENCE_TERMS = {
 }
 
 
+VX_MODES = [m for m in MODES if not regions._MODE_TABLE[m].aux]
+
+
 @pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("channel", ["random-3ary", "binary", "swapped"])
 @pytest.mark.parametrize("mode", MODES)
@@ -714,7 +721,9 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
     # the sweep's stacked kernel must reproduce the build_joint path bit for
     # bit, or frontier membership can flip on rounding-level ties; the
     # binary channels have zero-mass cells, so their entropies take the
-    # per-row path
+    # per-row path.  The V = X modes take their terms from the channel's
+    # output tables instead, within 1e-12 of the reference (a P_X gives the
+    # same bits in a sweep as in an evaluator, whatever the chunk)
     rng = np.random.default_rng(60 + MODES.index(mode))
     spec = {"random-3ary": random_channel_spec(rng, nx=3, ny1=3, ny2=3),
             "binary": binary_spec(),
@@ -724,18 +733,21 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
     n = 5 if row.aux else 1
     nv = getattr(caps, row.v_cap) if row.aux else spec.nx
     nu = caps.u if row.aux == "UV" else 1
-    p_v = rng.dirichlet(np.ones(nv), size=(n, spec.nx)) if row.aux \
-        else np.eye(spec.nx)[None]
+    p_v = rng.dirichlet(np.ones(nv), size=(n, spec.nx)) if row.aux else None
     # one-category Dirichlet rows are not always exactly 1.0
     p_u = rng.dirichlet(np.ones(nu), size=(n, nv)) if row.aux == "UV" \
         else np.ones((n, nv, 1))
     if chunked:
-        # three designs per batch, so chunks cross P_X boundaries
-        monkeypatch.setattr(info, "BATCH_CELLS", 3 * nu * nv * spec.kernel.size)
+        # three designs per batch, so chunks cross P_X boundaries; two P_X
+        # per V = X batch, so the three P_X take two batches
+        monkeypatch.setattr(info, "BATCH_CELLS", 3 * nu * nv * spec.kernel.size
+                            if row.aux else 2 * spec._output_tables[0].size)
     p_xs = np.array([rng.dirichlet(np.ones(spec.nx)), np.eye(spec.nx)[-1],
                      np.full(spec.nx, 1 / spec.nx)])
-    got = np.concatenate([regions._terms(row, batch) for batch
-                          in info.joint_batches(spec, p_xs, p_v, p_u)])
+    batches = list(info.joint_batches(spec, p_xs, p_v, p_u) if row.aux
+                   else info.output_batches(spec, p_xs))
+    assert row.aux or len(batches) == (2 if chunked else 1)
+    got = np.concatenate([regions._terms(row, batch) for batch in batches])
     expect = []
     for p_x in p_xs:
         for k in range(n):
@@ -743,7 +755,95 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
                                  p_u_given_v=p_u[k] if row.aux == "UV" else None)
             expect.append(REFERENCE_TERMS[mode](
                 build_joint(spec, design), "V" if row.aux else "X"))
-    assert got.tolist() == [list(t) for t in expect]
+    if row.aux:
+        assert got.tolist() == [list(t) for t in expect]
+    else:
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+# every nonempty subset of the variables a V = X term reads
+_VX_SUBSETS = [keep for r in range(1, 6)
+               for keep in itertools.combinations(("X", "S1", "S2", "Y1", "Y2"), r)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(alphabets=st.tuples(*[st.integers(1, 3)] * 5),
+       kind=st.sampled_from(["random", "degraded", "reverse", "deterministic"]),
+       p_x=st.sampled_from(["random", "vertex", "below-min"]),
+       tiny=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(alphabets=(3, 2, 2, 3, 3), kind="random", p_x="vertex", tiny=False, seed=0)
+@example(alphabets=(3, 1, 3, 1, 3), kind="deterministic", p_x="below-min",
+         tiny=True, seed=1)
+def test_output_table_terms_within_1e12_of_reference(alphabets, kind, p_x, tiny,
+                                                      seed):
+    # every V = X mode's rate terms, and every joint entropy they can read,
+    # against entropy() on build_joint; deterministic kernels, a vertex P_X
+    # (0|0|1 and the like), and state, kernel and input masses below MIN_PROB
+    nx, ns1, ns2, ny1, ny2 = alphabets
+    rng = np.random.default_rng(seed)
+    make = {"random": random_channel_spec, "degraded": random_degraded_spec,
+            "reverse": random_reverse_degraded_spec,
+            "deterministic": random_channel_spec}[kind]
+    spec = make(rng, nx, ns1, ns2, ny1, ny2)
+    kernel, state = spec.kernel.copy(), spec.state_dist.copy()
+    if kind == "deterministic":
+        kernel = np.eye(ny1 * ny2)[rng.integers(0, ny1 * ny2, (nx, ns1, ns2))]
+        kernel = kernel.reshape(nx, ns1, ns2, ny1, ny2)
+    if tiny:
+        state.flat[rng.integers(state.size)] = 1e-305
+        kernel.flat[rng.integers(kernel.size)] = 1e-310
+        state, kernel = state / state.sum(), kernel / kernel.sum(axis=(3, 4), keepdims=True)
+    spec = make_channel_spec(state, kernel)
+    law = {"random": rng.dirichlet(np.ones(nx)),
+           "vertex": np.eye(nx)[rng.integers(nx)],
+           "below-min": rng.dirichlet(np.ones(nx))}[p_x]
+    if p_x == "below-min" and nx > 1:
+        law[0], law[1:] = 1e-310, law[1:] / law[1:].sum()
+    batch = info.OutputTableBatch(spec, law[None])
+    joint = build_joint(spec, InputDesign(p_x=law))
+    for mode in VX_MODES:
+        got = regions._terms(regions._MODE_TABLE[mode], batch)[0]
+        np.testing.assert_allclose(got, REFERENCE_TERMS[mode](joint, "X"),
+                                   rtol=0, atol=1e-12, err_msg=mode)
+    for keep in _VX_SUBSETS:
+        assert abs(batch.entropy(keep)[0] - entropy(joint, keep)) <= 1e-12, keep
+
+
+@pytest.mark.parametrize("mode", VX_MODES)
+def test_vx_modes_build_no_joint(mode, monkeypatch):
+    # sweeps and evaluators at V = X read the output tables, which the spec
+    # builds on first use, once, and not when it is parsed
+    def no_joint(*args):
+        raise AssertionError("a joint was built")
+
+    def counted(spec):
+        built.append(spec)
+        return tables(spec)
+
+    built, tables = [], info._output_tables
+    for module in (info, regions):
+        monkeypatch.setattr(module, "build_joint", no_joint)
+        monkeypatch.setattr(module, "joint_batches", no_joint)
+    monkeypatch.setattr(info, "_joint_product", no_joint)
+    monkeypatch.setattr(info, "_output_tables", counted)
+    spec = parse_channel_spec(serialize_channel_spec(mode_spec(mode)))
+    assert built == []
+    assert sweep_region(spec, SearchConfig(mode=mode, grid_step=4))
+    assert WRAPPERS[mode](spec, [0.25, 0.75])
+    assert built == [spec]
+
+
+@pytest.mark.parametrize("mode", VX_MODES)
+@pytest.mark.parametrize("p_x, error, message", [
+    ([[0.5, 0.5]], DimensionMismatch, "p_x must be a vector"),
+    ([0.25, 0.25, 0.5], DimensionMismatch,
+     "p_x has 3 entries for an input alphabet of 2"),
+    ([0.5, 0.6], DegenerateInput, "p_x is not a probability distribution"),
+    ([0.5, 0.5, 0.5], DegenerateInput, "p_x is not a probability distribution"),
+], ids=["matrix", "length", "sum", "length-and-sum"])
+def test_vx_evaluators_refuse_bad_input_laws(mode, p_x, error, message):
+    with pytest.raises(error, match=message):
+        WRAPPERS[mode](mode_spec(mode), p_x)
 
 
 class _OneCallBatch(info.JointBatch):

@@ -14,10 +14,12 @@ from jcas_regions import (
     make_channel_spec,
     marginalize,
     sample_run,
+    serialize_channel_spec,
     synthesize_estimator,
     verify_distortion,
 )
 from jcas_regions import simulator
+from jcas_regions.cli import main
 from jcas_regions.estimators import _both_receivers
 from jcas_regions.simulator import CHUNK
 from conftest import oracle_sample_run, random_channel_spec
@@ -122,6 +124,28 @@ def test_rejects_non_integer_count_and_bad_seed(n, seed):
         sample_run(spec, [0.5, 0.5], n, seed)
     with pytest.raises(DomainError):
         verify_distortion(spec, [0.5, 0.5], n, seed, 0.01)
+
+
+def test_draws_past_the_budget_are_refused_before_any_draw(monkeypatch, capsys,
+                                                          tmp_path):
+    # exactly the budget runs; one draw more is one error line, exit 1
+    def no_draws(*args):
+        raise AssertionError("a draw was made")
+
+    spec = make_binary_multiplicative(0.3, 0.5)
+    monkeypatch.setattr(simulator, "MAX_DRAWS", 1000)
+    assert sample_run(spec, [0.5, 0.5], 1000, 1).n == 1000
+    monkeypatch.setattr(simulator, "_categorical", no_draws)
+    monkeypatch.setattr(simulator, "_both_receivers", no_draws)
+    with pytest.raises(DomainError, match="n = 1001 draws is more than the budget of 1000"):
+        verify_distortion(spec, [0.5, 0.5], 1001, 1, 0.1)
+    chan = tmp_path / "chan.json"
+    chan.write_text(serialize_channel_spec(spec))
+    rc = main(["simulate", str(chan), "--px", "0.5,0.5", "--n", "100000000000",
+               "--tol", "0.1"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == "error: n = 100000000000 draws is more than the budget of 1000\n"
 
 
 def test_verify_distortion_synthesizes_each_estimator_once(monkeypatch):
