@@ -69,62 +69,6 @@ _px = _arg(lambda text: check_distribution(
     repr(text), [float(t) for t in text.split(",")]))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jcas",
-        description="Secrecy-distortion regions for state-dependent joint "
-                    "communication and sensing channels.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("validate", help="check a channel file's invariants")
-    p.add_argument("file")
-
-    p = sub.add_parser("classify", help="test physical/reverse degradedness")
-    p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=DEGRADEDNESS_TOL)
-
-    p = sub.add_parser("estimator", help="print the optimal estimator tables")
-    p.add_argument("file")
-    p.add_argument("--px", type=_px, required=True)
-
-    p = sub.add_parser("region", help="sweep designs and print frontier CSV")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=regions.MODES, required=True)
-    p.add_argument("--grid", type=_count("grid_step"), default=16)
-    p.add_argument("--samples", type=_count("n_samples"), default=16)
-    p.add_argument("--seed", type=_count("seed"), default=0)
-    p.add_argument("--threads", type=_count("threads"), default=1,
-                   help="accepted for compatibility; evaluation is serial")
-    p.add_argument("--out")
-
-    p = sub.add_parser("example", help="closed-form binary example sweep CSV")
-    p.add_argument("--q", type=_probability, required=True)
-    p.add_argument("--alpha", type=_probability, required=True)
-    p.add_argument("--grid", type=_count("grid_step"), default=64)
-    p.add_argument("--out")
-
-    p = sub.add_parser("baseline", help="time-sharing separation baseline CSV")
-    p.add_argument("--q", type=_probability, required=True)
-    p.add_argument("--alpha", type=_probability, required=True)
-    p.add_argument("--grid", type=_count("grid_step"), default=64)
-    p.add_argument("--out")
-
-    p = sub.add_parser("simulate", help="Monte-Carlo check of the distortions")
-    p.add_argument("file")
-    p.add_argument("--px", type=_px, required=True)
-    p.add_argument("--n", type=_count("n"), required=True)
-    p.add_argument("--seed", type=_count("seed"), default=0)
-    p.add_argument("--tol", type=_tolerance, required=True)
-
-    p = sub.add_parser("crosscheck", help="closed form vs tensor evaluation")
-    p.add_argument("--q", type=_probability, required=True)
-    p.add_argument("--alpha", type=_probability, required=True)
-    p.add_argument("--p", type=_probability, required=True)
-    p.add_argument("--tol", type=_tolerance, required=True)
-
-    return parser
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -138,40 +82,43 @@ def _read_spec(path: str):
     return parse_channel_spec(_read_text(path))
 
 
-def _cmd_validate(ns) -> tuple[str, int]:
+def _csv(header: str, rows) -> list[str]:
+    """CSV lines: ``header``, then one per row, its numbers through ``_fmt``."""
+    return [header] + [
+        ",".join([v if isinstance(v, str) else _fmt(v) for v in row]) for row in rows]
+
+
+def _cmd_validate(ns) -> tuple[list[str], int]:
     # Schema-only parse so that probabilistic findings are all reported
     # together rather than stopping at the first violation.
     spec = parse_channel_document(_read_text(ns.file))
     report = validate(spec)
     if report.is_valid:
-        return "OK\n", 0
-    lines = [f"{f.location}: {f.message} (magnitude {_fmt(f.magnitude)})"
-             for f in report.findings]
-    return "\n".join(lines) + "\n", 1
+        return ["OK"], 0
+    return [f"{f.location}: {f.message} (magnitude {_fmt(f.magnitude)})"
+            for f in report.findings], 1
 
 
-def _cmd_classify(ns) -> tuple[str, int]:
+def _cmd_classify(ns) -> tuple[list[str], int]:
     spec = _read_spec(ns.file)
     cls = classify_degradedness(spec, ns.tol)
-    lines = [
+    return [
         cls.kind.value,
         f"residual_phys={_fmt(cls.residual_phys)}",
         f"residual_rev={_fmt(cls.residual_rev)}",
-    ]
-    return "\n".join(lines) + "\n", 0
+    ], 0
 
 
-def _cmd_estimator(ns) -> tuple[str, int]:
+def _cmd_estimator(ns) -> tuple[list[str], int]:
     spec = _read_spec(ns.file)
     (table1, table2), (d1, d2) = _both_receivers(spec, ns.px)
-    lines = ["x,y1,y2,shat1,shat2"]
-    for (x, y1, y2), shat1 in np.ndenumerate(table1):
-        lines.append(f"{x},{y1},{y2},{shat1},{table2[x, y1, y2]}")
-    lines += [f"expected_d1,{_fmt(d1)}", f"expected_d2,{_fmt(d2)}"]
-    return "\n".join(lines) + "\n", 0
+    rows = [(x, y1, y2, shat1, table2[x, y1, y2])
+            for (x, y1, y2), shat1 in np.ndenumerate(table1)]
+    rows += [("expected_d1", d1), ("expected_d2", d2)]
+    return _csv("x,y1,y2,shat1,shat2", rows), 0
 
 
-def _cmd_region(ns) -> tuple[str, int]:
+def _cmd_region(ns) -> tuple[list[str], int]:
     spec = _read_spec(ns.file)
     cfg = regions.SearchConfig(
         mode=ns.mode, grid_step=ns.grid, n_samples=ns.samples, seed=ns.seed)
@@ -179,72 +126,104 @@ def _cmd_region(ns) -> tuple[str, int]:
         print("note: sampled outer-bound sweep is a necessary-condition "
               "envelope, not a converse region", file=sys.stderr)
     points = regions.sweep_region(spec, cfg)
-    lines = ["mode,design_tag,r1,r2,r,d1,d2"]
-    for p in points:
-        lines.append(",".join([
-            ns.mode, p.design_tag,
-            _fmt(p.r1), _fmt(p.r2), _fmt(p.r), _fmt(p.d1), _fmt(p.d2)]))
-    return "\n".join(lines) + "\n", 0
+    return _csv("mode,design_tag,r1,r2,r,d1,d2", (
+        (ns.mode, p.design_tag, p.r1, p.r2, p.r, p.d1, p.d2) for p in points)), 0
 
 
-def _cmd_example(ns) -> tuple[str, int]:
+def _cmd_example(ns) -> tuple[list[str], int]:
     pts = binary_example.closed_form_sweep(ns.q, ns.alpha, ns.grid)
-    lines = ["q,alpha,p,r,d1,d2"]
-    for pt in pts:
-        lines.append(",".join(
-            _fmt(v) for v in (pt.q, pt.alpha, pt.p, pt.r, pt.d1, pt.d2)))
-    return "\n".join(lines) + "\n", 0
+    return _csv("q,alpha,p,r,d1,d2", (
+        (pt.q, pt.alpha, pt.p, pt.r, pt.d1, pt.d2) for pt in pts)), 0
 
 
-def _cmd_baseline(ns) -> tuple[str, int]:
+def _cmd_baseline(ns) -> tuple[list[str], int]:
     pts = binary_example.separation_baseline(ns.q, ns.alpha, ns.grid)
-    lines = ["q,alpha,p,r,d1,d2,lambda"]
-    for pt in pts:
-        lines.append(",".join(
-            _fmt(v) for v in (pt.q, pt.alpha, pt.p, pt.r, pt.d1, pt.d2, pt.lam)))
-    return "\n".join(lines) + "\n", 0
+    return _csv("q,alpha,p,r,d1,d2,lambda", (
+        (pt.q, pt.alpha, pt.p, pt.r, pt.d1, pt.d2, pt.lam) for pt in pts)), 0
 
 
-def _cmd_simulate(ns) -> tuple[str, int]:
+def _cmd_simulate(ns) -> tuple[list[str], int]:
     spec = _read_spec(ns.file)
     report = simulator.verify_distortion(spec, ns.px, ns.n, ns.seed, ns.tol)
-    lines = [
+    return [
         f"n={report.n} seed={report.seed} tol={_fmt(report.tol)}",
         f"d1 analytic={_fmt(report.analytic[0])} "
         f"empirical={_fmt(report.empirical[0])} stderr={_fmt(report.stderr[0])}",
         f"d2 analytic={_fmt(report.analytic[1])} "
         f"empirical={_fmt(report.empirical[1])} stderr={_fmt(report.stderr[1])}",
         "PASS" if report.passed else "FAIL",
-    ]
-    return "\n".join(lines) + "\n", 0 if report.passed else 1
+    ], 0 if report.passed else 1
 
 
-def _cmd_crosscheck(ns) -> tuple[str, int]:
+def _cmd_crosscheck(ns) -> tuple[list[str], int]:
     report = binary_example.crosscheck(ns.q, ns.alpha, ns.p, ns.tol)
-    lines = [
+    return [
         "PASS" if report.passed else "FAIL",
         f"closed_form r={_fmt(report.closed_form[0])} "
         f"d1={_fmt(report.closed_form[1])} d2={_fmt(report.closed_form[2])}",
         f"region r={_fmt(report.region[0])} "
         f"d1={_fmt(report.region[1])} d2={_fmt(report.region[2])}",
         f"max_abs_dev={_fmt(report.max_abs_dev)} tol={_fmt(report.tol)}",
-    ]
-    return "\n".join(lines) + "\n", 0 if report.passed else 1
+    ], 0 if report.passed else 1
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "classify": _cmd_classify,
-    "estimator": _cmd_estimator,
-    "region": _cmd_region,
-    "example": _cmd_example,
-    "baseline": _cmd_baseline,
-    "simulate": _cmd_simulate,
-    "crosscheck": _cmd_crosscheck,
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="jcas",
+        description="Secrecy-distortion regions for state-dependent joint "
+                    "communication and sensing channels.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Options that several subcommands take, each declared once.  A subcommand
+    # lists its options in order: a flag names a shared option, and a
+    # (flag, keywords) pair adds one of its own or updates a shared one.
+    shared = {
+        "file": {},
+        "--q": dict(type=_probability, required=True),
+        "--alpha": dict(type=_probability, required=True),
+        "--px": dict(type=_px, required=True),
+        "--grid": dict(type=_count("grid_step"), default=64),
+        "--seed": dict(type=_count("seed"), default=0),
+        "--tol": dict(type=_tolerance, required=True),
+        "--out": {},
+    }
+
+    def command(name: str, run, summary: str, *options) -> None:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        for option in options:
+            flag, own = (option, {}) if isinstance(option, str) else option
+            p.add_argument(flag, **{**shared.get(flag, {}), **own})
+
+    command("validate", _cmd_validate, "check a channel file's invariants",
+            "file")
+    command("classify", _cmd_classify, "test physical/reverse degradedness",
+            "file", ("--tol", dict(required=False, default=DEGRADEDNESS_TOL)))
+    command("estimator", _cmd_estimator, "print the optimal estimator tables",
+            "file", "--px")
+    command("region", _cmd_region, "sweep designs and print frontier CSV",
+            "file", ("--mode", dict(choices=regions.MODES, required=True)),
+            ("--grid", dict(default=16)),
+            ("--samples", dict(type=_count("n_samples"), default=16)),
+            "--seed",
+            ("--threads", dict(type=_count("threads"), default=1,
+                               help="accepted for compatibility; evaluation is serial")),
+            "--out")
+    command("example", _cmd_example, "closed-form binary example sweep CSV",
+            "--q", "--alpha", "--grid", "--out")
+    command("baseline", _cmd_baseline, "time-sharing separation baseline CSV",
+            "--q", "--alpha", "--grid", "--out")
+    command("simulate", _cmd_simulate, "Monte-Carlo check of the distortions",
+            "file", "--px", ("--n", dict(type=_count("n"), required=True)),
+            "--seed", "--tol")
+    command("crosscheck", _cmd_crosscheck, "closed form vs tensor evaluation",
+            "--q", "--alpha", ("--p", dict(type=_probability, required=True)),
+            "--tol")
+    return parser
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(lines: list[str], out: str | None) -> None:
+    """The one writer of every report: its lines, each ended by a newline."""
+    text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -269,8 +248,8 @@ def main(argv=None) -> int:
     except SystemExit as e:  # 2 for a usage error, 0 for --help
         return e.code
     try:
-        text, rc = _DISPATCH[ns.subcommand](ns)
-        _write_output(text, getattr(ns, "out", None))
+        lines, rc = ns.run(ns)
+        _write_output(lines, getattr(ns, "out", None))
     except JcasError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

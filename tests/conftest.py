@@ -302,3 +302,19 @@ def oracle_residuals(spec) -> tuple[float, float]:
 
     return (worst(joint.transpose(0, 1, 3, 2, 4).reshape(nx, ns1 * ny1, ns2 * ny2)),
             worst(joint.transpose(0, 2, 4, 1, 3).reshape(nx, ns2 * ny2, ns1 * ny1)))
+
+
+def _hb(p: float) -> float:
+    return 0.0 if p in (0.0, 1.0) else -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def closed_form_ps(q: float, alpha: float, p: float) -> tuple[float, float]:
+    """(A, C) of the binary example's partial-secrecy region at V = X with
+    input Bern(p): {r1 <= A, r2 <= C, r1 + r2 <= A}.  A = q Hb(p) is
+    I(X;Y1|S1), and C is the secrecy term, the first argument of
+    ``closed_form_point``'s min."""
+    a = q * _hb(p)
+    if q * alpha >= 1.0:
+        return a, 0.0
+    ratio = q * (1 - alpha) / (1 - q * alpha)
+    return a, q * (1 - alpha) * _hb(p) + p * (1 - q * alpha) * _hb(ratio)

@@ -3,16 +3,22 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jcas_regions import (
     DomainError,
     EmptyGrid,
+    InputDesign,
     closed_form_point,
     closed_form_sweep,
     crosscheck,
+    exact_region_degraded_ps,
+    make_binary_multiplicative,
+    outer_bound_ps,
     separation_baseline,
 )
 from jcas_regions import channel
+from conftest import closed_form_ps
 
 
 def hb(p):
@@ -147,3 +153,22 @@ def test_crosscheck_reports_do_not_depend_on_call_order():
     warm = {(q, alpha, p): repr(crosscheck(q, alpha, p, 1e-9))
             for q, alpha, p in lattice}
     assert warm == cold
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(*[st.floats(0.0, 1.0)] * 3)
+@example(0.5, 0.5, 0.5)
+@example(1.0, 1.0, 0.5)
+@example(0.5, 0.0, 1.0)
+def test_ps_rows_at_v_equal_x_fill_the_closed_form_polytope(q, alpha, p):
+    # every row lies in {r1 <= A, r2 <= C, r1 + r2 <= A}, and the rows reach
+    # r1 = A and r2 = min(C, A)
+    a, c = closed_form_ps(q, alpha, p)
+    spec = make_binary_multiplicative(q, alpha)
+    for evaluate in (exact_region_degraded_ps, outer_bound_ps):
+        rows = evaluate(spec, InputDesign(p_x=[1.0 - p, p]))
+        for pt in rows:
+            assert pt.r1 <= a + 1e-12 and pt.r2 <= c + 1e-12, (evaluate, pt)
+            assert pt.r1 + pt.r2 <= a + 1e-12, (evaluate, pt)
+        assert max(pt.r1 for pt in rows) == pytest.approx(a, abs=1e-12)
+        assert max(pt.r2 for pt in rows) == pytest.approx(min(c, a), abs=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jcas_regions import (
     ChannelSpec,
@@ -36,14 +37,33 @@ from conftest import (oracle_conditionally_independent, oracle_residuals,
                       random_reverse_degraded_spec)
 
 
-def test_parse_serialize_round_trip():
-    spec = make_binary_multiplicative(1 / 3, 2 / 7)
+#: Finite floats, with a signed zero, the smallest subnormal and a huge value.
+_FINITE = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _any_spec(draw):
+    """A spec of any alphabet sizes in 1..3, so often non-square d1/d2, with
+    any finite entries: the file format carries numbers, not laws."""
+    nx, ns1, ns2, ny1, ny2, nshat1, nshat2 = draw(st.tuples(*[st.integers(1, 3)] * 7))
+
+    def array(*shape):
+        return draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+
+    return ChannelSpec(array(ns1, ns2), array(nx, ns1, ns2, ny1, ny2),
+                       array(ns1, nshat1), array(ns2, nshat2))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(spec=_any_spec())
+@example(spec=make_binary_multiplicative(1 / 3, 2 / 7))
+def test_parse_serialize_round_trip(spec):
     text = serialize_channel_spec(spec)
-    back = parse_channel_spec(text)
-    assert np.array_equal(back.state_dist, spec.state_dist)
-    assert np.array_equal(back.kernel, spec.kernel)
-    assert np.array_equal(back.d1, spec.d1)
-    assert np.array_equal(back.d2, spec.d2)
+    back = parse_channel_document(text)
+    for name in ("state_dist", "kernel", "d1", "d2"):
+        got, want = getattr(back, name), getattr(spec, name)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
     # and the text itself is a fixed point
     assert serialize_channel_spec(back) == text
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ import time
 import pytest
 
 import jcas_regions
-from jcas_regions import errors, make_binary_multiplicative, serialize_channel_spec
-from jcas_regions.cli import main
+from jcas_regions import (errors, make_binary_multiplicative, serialize_channel_spec,
+                          swap_receivers)
+from jcas_regions.cli import build_parser, main
 
 
 def write_binary_spec(tmp_path, q=0.5, alpha=0.5):
@@ -354,3 +356,35 @@ def test_outer_bound_note_goes_to_stderr_only(capsys, tmp_path):
     rc, out, _ = run(capsys, argv + ["single_outer", "--out", str(out_path)])
     assert (rc, out) == (0, "")
     assert out_path.read_bytes() == outer.encode()
+
+
+def _subcommands() -> dict:
+    """Name to subparser, for every ``jcas`` subcommand."""
+    action, = [a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("name", sorted(_subcommands()))
+def test_every_subcommand_has_a_handler(capsys, name):
+    # a subcommand registered without one fails here, not in a user's traceback
+    assert callable(_subcommands()[name].get_default("run"))
+    rc, out, err = run(capsys, [name, "--help"])
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"usage: jcas {name} ")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: rates are printed unquantized, so a rate that is "
+    "exactly 0 prints as 1.11022302463e-16"))
+def test_no_printed_rate_below_the_quantum(capsys, tmp_path):
+    # X is constant at px=0|1, so every rate of those rows is exactly 0
+    path = tmp_path / "swapped.json"
+    path.write_text(serialize_channel_spec(
+        swap_receivers(make_binary_multiplicative(0.5, 0.5))))
+    rc, out, _ = run(capsys, ["region", str(path), "--mode", "ps_exact_rev",
+                              "--grid", "2", "--samples", "4"])
+    assert rc == 0
+    rates = [float(v) for line in out.splitlines()[1:]
+             for v in line.split(",")[2:5] if v]
+    assert [r for r in rates if 0.0 < r < 1e-12] == []
