@@ -25,6 +25,7 @@ flag of the CLI alone, checked like any count and then dropped.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -221,6 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call in a process: a
+    parse leaves the parser as it was, and building it takes longer than
+    most commands' parse."""
+    return build_parser()
+
+
 def _write_output(lines: list[str], out: str | None) -> None:
     """The one writer of every report: its lines, each ended by a newline."""
     text = "\n".join(lines) + "\n"
@@ -244,7 +253,7 @@ def _write_output(lines: list[str], out: str | None) -> None:
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as e:  # 2 for a usage error, 0 for --help
         return e.code
     try:

@@ -79,7 +79,8 @@ R1_GRID = 33
 #: Strictness margin used by Pareto dominance.
 DOMINANCE_EPS = 1e-12
 
-#: Block size and comparison budget of :func:`pareto_filter`.
+#: Block size and comparison budget of the row-by-row Pareto compare
+#: (:func:`_dense_front`); the group-by-group one needs neither.
 PARETO_BLOCK, PARETO_CELLS = 256, 2 ** 18
 
 #: Most designs, P_X grid points times auxiliary draws, that one sweep
@@ -263,8 +264,12 @@ def _rates(mode: _Mode, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r1 = np.linspace(0.0, stop, R1_GRID, axis=1) + 0.0
     r2 = np.maximum(np.minimum(cap, budget - r1), 0.0) + 0.0  # -0.0 + 0.0 == 0.0
     rows = np.stack([r1, r2], axis=-1)
+    # a row equal to the one before has its key; only other rows within
+    # 1e-14 of it need the keys compared
     new = np.ones(r1.shape, dtype=bool)
-    near = np.isclose(rows[:, 1:], rows[:, :-1], rtol=1e-14, atol=1e-14).all(axis=-1)
+    new[:, 1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=-1)
+    near = new[:, 1:] & np.isclose(rows[:, 1:], rows[:, :-1], rtol=1e-14,
+                                   atol=1e-14).all(axis=-1)
     for k, g in zip(*near.nonzero()):
         new[k, g + 1] = [round(v, 15) for v in rows[k, g + 1].tolist()] \
             != [round(v, 15) for v in rows[k, g].tolist()]
@@ -501,30 +506,38 @@ def _px_survivors(mode: _Mode, terms: np.ndarray, start: int, k: int,
     return np.hstack([rates[keep], -d12[px[keep]]]), at[keep]
 
 
-def _dominated(rates: np.ndarray) -> np.ndarray:
-    """Rows of ``rates`` (one or two columns, all at the same distortions)
-    that another row dominates, with the margin of :func:`pareto_filter`.
+def _dominated(rates: np.ndarray, by: np.ndarray | None = None,
+               weak=False) -> np.ndarray:
+    """Rows of ``rates`` (one or two columns) that a row of ``by``, by
+    default ``rates`` itself, dominates with the margin of
+    :func:`pareto_filter`, where ``by`` sits at distortions no worse than
+    theirs: both rates >= and one of them better by more than
+    ``DOMINANCE_EPS``.  Where ``weak`` (a bool, or one per row) holds,
+    ``by`` is better by more than the margin in a distortion, so both
+    rates >= suffice.
 
-    Sorting by the first rate, descending, turns "some row with r1 >= t"
-    into a prefix, so a running maximum of the last rate answers both forms
-    of strict dominance (better first rate, or better last rate) with
-    binary searches: O(n log n) time and O(n) memory, after Kung, Luccio &
-    Preparata (JACM 1975).  With one rate both columns are that rate.
+    Sorting ``by`` by the first rate, descending, turns "some row with r1 >=
+    t" into a prefix, so a running maximum of the last rate answers weak
+    dominance and both forms of strict dominance (better first rate, or
+    better last rate) with binary searches: O((rows + by) log by) time and
+    O(rows + by) memory, after Kung, Luccio & Preparata (JACM 1975).  With
+    one rate both columns are that rate.
     """
-    order = np.argsort(-rates[:, 0], kind="stable")
-    first, last = rates[order, 0], rates[order, -1]
-    best_last = np.maximum.accumulate(last)
-    ascending = first[::-1]
-    n = len(order)
-    # another row with first rate above first + eps, last rate >= last
-    above = n - np.searchsorted(ascending, first + DOMINANCE_EPS, side="right")
-    strict_first = (above > 0) & (best_last[above - 1] >= last)
-    # another row with first rate >= first, last rate above last + eps
-    at_least = n - np.searchsorted(ascending, first, side="left")
-    strict_last = best_last[at_least - 1] > last + DOMINANCE_EPS
-    dominated = np.empty(n, dtype=bool)
-    dominated[order] = strict_first | strict_last
-    return dominated
+    by = rates if by is None else by
+    order = np.argsort(-by[:, 0], kind="stable")
+    best_last = np.maximum.accumulate(by[order, -1])
+    ascending = by[order[::-1], 0]
+
+    def best(t, side):
+        # highest last rate among rows of ``by`` whose first rate is >= t
+        # (side "left") or > t (side "right"); -inf where there is none
+        n = len(order) - np.searchsorted(ascending, t, side=side)
+        return np.where(n > 0, best_last[n - 1], -np.inf)
+
+    first, last = rates[:, 0], rates[:, -1]
+    at_least = best(first, "left")
+    return (weak & (at_least >= last)) | (at_least > last + DOMINANCE_EPS) \
+        | (best(first + DOMINANCE_EPS, "right") >= last)
 
 
 def pareto_filter(points) -> list[RegionPoint]:
@@ -533,7 +546,9 @@ def pareto_filter(points) -> list[RegionPoint]:
     A point dominates another when every rate coordinate is >= and every
     distortion coordinate is <=, with at least one coordinate better by more
     than ``DOMINANCE_EPS``.  Retained points keep their input order.  The
-    comparison is :func:`_pareto_front` on one row per point.
+    comparison is :func:`_pareto_front` on one row per point: group by
+    group along rate staircases where points share distortion pairs two
+    or more to a pair on average, else in blocks of rows.
     """
     points = list(points)
     if not points:
@@ -553,16 +568,66 @@ def _pareto_front(m: np.ndarray) -> list[int]:
     finite and >= 0 raises :class:`DomainError`, as a :class:`RegionPoint`
     would.
 
-    Blocks of ``PARETO_BLOCK`` rows, in descending coordinate-sum order,
-    then descending lexicographic order, are compared with the rows kept so
-    far and with themselves; a block shrinks so that (kept + block) x block
-    stays within ``PARETO_CELLS``.
+    The rows are grouped by their exact distortion pair.  Where the groups
+    hold two rows or more on average, as a sweep's partial-secrecy rows
+    do, :func:`_staircase_front` compares group with group; otherwise, as
+    with one row per P_X at V = X, :func:`_dense_front` compares rows in
+    blocks.  Both keep the same rows.
     """
     coords = m * np.where(np.arange(m.shape[1]) < m.shape[1] - 2, 1.0, -1.0)
     bad = ~(np.isfinite(coords) & (coords >= 0))
     if bad.any():
         raise DomainError(
             f"coordinates must be finite and >= 0, got {coords[bad][0].item()!r}")
+    order, starts = _groups(m)
+    if len(m) < 2 * len(starts):
+        return _dense_front(m)
+    return _staircase_front(m, order, starts)
+
+
+def _groups(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``m`` grouped by their (-d1, -d2) pair, the groups in
+    descending lexicographic order: the row order, and the position in it
+    where each group starts.  A group that is >= another in both
+    coordinates comes first."""
+    d = m[:, -2:]
+    order = np.lexsort((-d[:, 1], -d[:, 0]))
+    pairs = d[order]
+    return order, np.flatnonzero(np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)])
+
+
+def _staircase_front(m: np.ndarray, order: np.ndarray, starts: np.ndarray) -> list[int]:
+    """:func:`_pareto_front` group by group, for the groups of
+    :func:`_groups`.  Each group that still has live rows, in order, tests
+    the live rows of every group weakly below it, itself included, against
+    its own live rows' rate staircase (:func:`_dominated`): both rates >=
+    suffice where it is better by more than ``DOMINANCE_EPS`` in a
+    distortion, and otherwise one rate must be better by more.  A group
+    whose rows are all dominated is skipped, since whatever it dominates,
+    its dominators dominate too.  Any order that puts a group before every
+    group below it visits the same groups: those with a row that no row
+    dominates.  O(groups x rows) time, O(rows) memory.
+    """
+    rates, pairs = m[order, :-2], m[order[starts], -2:]
+    ends = np.append(starts[1:], len(m))
+    group = np.repeat(np.arange(len(starts)), ends - starts)
+    live = np.ones(len(m), dtype=bool)
+    for i, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        if not live[lo:hi].any():
+            continue
+        later, pair = pairs[i:], pairs[i]
+        below = (later <= pair).all(axis=1)
+        far = (pair > later + DOMINANCE_EPS).any(axis=1)
+        at = lo + np.flatnonzero(live[lo:] & below[group[lo:] - i])
+        live[at] = ~_dominated(rates[at], rates[lo:hi][live[lo:hi]], far[group[at] - i])
+    return np.sort(order[live]).tolist()
+
+
+def _dense_front(m: np.ndarray) -> list[int]:
+    """:func:`_pareto_front` row by row: blocks of ``PARETO_BLOCK`` rows, in
+    descending coordinate-sum order, then descending lexicographic order,
+    are compared with the rows kept so far and with themselves; a block
+    shrinks so that (kept + block) x block stays within ``PARETO_CELLS``."""
     # Floating-point sums are monotone, so a dominating row comes first in
     # this order, and a row is dropped exactly when an earlier one dominates it.
     order = np.lexsort((*(-m.T[::-1]), -m.sum(axis=1)))

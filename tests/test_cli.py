@@ -10,6 +10,7 @@ import pytest
 import jcas_regions
 from jcas_regions import (errors, make_binary_multiplicative, serialize_channel_spec,
                           swap_receivers)
+from jcas_regions import cli
 from jcas_regions.cli import build_parser, main
 
 
@@ -388,3 +389,41 @@ def test_no_printed_rate_below_the_quantum(capsys, tmp_path):
     rates = [float(v) for line in out.splitlines()[1:]
              for v in line.split(",")[2:5] if v]
     assert [r for r in rates if 0.0 < r < 1e-12] == []
+
+
+def test_parser_is_built_once_and_not_at_import():
+    # importing the CLI builds nothing; main builds the parser on its first
+    # call and reuses it
+    code = ("from jcas_regions import cli; n = cli._parser.cache_info().currsize; "
+            "cli.main(['validate', '--help']); p = cli._parser(); "
+            "cli.main(['example', '--q', '0.5', '--alpha', '0.5', '--grid', '2']); "
+            "print(n, cli._parser() is p)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jcas_regions.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "0 True"
+
+
+def test_reused_parser_equals_fresh_parser_per_call(capsys, tmp_path, monkeypatch):
+    # the same calls, in the same order, twice through the one parser and
+    # then through a new parser each: same stdout, stderr and exit status
+    spec = write_binary_spec(tmp_path)
+    calls = [
+        ["region", spec, "--mode", "ps_inner", "--grid", "4", "--samples", "2"],
+        ["classify", spec],
+        ["region", spec, "--mode", "single_outer", "--grid", "4"],
+        ["crosscheck", "--q", "0.5", "--alpha", "0.5", "--p", "0.3", "--tol", "1e-9"],
+        ["region", spec, "--mode", "bogus"],
+        ["example", "--q", "0.5", "--alpha", "0.25", "--grid", "3"],
+        ["simulate", spec, "--px", "0.5,0.5", "--n", "100", "--tol", "0.5"],
+        ["region", "--help"],
+        ["estimator", spec, "--px", "0.5,0.5"],
+        ["baseline", "--q", "2", "--alpha", "0.5"],
+        [],
+        ["--help"],
+    ]
+    reused = [run(capsys, argv) for argv in calls + calls]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [run(capsys, argv) for argv in calls]
+    assert reused == fresh + fresh
+    assert {rc for rc, _, _ in fresh} == {0, 2}

@@ -935,6 +935,39 @@ def test_rate_rows_property(terms, ps):
     _assert_rates_equal_oracle(ps, terms)
 
 
+def _round_key_grid(terms):
+    """``_rates``'s partial-secrecy grid rows, and which of them it keeps
+    when every pair of neighbours within 1e-14, equal ones too, is settled
+    by their ``round(., 15)`` keys."""
+    r1max, cap, budget = np.array(terms, dtype=float).T[:, :, None]
+    stop = np.where(0.0 > r1max, 0.0, r1max)[:, 0]
+    r1 = np.linspace(0.0, stop, regions.R1_GRID, axis=1) + 0.0
+    r2 = np.maximum(np.minimum(cap, budget - r1), 0.0) + 0.0
+    rows = np.stack([r1, r2], axis=-1)
+    new = np.ones(r1.shape, dtype=bool)
+    near = np.isclose(rows[:, 1:], rows[:, :-1], rtol=1e-14, atol=1e-14).all(axis=-1)
+    for k, g in zip(*near.nonzero()):
+        new[k, g + 1] = [round(v, 15) for v in rows[k, g + 1].tolist()] \
+            != [round(v, 15) for v in rows[k, g].tolist()]
+    return rows, new
+
+
+def test_equal_rate_neighbours_settle_as_the_round_key_loop():
+    # _rates drops a row equal to the one before without comparing keys;
+    # the terms give exact repeats (a zero or negative r1 bound, a cap
+    # under the budget), unequal neighbours 1e-15 apart that do and do not
+    # share a key, and subnormal r1 bounds (linspace's step-0 branch)
+    terms = [*_RATE_TERMS, (1e-14, 0.5, 0.5), (2e-14, 0.3, 0.3 + 1e-15), (4e-323, 0.0, 1.0)]
+    rows, design = regions._rates(regions._MODE_TABLE["ps_outer"], np.array(terms))
+    grid, new = _round_key_grid(terms)
+    assert rows.tobytes() == grid[new].tobytes()
+    assert design.tolist() == new.nonzero()[0].tolist()
+    equal = (grid[:, 1:] == grid[:, :-1]).all(axis=-1)
+    near = np.isclose(grid[:, 1:], grid[:, :-1], rtol=1e-14, atol=1e-14).all(axis=-1)
+    assert equal.any()
+    assert (near & ~equal & new[:, 1:]).any() and (near & ~equal & ~new[:, 1:]).any()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_rate_rows_reject_nonfinite_terms(bad):
     terms = np.array([(0.5, 0.25, 0.5), (0.5, bad, 0.5)])
@@ -1214,11 +1247,84 @@ def test_pareto_filter_properties(points, random):
     assert pareto_filter(kept) == kept
     shuffled = random.sample(points, len(points))
     assert sorted(map(id, pareto_filter(shuffled))) == sorted(map(id, kept))
-    # blocks of at most 3 points, shrinking to 1 as the frontier grows
+    # the dense side in blocks of at most 3 points, shrinking to 1 as the
+    # frontier grows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regions, "PARETO_BLOCK", 3)
         mp.setattr(regions, "PARETO_CELLS", 30)
-        assert [id(p) for p in pareto_filter(points)] == [id(p) for p in kept]
+        assert regions._dense_front(_rows(points)) == _quadratic_indices(points)
+
+
+def _rows(points) -> np.ndarray:
+    """The core's input: one row of rates and negated distortions per point."""
+    return np.array([p.rates + (-p.d1, -p.d2) for p in points])
+
+
+def _quadratic_indices(points) -> list[int]:
+    kept = {id(p) for p in quadratic_pareto(points)}
+    return [i for i, p in enumerate(points) if id(p) in kept]
+
+
+@st.composite
+def _one_row_per_pair(draw):
+    ps = draw(st.booleans())
+    rows = draw(st.lists(st.tuples(*[_coordinate] * 4), min_size=1, max_size=40,
+                         unique_by=lambda row: row[2:]))
+    return [RegionPoint(**({"r1": a, "r2": b} if ps else {"r": a + b}), d1=d1, d2=d2,
+                        design_tag=str(i)) for i, (a, b, d1, d2) in enumerate(rows)]
+
+
+# The second point dominates the first by 2e-12 in d1, yet both distortion
+# sums round to the same float, so groups ordered by the sum alone could be
+# visited in the wrong order.
+_DISTORTION_SUM_TIE = [RegionPoint(r1=0.5, r2=0.5, d1=d1, d2=1e5, design_tag=str(i))
+                       for i, d1 in enumerate([0.5, 0.5 - 2e-12])]
+# Each pair of points has equal rates and d1 exactly one margin apart, a
+# tie, so all four points are kept.
+_DISTORTION_MARGIN_TIES = [
+    RegionPoint(r1=r1, r2=1.25 - r1, d1=d1, d2=0.5, design_tag=str(i))
+    for i, (r1, d1) in enumerate([(0.75, 0.5 + DOMINANCE_EPS), (0.75, 0.5),
+                                  (0.5, 0.25), (0.5, 0.25 + DOMINANCE_EPS)])]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(_point_sets(), _one_row_per_pair()))
+@example(_MARGIN_TIES)
+@example(_SUM_TIE)
+@example(_SUM_TIE[::-1])
+@example(_DISTORTION_SUM_TIE)
+@example(_DISTORTION_SUM_TIE[::-1])
+@example(_DISTORTION_MARGIN_TIES)
+@example(_DISTORTION_MARGIN_TIES[::-1] * 2)
+def test_each_side_of_the_core_equals_quadratic_pareto(points):
+    # either side keeps the quadratic oracle's rows, on inputs with few
+    # distortion pairs and many rows each (which the core gives the
+    # staircase side) and with one row per pair (the dense side)
+    m, expect = _rows(points), _quadratic_indices(points)
+    assert regions._staircase_front(m, *regions._groups(m)) == expect
+    assert regions._dense_front(m) == expect
+    assert regions._pareto_front(m) == expect
+
+
+def test_both_sides_of_the_core_agree_on_a_sweep_matrix(monkeypatch):
+    # the rows of binary ps_inner at grid 128, 16 samples, as they reach
+    # the final filter: 129 distortion pairs, about 33 rows each
+    handed = []
+
+    def recording(m):
+        handed.append(m)
+        return front(m)
+
+    front = regions._pareto_front
+    monkeypatch.setattr(regions, "_pareto_front", recording)
+    sweep_region(binary_spec(), SearchConfig(mode="ps_inner", grid_step=128,
+                                             n_samples=16, seed=0))
+    m, = handed
+    order, starts = regions._groups(m)
+    assert len(starts) == 129 and len(m) > 20 * len(starts)
+    kept = regions._staircase_front(m, order, starts)
+    assert regions._dense_front(m) == kept
+    assert len(m) // 3 < len(kept) < len(m)
 
 
 @pytest.mark.parametrize("n", [PARETO_BLOCK - 1, PARETO_BLOCK, PARETO_BLOCK + 1,
@@ -1241,3 +1347,5 @@ def test_pareto_filter_across_blocks(n, ps):
     kept = pareto_filter(points)
     assert PARETO_BLOCK // 2 < len(kept) < n
     assert [id(p) for p in kept] == [id(p) for p in quadratic_pareto(points)]
+    # the dense side itself, whichever side the core chose
+    assert regions._dense_front(_rows(points)) == _quadratic_indices(points)
