@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 from .channel import (check_count, check_probability, check_tolerance,
                       make_binary_multiplicative)
+from .errors import DomainError
 from .info import binary_entropy
-from .regions import exact_region_degraded_single
+from . import regions
 
 __all__ = [
     "ExamplePoint",
@@ -80,8 +81,14 @@ def closed_form_point(q: float, alpha: float, p: float) -> ExamplePoint:
 
 
 def closed_form_sweep(q: float, alpha: float, grid_step: int) -> list[ExamplePoint]:
-    """Sweep p over {0, 1/grid_step, ..., 1} in increasing order."""
+    """Sweep p over {0, 1/grid_step, ..., 1} in increasing order.  More
+    points than ``regions.MAX_SWEEP_DESIGNS`` are refused with
+    :class:`DomainError` before any work."""
     check_count("grid_step", grid_step)
+    if grid_step + 1 > regions.MAX_SWEEP_DESIGNS:
+        raise DomainError(
+            f"the sweep would evaluate {grid_step + 1} points, more than the "
+            f"budget of {regions.MAX_SWEEP_DESIGNS}")
     return [closed_form_point(q, alpha, k / grid_step)
             for k in range(grid_step + 1)]
 
@@ -92,7 +99,8 @@ def separation_baseline(q: float, alpha: float,
 
     The max-rate input probability p* is found on the same grid (ties to the
     smaller p); p = 1 gives rate 0 with both distortions 0, so sharing a
-    fraction lam at p* scales the whole tuple by lam.
+    fraction lam at p* scales the whole tuple by lam.  The grid is refused
+    past the budget of :func:`closed_form_sweep`.
     """
     sweep = closed_form_sweep(q, alpha, lambda_grid_step)
     best = max(sweep, key=lambda pt: (pt.r, -pt.p))
@@ -127,7 +135,7 @@ def crosscheck(q: float, alpha: float, p: float, tol: float) -> CrosscheckReport
     check_tolerance(tol)
     cf = closed_form_point(q, alpha, p)
     spec = make_binary_multiplicative(q, alpha)
-    pt = exact_region_degraded_single(spec, [1.0 - p, p], "")
+    pt = regions.exact_region_degraded_single(spec, [1.0 - p, p], "")
     dev = max(abs(cf.r - pt.r), abs(cf.d1 - pt.d1), abs(cf.d2 - pt.d2))
     return CrosscheckReport(
         q=q, alpha=alpha, p=p, tol=tol,

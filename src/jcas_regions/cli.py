@@ -123,9 +123,11 @@ def _cmd_region(ns) -> tuple[list[str], int]:
     spec = _read_spec(ns.file)
     cfg = regions.SearchConfig(
         mode=ns.mode, grid_step=ns.grid, n_samples=ns.samples, seed=ns.seed)
-    if ns.mode in ("ps_outer", "single_outer"):
+    if ns.mode == "ps_outer":
         print("note: sampled outer-bound sweep is a necessary-condition "
               "envelope, not a converse region", file=sys.stderr)
+    elif ns.mode == "single_outer":
+        print("note: outer bound on the P_X grid", file=sys.stderr)
     points = regions.sweep_region(spec, cfg)
     return _csv("mode,design_tag,r1,r2,r,d1,d2", (
         (ns.mode, p.design_tag, p.r1, p.r2, p.r, p.d1, p.d2) for p in points)), 0

@@ -9,8 +9,9 @@ per-letter estimators, which depend on P_X alone.
 
 The exact characterizations only hold for (reversely-)physically-degraded
 channels, so those evaluators check degradedness first and refuse otherwise.
-Sampled sweeps of the outer bounds are a necessary-condition envelope of the
-per-design bounds, not a converse region; they are labelled as such.
+The sampled ``ps_outer`` sweep is a necessary-condition envelope of the
+per-design bounds, not a converse region; ``single_outer`` fixes V = X and
+is the outer bound on the P_X grid.  The CLI labels each as such.
 
 A sweep evaluates its designs, every P_X grid point paired with every
 sampled auxiliary draw, as one stream of rows
@@ -78,10 +79,6 @@ R1_GRID = 33
 
 #: Strictness margin used by Pareto dominance.
 DOMINANCE_EPS = 1e-12
-
-#: Block size and comparison budget of the row-by-row Pareto compare
-#: (:func:`_dense_front`); the group-by-group one needs neither.
-PARETO_BLOCK, PARETO_CELLS = 256, 2 ** 18
 
 #: Most designs, P_X grid points times auxiliary draws, that one sweep
 #: evaluates; :func:`sweep_region` refuses a larger sweep before any work.
@@ -521,9 +518,13 @@ def _dominated(rates: np.ndarray, by: np.ndarray | None = None,
     dominance and both forms of strict dominance (better first rate, or
     better last rate) with binary searches: O((rows + by) log by) time and
     O(rows + by) memory, after Kung, Luccio & Preparata (JACM 1975).  With
-    one rate both columns are that rate.
+    one rate both columns are that rate.  A one-row ``by``, as a group of
+    one row per P_X gives, is compared with every row directly.
     """
     by = rates if by is None else by
+    if len(by) == 1:
+        b = by[0]
+        return (rates <= b).all(axis=1) & (weak | (b > rates + DOMINANCE_EPS).any(axis=1))
     order = np.argsort(-by[:, 0], kind="stable")
     best_last = np.maximum.accumulate(by[order, -1])
     ascending = by[order[::-1], 0]
@@ -547,8 +548,7 @@ def pareto_filter(points) -> list[RegionPoint]:
     distortion coordinate is <=, with at least one coordinate better by more
     than ``DOMINANCE_EPS``.  Retained points keep their input order.  The
     comparison is :func:`_pareto_front` on one row per point: group by
-    group along rate staircases where points share distortion pairs two
-    or more to a pair on average, else in blocks of rows.
+    group, one group per distortion pair, along rate staircases.
     """
     points = list(points)
     if not points:
@@ -568,11 +568,16 @@ def _pareto_front(m: np.ndarray) -> list[int]:
     finite and >= 0 raises :class:`DomainError`, as a :class:`RegionPoint`
     would.
 
-    The rows are grouped by their exact distortion pair.  Where the groups
-    hold two rows or more on average, as a sweep's partial-secrecy rows
-    do, :func:`_staircase_front` compares group with group; otherwise, as
-    with one row per P_X at V = X, :func:`_dense_front` compares rows in
-    blocks.  Both keep the same rows.
+    The rows are grouped by their exact distortion pair (:func:`_groups`).
+    Each group that still has live rows, in order, tests the live rows of
+    every group weakly below it, itself included, against its own live
+    rows' rate staircase (:func:`_dominated`): both rates >= suffice where
+    it is better by more than ``DOMINANCE_EPS`` in a distortion, and
+    otherwise one rate must be better by more.  A group whose rows are all
+    dominated is skipped, since whatever it dominates, its dominators
+    dominate too.  Any order that puts a group before every group below it
+    visits the same groups: those with a row that no row dominates.
+    O(groups x rows) time, O(rows) memory.
     """
     coords = m * np.where(np.arange(m.shape[1]) < m.shape[1] - 2, 1.0, -1.0)
     bad = ~(np.isfinite(coords) & (coords >= 0))
@@ -580,9 +585,18 @@ def _pareto_front(m: np.ndarray) -> list[int]:
         raise DomainError(
             f"coordinates must be finite and >= 0, got {coords[bad][0].item()!r}")
     order, starts = _groups(m)
-    if len(m) < 2 * len(starts):
-        return _dense_front(m)
-    return _staircase_front(m, order, starts)
+    rates, e1, e2 = m[order, :-2], m[order, -2], m[order, -1]
+    live = np.ones(len(m), dtype=bool)
+    for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(m)).tolist()):
+        if not live[lo:hi].any():
+            continue
+        # the groups come in descending e1 order, so every later row has
+        # e1 <= e1[lo]
+        a, b = e1[lo], e2[lo]
+        at = lo + np.flatnonzero(live[lo:] & (e2[lo:] <= b))
+        far = (a > e1[at] + DOMINANCE_EPS) | (b > e2[at] + DOMINANCE_EPS)
+        live[at] = ~_dominated(rates[at], rates[lo:hi][live[lo:hi]], far)
+    return np.sort(order[live]).tolist()
 
 
 def _groups(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -594,54 +608,3 @@ def _groups(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((-d[:, 1], -d[:, 0]))
     pairs = d[order]
     return order, np.flatnonzero(np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)])
-
-
-def _staircase_front(m: np.ndarray, order: np.ndarray, starts: np.ndarray) -> list[int]:
-    """:func:`_pareto_front` group by group, for the groups of
-    :func:`_groups`.  Each group that still has live rows, in order, tests
-    the live rows of every group weakly below it, itself included, against
-    its own live rows' rate staircase (:func:`_dominated`): both rates >=
-    suffice where it is better by more than ``DOMINANCE_EPS`` in a
-    distortion, and otherwise one rate must be better by more.  A group
-    whose rows are all dominated is skipped, since whatever it dominates,
-    its dominators dominate too.  Any order that puts a group before every
-    group below it visits the same groups: those with a row that no row
-    dominates.  O(groups x rows) time, O(rows) memory.
-    """
-    rates, pairs = m[order, :-2], m[order[starts], -2:]
-    ends = np.append(starts[1:], len(m))
-    group = np.repeat(np.arange(len(starts)), ends - starts)
-    live = np.ones(len(m), dtype=bool)
-    for i, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
-        if not live[lo:hi].any():
-            continue
-        later, pair = pairs[i:], pairs[i]
-        below = (later <= pair).all(axis=1)
-        far = (pair > later + DOMINANCE_EPS).any(axis=1)
-        at = lo + np.flatnonzero(live[lo:] & below[group[lo:] - i])
-        live[at] = ~_dominated(rates[at], rates[lo:hi][live[lo:hi]], far[group[at] - i])
-    return np.sort(order[live]).tolist()
-
-
-def _dense_front(m: np.ndarray) -> list[int]:
-    """:func:`_pareto_front` row by row: blocks of ``PARETO_BLOCK`` rows, in
-    descending coordinate-sum order, then descending lexicographic order,
-    are compared with the rows kept so far and with themselves; a block
-    shrinks so that (kept + block) x block stays within ``PARETO_CELLS``."""
-    # Floating-point sums are monotone, so a dominating row comes first in
-    # this order, and a row is dropped exactly when an earlier one dominates it.
-    order = np.lexsort((*(-m.T[::-1]), -m.sum(axis=1)))
-    kept, lo = [], 0
-    while lo < len(order):
-        step = max(1, min(PARETO_BLOCK, PARETO_CELLS // (len(kept) + PARETO_BLOCK)))
-        block, lo = order[lo:lo + step], lo + step
-        # [i, j]: kept or block row i dominates block row j; a block row
-        # counts only against the block rows before it
-        rows = m[kept + block.tolist()]
-        weak = np.ones((len(rows), len(block)), dtype=bool)
-        strict = np.zeros_like(weak)
-        for a, b in zip(rows.T, m[block].T):
-            weak &= a[:, None] >= b
-            strict |= a[:, None] > b + DOMINANCE_EPS
-        kept += block[~np.triu(weak & strict, 1 - len(kept)).any(axis=0)].tolist()
-    return sorted(kept)

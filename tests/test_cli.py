@@ -10,7 +10,7 @@ import pytest
 import jcas_regions
 from jcas_regions import (errors, make_binary_multiplicative, serialize_channel_spec,
                           swap_receivers)
-from jcas_regions import cli
+from jcas_regions import binary_example, cli, regions
 from jcas_regions.cli import build_parser, main
 
 
@@ -341,6 +341,24 @@ def test_validate_schema_error_is_one_line(capsys, tmp_path, text):
     assert_one_error_line(rc, out, err)
 
 
+@pytest.mark.parametrize("command", ["example", "baseline"])
+def test_grid_past_the_budget_is_refused_before_any_work(capsys, monkeypatch, command):
+    # with a budget of 8 points, --grid 7 (8 points) runs and --grid 8 (9)
+    # ends in one error line before any point is computed
+    monkeypatch.setattr(regions, "MAX_SWEEP_DESIGNS", 8)
+    argv = [command, "--q", "0.5", "--alpha", "0.5", "--grid"]
+    rc, out, err = run(capsys, argv + ["7"])
+    assert (rc, err, len(out.splitlines())) == (0, "", 9)
+
+    def no_work(*args):
+        raise AssertionError("a point was computed")
+
+    monkeypatch.setattr(binary_example, "closed_form_point", no_work)
+    rc, out, err = run(capsys, argv + ["8"])
+    assert_one_error_line(rc, out, err)
+    assert "budget of 8" in err
+
+
 def test_outer_bound_note_goes_to_stderr_only(capsys, tmp_path):
     # single_outer and single_exact_deg share one formula, so on a degraded
     # channel their CSVs differ only in the mode column
@@ -348,8 +366,7 @@ def test_outer_bound_note_goes_to_stderr_only(capsys, tmp_path):
     argv = ["region", spec, "--grid", "8", "--mode"]
     rc, outer, err = run(capsys, argv + ["single_outer"])
     assert rc == 0
-    assert err == ("note: sampled outer-bound sweep is a necessary-condition "
-                   "envelope, not a converse region\n")
+    assert err == "note: outer bound on the P_X grid\n"
     rc, exact, err = run(capsys, argv + ["single_exact_deg"])
     assert (rc, err) == (0, "")
     assert outer.encode() == exact.replace("single_exact_deg,", "single_outer,").encode()

@@ -45,7 +45,7 @@ from jcas_regions import (
 )
 from jcas_regions import info, regions
 from jcas_regions.estimators import _both_receivers
-from jcas_regions.regions import DOMINANCE_EPS, MODES, PARETO_BLOCK
+from jcas_regions.regions import DOMINANCE_EPS, MODES
 from conftest import (
     oracle_entropy,
     oracle_joint,
@@ -1228,11 +1228,21 @@ _SUM_TIE = [RegionPoint(r1=1e5, r2=r2, d1=0.1, d2=0.1, design_tag=str(i))
             for i, r2 in enumerate([0.5, 0.5 + 2e-12])]
 
 
+# The second point is better in every coordinate but by no more than the
+# margin, so neither dominates.  Its rate is 5e-13 + 1e-12 = 1.5e-12 in
+# floats, a tie; the test 1.5e-12 - 1e-12 > 5e-13 rounds the other way.
+# Each point is alone at its distortion pair.
+_RATE_MARGIN_ROUNDING = [RegionPoint(r=r, d1=d1, d2=d2, design_tag=str(i))
+                         for i, (r, d1, d2) in enumerate([(5e-13, 5e-13, 1e-12),
+                                                          (1.5e-12, 0.0, 5e-13)])]
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_point_sets(), st.randoms(use_true_random=False))
 @example(_MARGIN_TIES, Random(0))
 @example(_SUM_TIE, Random(0))
 @example(_SUM_TIE[::-1], Random(0))
+@example(_RATE_MARGIN_ROUNDING, Random(0))
 def test_pareto_filter_properties(points, random):
     kept = pareto_filter(points)
     assert [id(p) for p in kept] == [id(p) for p in quadratic_pareto(points)]
@@ -1247,12 +1257,7 @@ def test_pareto_filter_properties(points, random):
     assert pareto_filter(kept) == kept
     shuffled = random.sample(points, len(points))
     assert sorted(map(id, pareto_filter(shuffled))) == sorted(map(id, kept))
-    # the dense side in blocks of at most 3 points, shrinking to 1 as the
-    # frontier grows
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regions, "PARETO_BLOCK", 3)
-        mp.setattr(regions, "PARETO_CELLS", 30)
-        assert regions._dense_front(_rows(points)) == _quadratic_indices(points)
+    assert regions._pareto_front(_rows(points)) == _quadratic_indices(points)
 
 
 def _rows(points) -> np.ndarray:
@@ -1296,17 +1301,27 @@ _DISTORTION_MARGIN_TIES = [
 @example(_DISTORTION_SUM_TIE[::-1])
 @example(_DISTORTION_MARGIN_TIES)
 @example(_DISTORTION_MARGIN_TIES[::-1] * 2)
-def test_each_side_of_the_core_equals_quadratic_pareto(points):
-    # either side keeps the quadratic oracle's rows, on inputs with few
-    # distortion pairs and many rows each (which the core gives the
-    # staircase side) and with one row per pair (the dense side)
-    m, expect = _rows(points), _quadratic_indices(points)
-    assert regions._staircase_front(m, *regions._groups(m)) == expect
-    assert regions._dense_front(m) == expect
-    assert regions._pareto_front(m) == expect
+@example(_RATE_MARGIN_ROUNDING)
+@example(_RATE_MARGIN_ROUNDING[::-1])
+def test_pareto_core_equals_quadratic_pareto(points):
+    # the core keeps the quadratic oracle's rows, on inputs with few
+    # distortion pairs and many rows each, and with one row per pair
+    assert regions._pareto_front(_rows(points)) == _quadratic_indices(points)
 
 
-def test_both_sides_of_the_core_agree_on_a_sweep_matrix(monkeypatch):
+def _quadratic_front(m: np.ndarray) -> list[int]:
+    """Indices of the rows of ``m`` (rates, then negated distortions) that
+    no other row dominates, every pair compared directly, 256 rows a time."""
+    kept = []
+    for lo in range(0, len(m), 256):
+        b = m[lo:lo + 256]
+        weak = (m[:, None] >= b).all(axis=2)
+        strict = (m[:, None] > b + DOMINANCE_EPS).any(axis=2)
+        kept += (lo + np.flatnonzero(~(weak & strict).any(axis=0))).tolist()
+    return kept
+
+
+def test_pareto_core_equals_quadratic_pareto_on_a_sweep_matrix(monkeypatch):
     # the rows of binary ps_inner at grid 128, 16 samples, as they reach
     # the final filter: 129 distortion pairs, about 33 rows each
     handed = []
@@ -1320,21 +1335,21 @@ def test_both_sides_of_the_core_agree_on_a_sweep_matrix(monkeypatch):
     sweep_region(binary_spec(), SearchConfig(mode="ps_inner", grid_step=128,
                                              n_samples=16, seed=0))
     m, = handed
-    order, starts = regions._groups(m)
+    starts = regions._groups(m)[1]
     assert len(starts) == 129 and len(m) > 20 * len(starts)
-    kept = regions._staircase_front(m, order, starts)
-    assert regions._dense_front(m) == kept
+    kept = front(m)
+    assert kept == _quadratic_front(m)
     assert len(m) // 3 < len(kept) < len(m)
 
 
-@pytest.mark.parametrize("n", [PARETO_BLOCK - 1, PARETO_BLOCK, PARETO_BLOCK + 1,
-                               3 * PARETO_BLOCK + 5])
+@pytest.mark.parametrize("n", [255, 256, 257, 773])
 @pytest.mark.parametrize("ps", [True, False], ids=["ps", "single"])
 def test_pareto_filter_across_blocks(n, ps):
     # each distortion equals its rate on a 9-value pool, so most points are
-    # incomparable and the frontier spans every block; each coordinate is
-    # nudged by 0-2 margins, as in _point_sets, so ties within 1e-12 fall
-    # inside and across blocks; the last 8 points repeat earlier ones
+    # incomparable and the frontier holds over 128 of them; each coordinate
+    # is nudged by 0-2 margins, as in _point_sets, so ties within 1e-12 fall
+    # inside and across distortion pairs; the last 8 points repeat earlier
+    # ones
     rng = np.random.default_rng(n)
     base = rng.choice(np.linspace(0.0, 1.0, 9), (n - 8, 2))
     coords = np.hstack([base, base]) \
@@ -1345,7 +1360,6 @@ def test_pareto_filter_across_blocks(n, ps):
         points.append(RegionPoint(**rates, d1=d1, d2=d2, design_tag=str(i)))
     points += [points[i] for i in rng.integers(0, n - 8, 8)]
     kept = pareto_filter(points)
-    assert PARETO_BLOCK // 2 < len(kept) < n
+    assert 128 < len(kept) < n
     assert [id(p) for p in kept] == [id(p) for p in quadratic_pareto(points)]
-    # the dense side itself, whichever side the core chose
-    assert regions._dense_front(_rows(points)) == _quadratic_indices(points)
+    assert regions._pareto_front(_rows(points)) == _quadratic_indices(points)
