@@ -9,8 +9,10 @@ n in the fixed order states, inputs, outputs.  Output is therefore a pure
 function of (spec, p_x, n, seed); acceptance checks use tolerance bands,
 never exact stream values.
 
-The draws are streamed in chunks of ``CHUNK``, so memory is bounded by
-``CHUNK`` * |Y|, not by n.  Each block has its own generator, advanced to
+The draws are streamed in chunks of ``CHUNK``, whose scratch beside the
+count table is a few ``CHUNK``-entry arrays whatever n and |Y| are: a draw
+counts the cdf entries at or below its uniform, and an output draw reads its
+cdf one column at a time.  Each block has its own generator, advanced to
 the block's start, so the streams are the same as drawing whole blocks.
 Chunks add integer counts over (x, s1, s2, y1, y2), and the frequencies and
 mean distortions come from the counts: exact on 0/1 distortion tables, and
@@ -30,11 +32,13 @@ from .estimators import EstimatorTable, _both_receivers
 
 __all__ = ["EmpiricalStats", "DistortionReport", "sample_run", "verify_distortion"]
 
-#: Draws per chunk; memory is O(CHUNK * |Y|) whatever n is.
-CHUNK = 2 ** 16
+#: Draws per chunk: its scratch (0.9 MB traced) fits one core's 2 MB L2
+#: cache, and 2^13 and 2^14 ran fastest of 2^12 to 2^16 on 10^6-draw runs
+#: (Xeon, 2 cores, numpy 2.4).
+CHUNK = 2 ** 14
 
-#: Most draws one run makes: 70 to 90 s at the 11 to 14 million draws/s of
-#: 10^6-draw runs on the binary and a 3-ary channel (2 cores, numpy 2.4).  A
+#: Most draws one run makes: 20 to 60 s at the 17 to 46 million draws/s of
+#: runs on the binary and a 3-ary channel (Xeon, 2 cores, numpy 2.4).  A
 #: larger n is refused with :class:`DomainError` before any draw.
 MAX_DRAWS = 10 ** 9
 
@@ -53,9 +57,14 @@ class EmpiricalStats:
         object.__setattr__(self, "freq", _frozen(self.freq))
 
 
-def _categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # cum is a 1-d cdf with final entry pinned to 1.0; u is in [0, 1).
-    return np.searchsorted(cum, u, side="right")
+def _categorical(thresholds, u: np.ndarray) -> np.ndarray:
+    # The count of thresholds at or below each u in [0, 1): a cdf's entries
+    # but its last (pinned to 1.0), each a scalar or an array shaped like u.
+    # On a nondecreasing cdf it equals np.searchsorted(cdf, u, side="right").
+    k = np.zeros(u.shape, dtype=np.intp)
+    for t in thresholds:
+        k += u >= t
+    return k
 
 
 def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
@@ -79,14 +88,15 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     # counts over the flat (x, s1, s2, y1, y2) index, i.e. row * |Y| + y
     ns, ny = cum_state.size, cum_y.shape[1]
     counts = np.zeros(cum_y.size, dtype=np.int64)
+    cols_y = cum_y[:, :-1].T.copy()  # one contiguous cdf column per output
     streams = [np.random.default_rng(seed) for _ in range(3)]  # states, X, Y
     for s, rng in enumerate(streams):
         rng.bit_generator.advance(s * int(n))  # one output per double
     for lo in range(0, n, CHUNK):
         m = min(CHUNK, n - lo)
-        state = _categorical(cum_state, streams[0].random(m))
-        rows = _categorical(cum_x, streams[1].random(m)) * ns + state
-        y = (streams[2].random(m)[:, None] >= cum_y[rows]).sum(axis=1)
+        state = _categorical(cum_state[:-1], streams[0].random(m))
+        rows = _categorical(cum_x[:-1], streams[1].random(m)) * ns + state
+        y = _categorical((col.take(rows) for col in cols_y), streams[2].random(m))
         counts += np.bincount(rows * ny + y, minlength=counts.size)
 
     counts = counts.reshape(spec.nx, spec.ns1, spec.ns2, spec.ny1, spec.ny2)

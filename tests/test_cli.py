@@ -1,17 +1,23 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import jcas_regions
 from jcas_regions import (errors, make_binary_multiplicative, serialize_channel_spec,
                           swap_receivers)
-from jcas_regions import binary_example, cli, regions
+from jcas_regions import binary_example, cli, regions, simulator
 from jcas_regions.cli import build_parser, main
+from conftest import random_channel_spec
 
 
 def write_binary_spec(tmp_path, q=0.5, alpha=0.5):
@@ -444,3 +450,62 @@ def test_reused_parser_equals_fresh_parser_per_call(capsys, tmp_path, monkeypatc
     fresh = [run(capsys, argv) for argv in calls]
     assert reused == fresh + fresh
     assert {rc for rc, _, _ in fresh} == {0, 2}
+
+
+@pytest.fixture(scope="module")
+def simulate_channels(tmp_path_factory):
+    """A binary and a 3-ary (|Y| = 9) channel file, by input alphabet size."""
+    specs = {2: make_binary_multiplicative(0.3, 0.5),
+             3: random_channel_spec(np.random.default_rng(5), 3, 2, 2, 3, 3)}
+    paths = {}
+    for nx, spec in specs.items():
+        paths[nx] = tmp_path_factory.mktemp("simulate") / f"chan{nx}.json"
+        paths[nx].write_text(serialize_channel_spec(spec))
+    return paths
+
+
+_JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4).map(
+        lambda p: ",".join(map(repr, p))),
+    st.sampled_from(["", "-0", "1e-320", "1e400", "nan", "-inf", " 0.5", "0x1p-1", "1_0",
+                     "½", "abc", "1e3", "1.5", "-1", "0.5,,0.5", "0,1e-320,1", "1,0,0,0"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(nx=st.sampled_from([2, 3]), p=st.lists(st.floats(0, 1), min_size=2, max_size=3),
+       n=st.integers(1, 10 ** 4), seed=st.integers(0, 2 ** 70), tol=st.floats(0, 1),
+       garbled=st.none() | st.sampled_from(["--px", "--n", "--seed", "--tol"]), junk=_JUNK)
+@example(nx=2, p=[0.5, 0.5], n=10 ** 4, seed=0, tol=0.01, garbled=None, junk="")
+@example(nx=3, p=[0.0, 0.0, 1.0], n=1, seed=0, tol=0.0, garbled=None, junk="")
+@example(nx=3, p=[0.5, 0.5], n=100, seed=1, tol=0.1, garbled=None, junk="")
+@example(nx=2, p=[0.5, 0.5], n=100, seed=1, tol=0.1, garbled="--n", junk="-1")
+@example(nx=2, p=[0.5, 0.5], n=100, seed=1, tol=0.1, garbled="--n", junk="10001")
+def test_simulate_ends_in_a_report_or_one_error_line(simulate_channels, nx, p, n, seed, tol,
+                                                     garbled, junk):
+    # valid options, or one of them replaced by junk; main must return,
+    # never raise, and the draw budget keeps every case to 10^4 draws
+    options = {"--px": ",".join(repr(v / (sum(p) or 1)) for v in p), "--n": str(n),
+               "--seed": str(seed), "--tol": repr(tol)}
+    if garbled:
+        options[garbled] = junk
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(simulator, "MAX_DRAWS", 10 ** 4), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["simulate", str(simulate_channels[nx]),
+                   *(text for option in options.items() for text in option)])
+    out, err = out.getvalue(), err.getvalue()
+    if rc == 2:  # usage: argparse's usage lines, then one error line
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: jcas simulate ")
+        assert lines[-1].startswith("jcas simulate: error: argument ")
+        assert not any("error:" in line for line in lines[:-1])
+    elif err:
+        assert_one_error_line(rc, out, err)
+    else:  # a report: PASS with status 0 or FAIL with status 1
+        lines = out.splitlines()
+        assert len(lines) == 4 and lines[0].startswith(f"n={int(options['--n'])} ")
+        assert (rc, lines[-1]) in ((0, "PASS"), (1, "FAIL"))

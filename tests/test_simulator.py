@@ -27,6 +27,19 @@ from conftest import oracle_sample_run, random_channel_spec
 SPEC_3ARY = random_channel_spec(np.random.default_rng(5), 3, 2, 2, 3, 3)  # |Y| = 9
 
 
+def _with_plateaus(spec):
+    # kernel row (x, s1, s2) = (0, 0, 0) puts its mass on outputs 3 and 9 of
+    # 16, so its cdf is flat on outputs 0-2, 4-8 and 10-15
+    kernel = spec.kernel.copy()
+    row = np.zeros(spec.ny1 * spec.ny2)
+    row[[3, 9]] = [0.25, 0.75]
+    kernel[0, 0, 0] = row.reshape(spec.ny1, spec.ny2)
+    return make_channel_spec(spec.state_dist, kernel)
+
+
+SPEC_WIDE = _with_plateaus(random_channel_spec(np.random.default_rng(7), 2, 2, 2, 4, 4))
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
 def test_verify_distortion_rejects_bad_tolerance(tol):
     # these used to return passed=False instead of raising
@@ -186,8 +199,12 @@ def test_verify_stderr_on_rescaled_distortion():
     (make_binary_multiplicative(0.3, 0.5), [0.4, 0.6]),
     (SPEC_3ARY, [0.2, 0.3, 0.5]),
     (SPEC_3ARY, [0.0, 0.0, 1.0]),
-], ids=["binary", "3ary", "3ary-px001"])
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    (SPEC_WIDE, [0.5, 0.5]),
+], ids=["binary", "3ary", "3ary-px001", "wide-plateaus"])
+# n on both sides of the first chunk boundary and of the fourth, and past a
+# partial chunk
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5,
+                               4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 12 * CHUNK + 5])
 @pytest.mark.parametrize("seed", [0, 42])
 def test_chunked_draws_equal_one_shot_oracle(spec, p_x, n, seed):
     # 0/1 distortion tables: every partial sum is an exact integer
@@ -196,6 +213,7 @@ def test_chunked_draws_equal_one_shot_oracle(spec, p_x, n, seed):
     assert stats.mean_d1 == mean_d1
     assert stats.mean_d2 == mean_d2
     assert np.array_equal(stats.freq, freq)
+    assert not stats.freq[spec.kernel == 0].any()  # zero-mass outputs
 
 
 def test_numpy_integer_count_and_seed():
@@ -221,15 +239,23 @@ def test_chunked_means_on_general_distortions_within_rounding():
     assert np.array_equal(stats.freq, freq)
 
 
+def _traced_peak(spec, p_x, n):
+    tracemalloc.start()
+    try:
+        sample_run(spec, p_x, n, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_is_flat_in_n():
-    # the one-shot oracle needs about 145 MB at n = 10^6
-    peaks = []
-    for n in (10 ** 6, 4 * 10 ** 6):
-        tracemalloc.start()
-        try:
-            sample_run(SPEC_3ARY, [0.2, 0.3, 0.5], n, 0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    # the one-shot oracle needs about 145 MB at n = 10^6; a chunk that
+    # gathers whole cdf rows (2^16 draws x |Y|) peaked at 4.3 MB with
+    # |Y| = 4 and 11.1 MB with |Y| = 16
+    peaks = [_traced_peak(SPEC_3ARY, [0.2, 0.3, 0.5], n) for n in (10 ** 6, 4 * 10 ** 6)]
     assert max(peaks) < 16 * 2 ** 20
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    narrow = _traced_peak(random_channel_spec(np.random.default_rng(7)), [0.5, 0.5], 10 ** 6)
+    wide = _traced_peak(SPEC_WIDE, [0.5, 0.5], 10 ** 6)  # |Y| = 16
+    assert max(narrow, wide) < 2 * 2 ** 20
+    assert abs(wide - narrow) <= 0.1 * narrow
