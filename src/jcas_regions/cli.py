@@ -128,9 +128,11 @@ def _cmd_region(ns) -> tuple[list[str], int]:
               "envelope, not a converse region", file=sys.stderr)
     elif ns.mode == "single_outer":
         print("note: outer bound on the P_X grid", file=sys.stderr)
-    points = regions.sweep_region(spec, cfg)
-    return _csv("mode,design_tag,r1,r2,r,d1,d2", (
-        (ns.mode, p.design_tag, p.r1, p.r2, p.r, p.d1, p.d2) for p in points)), 0
+    m = ns.mode  # _csv's lines, one f-string per point
+    return ["mode,design_tag,r1,r2,r,d1,d2"] + [
+        f"{m},{p.design_tag},{p.r1:.12g},{p.r2:.12g},,{p.d1:.12g},{p.d2:.12g}"
+        if p.r is None else f"{m},{p.design_tag},,,{p.r:.12g},{p.d1:.12g},{p.d2:.12g}"
+        for p in regions.sweep_region(spec, cfg)], 0
 
 
 def _cmd_example(ns) -> tuple[list[str], int]:

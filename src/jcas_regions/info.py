@@ -491,18 +491,21 @@ def _joint_product(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
     buffer viewed with the axes (K, U, V, X, S1, S2, Y1, Y2).
 
     The products run (((p_u p_v) p_x) P_S) W, so that only the last is more
-    than K |U||V||X||S| cells.  A channel file or a design may hold -0.0;
-    adding 0.0 to the two factors of the last product makes it +0.0, so the
-    joint holds none, as the two-stage sums of :class:`JointBatch` need.
+    than K |U||V||X||S| cells; the first three make one C-order (X, V, U,
+    S1, S2, K) factor, so the last reads both operands in memory order.  A
+    channel file or a design may hold -0.0; adding 0.0 to the two factors
+    of the last product makes it +0.0, so the joint holds none, as the
+    two-stage sums of :class:`JointBatch` need.
     """
     w = spec.kernel
     probs = np.empty((p_x.shape[1], *p_u.shape[1:], *w.shape[1:], len(p_u)))
-    probs = probs.transpose(7, 2, 1, 0, 3, 4, 5, 6)
-    uvx = p_u.transpose(0, 2, 1)[..., None] * p_v.transpose(0, 2, 1)[:, None] \
-        * p_x[:, None, None]
-    uvxs = uvx[..., None, None] * spec.state_dist + 0.0
-    np.multiply(uvxs[..., None, None], w + 0.0, out=probs)
-    return probs
+    uvx = p_u.transpose(1, 2, 0)[None] * p_v.transpose(1, 2, 0)[:, :, None] \
+        * p_x.T[:, None, None]
+    uvxs = np.multiply(uvx[:, :, :, None, None], spec.state_dist[:, :, None],
+                       order="C") + 0.0
+    np.multiply(uvxs[:, :, :, :, :, None, None],
+                (w + 0.0)[:, None, None, :, :, :, :, None], out=probs)
+    return probs.transpose(7, 2, 1, 0, 3, 4, 5, 6)
 
 
 def _pairwise_sum(v: np.ndarray) -> np.ndarray:

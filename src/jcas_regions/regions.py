@@ -48,7 +48,7 @@ from .errors import (
     MixedArity,
     NotDegraded,
 )
-from .estimators import _both_receivers
+from .estimators import _receivers
 from .info import (InputDesign, JointBatch, OutputTableBatch, _check_input_length,
                    build_joint, joint_batches, output_batches)
 
@@ -84,6 +84,12 @@ DOMINANCE_EPS = 1e-12
 #: evaluates; :func:`sweep_region` refuses a larger sweep before any work.
 MAX_SWEEP_DESIGNS = 10 ** 6
 
+#: A sweep makes and filters rate rows in groups of whole P_X: as many as
+#: fit in this many designs (one at least), or a multiple of that where a
+#: chunk completes more.  Larger groups amortise the per-call cost of
+#: ``_rates``; the rows a group holds bound its memory.
+RATE_GROUP = 256
+
 
 @dataclass(frozen=True, kw_only=True)
 class RegionPoint:
@@ -102,12 +108,11 @@ class RegionPoint:
 
     def __post_init__(self):
         ps = self.r1 is not None or self.r2 is not None
-        single = self.r is not None
-        if ps == single:
+        if ps == (self.r is not None):
             raise MixedArity("set either (r1, r2) or r, not both")
         if ps and (self.r1 is None or self.r2 is None):
             raise MixedArity("partial-secrecy points need both r1 and r2")
-        for v in self.rates + self.distortions:
+        for v in ((self.r1, self.r2) if ps else (self.r,)) + (self.d1, self.d2):
             if not math.isfinite(v) or v < 0:
                 raise DomainError(f"coordinates must be finite and >= 0, got {v!r}")
 
@@ -264,9 +269,9 @@ def _rates(mode: _Mode, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a row equal to the one before has its key; only other rows within
     # 1e-14 of it need the keys compared
     new = np.ones(r1.shape, dtype=bool)
-    new[:, 1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=-1)
-    near = new[:, 1:] & np.isclose(rows[:, 1:], rows[:, :-1], rtol=1e-14,
-                                   atol=1e-14).all(axis=-1)
+    new[:, 1:] = (r1[:, 1:] != r1[:, :-1]) | (r2[:, 1:] != r2[:, :-1])
+    near = new[:, 1:] & np.isclose(r1[:, 1:], r1[:, :-1], rtol=1e-14, atol=1e-14) \
+        & np.isclose(r2[:, 1:], r2[:, :-1], rtol=1e-14, atol=1e-14)
     for k, g in zip(*near.nonzero()):
         new[k, g + 1] = [round(v, 15) for v in rows[k, g + 1].tolist()] \
             != [round(v, 15) for v in rows[k, g].tolist()]
@@ -303,7 +308,7 @@ def _evaluate(name: str, spec: ChannelSpec, design,
         batch = OutputTableBatch(spec, design.p_x[None])
     terms = _terms(mode, batch)
     tag = tag if tag is not None else _auto_tag(design)
-    d12 = _both_receivers(spec, design.p_x)[1]
+    [(_, [d12])] = _receivers(spec, design.p_x[None])  # P_X checked above
     return [_point(r, d12, tag) for r in _rates(mode, terms)[0].tolist()]
 
 
@@ -400,10 +405,6 @@ def _simplex_grid(k: int, step: int):
         yield (np.diff((-1, *bars, step + k - 1)) - 1) / step
 
 
-def _sort_key(p: RegionPoint):
-    return tuple(-r for r in p.rates) + p.distortions + (p.design_tag,)
-
-
 def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     """Search the design space and return the Pareto-nondominated points.
 
@@ -417,12 +418,13 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     A sweep of more than ``MAX_SWEEP_DESIGNS`` designs (grid points times
     draws) is refused with :class:`DomainError` before any work.
     Degradedness is checked once per sweep, at ``DEGRADEDNESS_TOL``, and
-    the distortions once per P_X grid point.  The designs, P_X-major, run
-    as one stream through :func:`jcas_regions.info.joint_batches`, in
-    chunks of ``info.BATCH_CELLS`` cells, or at V = X through
+    the distortions of the whole grid come from one batched estimator pass.
+    The designs, P_X-major, run as one stream through
+    :func:`jcas_regions.info.joint_batches`, in chunks of
+    ``info.BATCH_CELLS`` cells, or at V = X through
     :func:`jcas_regions.info.output_batches`.  |U| and |V| are drawn at the
-    mode's cardinality caps, which the evaluators admit.  After each chunk
-    the P_X whose samples are all in make their rate rows together.  Every
+    mode's cardinality caps, which the evaluators admit.  The P_X make
+    their rate rows together, in groups of ``RATE_GROUP`` designs.  Every
     sample at one P_X shares its distortions, so a rate row that another
     row of the same P_X dominates is dropped.  Dominance is transitive, so
     the final filter keeps the same rows either way.  Rows stay arrays
@@ -443,8 +445,7 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     flat = itertools.chain.from_iterable
     p_x = np.fromiter(flat(_simplex_grid(spec.nx, cfg.grid_step)), float,
                       n_px * spec.nx).reshape(n_px, spec.nx)
-    d12 = np.fromiter(flat(_both_receivers(spec, px)[1] for px in p_x), float,
-                      2 * n_px).reshape(n_px, 2)
+    d12 = np.concatenate([d for _, d in _receivers(spec, p_x)])
 
     # V = X reads the channel's output tables; other modes draw one stack
     # of auxiliary channels, shared by every P_X, with a constant U unless
@@ -463,12 +464,13 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
         suffixes = [f";s={j}" for j in range(k)]
 
     # Kept rows (rates, -d1, -d2) and their stream positions, one array of
-    # each per group of whole P_X; tail holds the terms of the P_X whose
-    # samples run on into the next chunk.
+    # each per group of whole P_X, a multiple of size designs but the last;
+    # tail holds the terms of the P_X that wait for the next chunk.
     rows, where, tail, done = [], [], np.empty((0, 3)), 0
+    size = max(1, RATE_GROUP // k) * k
     for terms in map(_terms, itertools.repeat(mode), chunks):  # holds no chunk
         terms = np.concatenate([tail, terms])
-        whole = len(terms) // k * k
+        whole = len(terms) if done + len(terms) == n_px * k else len(terms) // size * size
         if whole:
             kept, at = _px_survivors(mode, terms[:whole], done, k, d12)
             rows.append(kept)
@@ -476,15 +478,15 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
         tail, done = terms[whole:], done + whole
     m, where = np.concatenate(rows), np.concatenate(where)
 
-    points, px_tags = [], {}
+    # The frontier, sorted as plain tuples: rates descending, then the
+    # distortions and the tag ascending.
     front = _pareto_front(m)
-    for rates, at in zip(m[front, :-2].tolist(), where[front].tolist()):
-        i, j = divmod(at, k)
-        if i not in px_tags:
-            px_tags[i] = "|".join(_fmt(v) for v in p_x[i])
-        tag = f"px={px_tags[i]}{suffixes[j]}"
-        points.append(_point(rates, d12[i].tolist(), tag))
-    return sorted(points, key=_sort_key)
+    px, sample = (a.tolist() for a in np.divmod(where[front], k))
+    px_tags = {i: "|".join(_fmt(v) for v in p_x[i]) for i in set(px)}
+    tags = [f"px={px_tags[i]}{suffixes[j]}" for i, j in zip(px, sample)]
+    keys = sorted(zip(*(-m[front, :-2]).T.tolist(), *d12[px].T.tolist(), tags))
+    return [_point((-key[0], -key[1]) if mode.ps else (-key[0],), key[-3:-1], key[-1])
+            for key in keys]
 
 
 def _px_survivors(mode: _Mode, terms: np.ndarray, start: int, k: int,
@@ -525,14 +527,14 @@ def _dominated(rates: np.ndarray, by: np.ndarray | None = None,
     if len(by) == 1:
         b = by[0]
         return (rates <= b).all(axis=1) & (weak | (b > rates + DOMINANCE_EPS).any(axis=1))
-    order = np.argsort(-by[:, 0], kind="stable")
+    order = (-by[:, 0]).argsort(kind="stable")
     best_last = np.maximum.accumulate(by[order, -1])
     ascending = by[order[::-1], 0]
 
     def best(t, side):
         # highest last rate among rows of ``by`` whose first rate is >= t
         # (side "left") or > t (side "right"); -inf where there is none
-        n = len(order) - np.searchsorted(ascending, t, side=side)
+        n = len(order) - ascending.searchsorted(t, side)
         return np.where(n > 0, best_last[n - 1], -np.inf)
 
     first, last = rates[:, 0], rates[:, -1]

@@ -474,6 +474,30 @@ _JUNK = st.one_of(
 )
 
 
+def _ends_in_a_report_or_one_error_line(argv, check_report):
+    """Run main(argv) in process and return its status: a usage error
+    (status 2) is argparse's usage lines and one error line, a domain error
+    (status 1) is one ``error:`` line, and anything else is a report that
+    ``check_report(rc, lines)`` accepts.  A traceback fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    out, err = out.getvalue(), "".join(
+        line for line in err.getvalue().splitlines(keepends=True)
+        if not line.startswith("note: "))
+    if rc == 2:
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: jcas {argv[0]} ")
+        assert lines[-1].startswith(f"jcas {argv[0]}: error: argument ")
+        assert not any("error:" in line for line in lines[:-1])
+    elif err:
+        assert_one_error_line(rc, out, err)
+    else:
+        check_report(rc, out.splitlines())
+    return rc
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(nx=st.sampled_from([2, 3]), p=st.lists(st.floats(0, 1), min_size=2, max_size=3),
        n=st.integers(1, 10 ** 4), seed=st.integers(0, 2 ** 70), tol=st.floats(0, 1),
@@ -491,21 +515,124 @@ def test_simulate_ends_in_a_report_or_one_error_line(simulate_channels, nx, p, n
                "--seed": str(seed), "--tol": repr(tol)}
     if garbled:
         options[garbled] = junk
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(simulator, "MAX_DRAWS", 10 ** 4), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["simulate", str(simulate_channels[nx]),
-                   *(text for option in options.items() for text in option)])
-    out, err = out.getvalue(), err.getvalue()
-    if rc == 2:  # usage: argparse's usage lines, then one error line
-        assert out == ""
-        lines = err.splitlines()
-        assert lines[0].startswith("usage: jcas simulate ")
-        assert lines[-1].startswith("jcas simulate: error: argument ")
-        assert not any("error:" in line for line in lines[:-1])
-    elif err:
-        assert_one_error_line(rc, out, err)
-    else:  # a report: PASS with status 0 or FAIL with status 1
-        lines = out.splitlines()
+
+    def report(rc, lines):  # PASS with status 0 or FAIL with status 1
         assert len(lines) == 4 and lines[0].startswith(f"n={int(options['--n'])} ")
         assert (rc, lines[-1]) in ((0, "PASS"), (1, "FAIL"))
+
+    with mock.patch.object(simulator, "MAX_DRAWS", 10 ** 4):
+        _ends_in_a_report_or_one_error_line(
+            ["simulate", str(simulate_channels[nx]),
+             *(text for option in options.items() for text in option)], report)
+
+
+@pytest.fixture(scope="module")
+def region_channels(tmp_path_factory):
+    """The binary channel, its receiver swap and a random 3-ary channel, by
+    name, as channel files."""
+    binary = make_binary_multiplicative(0.5, 0.5)
+    specs = {"binary": binary, "swapped": jcas_regions.swap_receivers(binary),
+             "3ary": random_channel_spec(np.random.default_rng(8), 3, 2, 2, 3, 2)}
+    paths = {}
+    for name, spec in specs.items():
+        paths[name] = tmp_path_factory.mktemp("region") / f"{name}.json"
+        paths[name].write_text(serialize_channel_spec(spec))
+    return paths
+
+
+@pytest.mark.parametrize("mode", regions.MODES)
+@pytest.mark.parametrize("channel", ["binary", "3ary"])
+def test_region_stdout_is_the_csv_of_the_sweep_points(capsys, region_channels, mode,
+                                                      channel):
+    # the CLI writes each point with one f-string; _csv over the points'
+    # fields, as every other report is written, is the oracle
+    if channel == "binary" and mode.endswith("_rev"):
+        channel = "swapped"
+    path = str(region_channels[channel])
+    if "_exact_" in mode and channel == "3ary":
+        mode = {"ps_exact_deg": "ps_inner", "ps_exact_rev": "ps_outer",
+                "single_exact_deg": "single_inner",
+                "single_exact_rev": "single_outer"}[mode]
+    rc, out, _ = run(capsys, ["region", path, "--mode", mode, "--grid", "6",
+                              "--samples", "3", "--seed", "5"])
+    points = regions.sweep_region(cli._read_spec(path), regions.SearchConfig(
+        mode=mode, grid_step=6, n_samples=3, seed=5))
+    expect = cli._csv("mode,design_tag,r1,r2,r,d1,d2", [
+        (mode, p.design_tag, p.r1, p.r2, p.r, p.d1, p.d2) for p in points])
+    assert rc == 0
+    assert out == "\n".join(expect) + "\n"
+
+
+_REGION_JUNK = st.one_of(st.sampled_from(["", "0", "1", "-1", "nan", "1e3", "2.5", "x", "9" * 30]),
+                         st.text(max_size=6))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(channel=st.sampled_from(["binary", "swapped", "3ary"]),
+       mode=st.sampled_from(regions.MODES), grid=st.integers(2, 8),
+       samples=st.integers(1, 4), seed=st.integers(0, 2 ** 70), threads=st.integers(1, 3),
+       garbled=st.sampled_from([None] * 5 + ["--mode", "--grid", "--samples", "--seed",
+                                             "--threads"]), junk=_REGION_JUNK)
+@example(channel="swapped", mode="ps_exact_deg", grid=4, samples=2, seed=0, threads=1,
+         garbled=None, junk="")
+@example(channel="3ary", mode="ps_inner", grid=8, samples=4, seed=0, threads=1,
+         garbled=None, junk="")
+@example(channel="binary", mode="single_outer", grid=8, samples=1, seed=0, threads=2,
+         garbled="--grid", junk="0")
+def test_region_ends_in_a_frontier_or_one_error_line(region_channels, channel, mode, grid,
+                                                     samples, seed, threads, garbled, junk):
+    # the design budget is patched down to 40, so that larger sweeps end in
+    # its one-line refusal and no case starts a large run
+    options = {"--mode": mode, "--grid": str(grid), "--samples": str(samples),
+               "--seed": str(seed), "--threads": str(threads)}
+    if garbled:
+        options[garbled] = junk
+
+    def frontier(rc, lines):
+        assert rc == 0 and lines[0] == "mode,design_tag,r1,r2,r,d1,d2" and len(lines) > 1
+        assert all(line.startswith(f"{mode},px=") and line.count(",") == 6
+                   for line in lines[1:])
+
+    with mock.patch.object(regions, "MAX_SWEEP_DESIGNS", 40):
+        _ends_in_a_report_or_one_error_line(
+            ["region", str(region_channels[channel]),
+             *(text for option in options.items() for text in option)], frontier)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(channel=st.sampled_from(["binary", "3ary"]),
+       p=st.lists(st.floats(0, 1), min_size=1, max_size=4), junk=st.none() | _JUNK)
+@example(channel="3ary", p=[0.5, 0.5], junk=None)
+@example(channel="binary", p=[0.0, 1.0], junk=None)
+def test_estimator_ends_in_tables_or_one_error_line(region_channels, channel, p, junk):
+    # a P_X of the wrong length is a domain error (status 1), one that is no
+    # distribution a usage error (status 2)
+    px = ",".join(repr(v / (sum(p) or 1)) for v in p) if junk is None else junk
+    nx = 2 if channel == "binary" else 3
+
+    def tables(rc, lines):
+        assert rc == 0 and lines[0] == "x,y1,y2,shat1,shat2"
+        assert lines[-2].startswith("expected_d1,") and lines[-1].startswith("expected_d2,")
+
+    rc = _ends_in_a_report_or_one_error_line(
+        ["estimator", str(region_channels[channel]), "--px", px], tables)
+    if junk is None and len(p) != nx and sum(p) > 0:
+        assert rc == 1
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(values=st.lists(st.floats(0, 1) | st.sampled_from([0.0, 1.0, 0.5, -0.5, 1.5]),
+                       min_size=4, max_size=4),
+       garbled=st.sampled_from([None] * 4 + ["--q", "--alpha", "--p", "--tol"]), junk=_JUNK)
+@example(values=[0.5, 0.5, 0.5, 1e-9], garbled=None, junk="")
+@example(values=[1.0, 1.0, 0.0, 0.0], garbled=None, junk="")
+def test_crosscheck_ends_in_a_report_or_one_error_line(values, garbled, junk):
+    options = dict(zip(["--q", "--alpha", "--p", "--tol"], map(repr, values)))
+    if garbled:
+        options[garbled] = junk
+
+    def report(rc, lines):
+        assert len(lines) == 4 and (rc, lines[0]) in ((0, "PASS"), (1, "FAIL"))
+
+    _ends_in_a_report_or_one_error_line(
+        ["crosscheck", *(text for option in options.items() for text in option)], report)

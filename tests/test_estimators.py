@@ -1,17 +1,29 @@
 import itertools
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jcas_regions import (
     DegenerateInput,
     DimensionMismatch,
     EstimatorTable,
+    InputDesign,
+    exact_region_degraded_single,
     expected_distortion,
+    inner_bound_ps,
     make_binary_multiplicative,
+    make_channel_spec,
+    outer_bound_ps,
+    outer_bound_single,
+    sample_run,
     synthesize_estimator,
 )
-from jcas_regions.estimators import _both_receivers
+from jcas_regions import info
+from jcas_regions.estimators import _both_receivers, _receivers
 from conftest import random_channel_spec
 
 
@@ -202,3 +214,122 @@ def test_both_receivers_equal_the_public_functions(sizes):
             ref = synthesize_estimator(spec, p_x, j)
             assert np.array_equal(table, ref.table)
             assert dist == expected_distortion(spec, p_x, ref, j)
+
+
+def _random_receivers_case(seed, sizes, m, sparse):
+    """A channel with integer-valued distortions (so costs tie) and, where
+    ``sparse``, zero-mass states and kernel cells; and m input laws, every
+    other one with a zero entry where nx > 1."""
+    nx, ns1, ns2, ny1, ny2 = sizes
+    rng = np.random.default_rng(seed)
+    state = rng.dirichlet(np.ones(ns1 * ns2))
+    kernel = rng.dirichlet(np.ones(ny1 * ny2), size=nx * ns1 * ns2)
+    if sparse:
+        state[rng.random(state.size) < 0.3] = 0.0
+        state[rng.integers(state.size)] += 0.5
+        kernel[rng.random(kernel.shape) < 0.4] = 0.0
+        kernel[np.arange(len(kernel)), rng.integers(ny1 * ny2, size=len(kernel))] += 0.5
+    d1 = rng.integers(0, 3, size=(ns1, rng.integers(1, 4))).astype(float)
+    d2 = rng.integers(0, 3, size=(ns2, rng.integers(1, 4))).astype(float)
+    spec = make_channel_spec((state / state.sum()).reshape(ns1, ns2),
+                             (kernel / kernel.sum(axis=1, keepdims=True))
+                             .reshape(nx, ns1, ns2, ny1, ny2), d1, d2)
+    p_x = rng.dirichlet(np.ones(nx), size=m)
+    if nx > 1:
+        p_x[::2, 0] = 0.0
+    return spec, p_x / p_x.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2, 7, 65]),
+       sizes=st.tuples(*[st.integers(1, 4)] * 3, *[st.integers(1, 9)] * 2),
+       sparse=st.booleans(), designs_per_chunk=st.sampled_from([1, 3, 64, None]))
+@example(seed=0, m=65, sizes=(2, 2, 2, 2, 2), sparse=True, designs_per_chunk=7)
+@example(seed=1, m=7, sizes=(3, 4, 4, 9, 9), sparse=True, designs_per_chunk=3)
+def test_receivers_equal_both_receivers_and_the_public_functions(seed, m, sizes, sparse,
+                                                                 designs_per_chunk):
+    # a stack of M input laws, in chunks of designs_per_chunk joints (the
+    # default budget where None), gives every row the bits of the M = 1
+    # pass and of the public functions
+    spec, p_x = _random_receivers_case(seed, sizes, m, sparse)
+    cells = info.BATCH_CELLS if designs_per_chunk is None \
+        else designs_per_chunk * spec.kernel.size
+    with mock.patch.object(info, "BATCH_CELLS", cells):
+        chunks = list(_receivers(spec, p_x))
+    step = max(1, cells // spec.kernel.size)
+    assert [len(d) for _, d in chunks] == [step] * (m // step) + [m % step] * (m % step > 0)
+    tables = [np.concatenate(t) for t in zip(*(t for t, _ in chunks))]
+    d = [pair for _, chunk in chunks for pair in chunk]
+    assert len(d) == m
+    for i, row in enumerate(p_x):
+        one_tables, one_d = _both_receivers(spec, row)
+        assert d[i] == one_d
+        for j in (1, 2):
+            ref = synthesize_estimator(spec, row, j)
+            assert np.array_equal(tables[j - 1][i], ref.table)
+            assert np.array_equal(one_tables[j - 1], ref.table)
+            assert d[i][j - 1] == expected_distortion(spec, row, ref, j)
+
+
+def test_receivers_memory_stays_flat_in_the_number_of_input_laws():
+    # one chunk's joint and scratch at a time: 20 chunks' worth of input
+    # laws peak where one chunk does, plus the chunk the caller still holds
+    spec = random_channel_spec(np.random.default_rng(3), 3, 2, 2, 3, 3)
+    step = info.BATCH_CELLS // spec.kernel.size
+    rng = np.random.default_rng(4)
+
+    def peak_bytes(m):
+        p_x = rng.dirichlet(np.ones(3), size=m)
+        tracemalloc.start()
+        try:
+            for _ in _receivers(spec, p_x):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, many = peak_bytes(step), peak_bytes(20 * step)
+    # both tables, and a tuple of two floats per row (under 128 bytes)
+    held = step * (2 * spec.nx * spec.ny1 * spec.ny2 * 8 + 128)
+    assert one > step * spec.kernel.size * 8  # the chunk's joint is traced
+    assert many <= one + held + 2 ** 16, (one, many, held)
+
+
+_BAD_PX = {"2-D": [[0.5, 0.5]], "length": [0.2, 0.3, 0.5], "nan": [math.nan, 1.0],
+           "negative": [-0.5, 1.5], "unnormalised": [0.5, 0.6]}
+_NOT_A_DISTRIBUTION = (DegenerateInput, "p_x is not a probability distribution")
+
+
+@pytest.mark.parametrize("bad", _BAD_PX)
+def test_bad_input_law_errors_on_the_estimator_path(bad):
+    # one check of P_X, before any joint: its class and message
+    spec = make_binary_multiplicative(0.5, 0.5)
+    shape = {"2-D": "(1, 2)", "length": "(3,)"}.get(bad)
+    cls, message = _NOT_A_DISTRIBUTION if shape is None else (
+        DegenerateInput, f"p_x must be a vector of length 2, got shape {shape}")
+    table = synthesize_estimator(spec, [0.5, 0.5], 1)
+    for call in (lambda p: _both_receivers(spec, p),
+                 lambda p: synthesize_estimator(spec, p, 2),
+                 lambda p: expected_distortion(spec, p, table, 1),
+                 lambda p: sample_run(spec, p, 10, 0)):
+        with pytest.raises(cls) as e:
+            call(_BAD_PX[bad])
+        assert (type(e.value), str(e.value)) == (cls, message)
+
+
+@pytest.mark.parametrize("bad", _BAD_PX)
+def test_bad_input_law_errors_on_the_evaluator_path(bad):
+    # InputDesign and the alphabet check refuse P_X before the distortions
+    spec = make_binary_multiplicative(0.5, 0.5)
+    cls, message = {"2-D": (DimensionMismatch, "p_x must be a vector"),
+                    "length": (DimensionMismatch,
+                               "p_x has 3 entries for an input alphabet of 2")
+                    }.get(bad, _NOT_A_DISTRIBUTION)
+    for call in (lambda p: outer_bound_single(spec, p),
+                 lambda p: exact_region_degraded_single(spec, p),
+                 lambda p: inner_bound_ps(spec, InputDesign(p_x=np.asarray(p, dtype=float))),
+                 lambda p: outer_bound_ps(spec, InputDesign(
+                     p_x=np.asarray(p, dtype=float), p_v_given_x=np.eye(2)))):
+        with pytest.raises(cls) as e:
+            call(_BAD_PX[bad])
+        assert (type(e.value), str(e.value)) == (cls, message)

@@ -484,10 +484,11 @@ def test_sweep_equals_filtered_wrapper_outputs(mode, spec, grid, n_samples):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_sweep_classifies_once_and_synthesizes_once_per_px(mode, monkeypatch):
-    calls = {"classify_degradedness": 0, "_both_receivers": 0}
+    # the estimator pass is one batched call; it counts the P_X it is given
+    calls = {"classify_degradedness": 0, "_receivers": 0}
     for name in calls:
         def counted(*args, _fn=getattr(regions, name), _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name] += len(args[1]) if _name == "_receivers" else 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(regions, name, counted)
     grid = 4
@@ -495,7 +496,7 @@ def test_sweep_classifies_once_and_synthesizes_once_per_px(mode, monkeypatch):
         mode=mode, grid_step=grid, n_samples=3, seed=1))
     assert calls["classify_degradedness"] == (1 if "_exact_" in mode else 0)
     # one estimator pass (both receivers) at each of the grid + 1 binary P_X
-    assert calls["_both_receivers"] == grid + 1
+    assert calls["_receivers"] == grid + 1
 
 
 @pytest.mark.parametrize("mode", ["ps_inner", "single_inner"])
@@ -577,20 +578,62 @@ def test_sweep_points_do_not_depend_on_chunk_size(mode, channel, monkeypatch):
         assert sweep_region(spec, cfg) == default, per_chunk
 
 
+def _three_ary_spec(mode):
+    rng = np.random.default_rng(37)
+    make = random_reverse_degraded_spec if mode.endswith("_rev") else \
+        random_degraded_spec if "_exact_" in mode else random_channel_spec
+    return make(rng, nx=3, ny1=3, ny2=2)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("channel", ["binary", "random-3ary"])
+def test_sweep_points_do_not_depend_on_the_rate_group(mode, channel, monkeypatch):
+    # rate rows made and filtered one P_X at a time (groups of one design
+    # and chunks of one design), per chunk's whole P_X, and the whole grid
+    # at once give the default's points
+    spec = mode_spec(mode) if channel == "binary" else _three_ary_spec(mode)
+    cfg = SearchConfig(mode=mode, grid_step=5, n_samples=3, seed=4)
+    default = sweep_region(spec, cfg)
+    n_px = math.comb(5 + spec.nx - 1, spec.nx - 1)
+    row, caps = regions._MODE_TABLE[mode], cardinality_caps(spec)
+    k = 3 if row.aux else 1
+    one_design = spec._output_tables[0].size if not row.aux else \
+        getattr(caps, row.v_cap) * (caps.u if row.aux == "UV" else 1) * spec.kernel.size
+    calls = []
+
+    def counted(mode, terms, *args):
+        calls.append(len(terms))
+        return survivors(mode, terms, *args)
+
+    survivors = regions._px_survivors
+    monkeypatch.setattr(regions, "_px_survivors", counted)
+    for group, cells in ((1, one_design), (1, info.BATCH_CELLS), (10 ** 9, info.BATCH_CELLS)):
+        monkeypatch.setattr(regions, "RATE_GROUP", group)
+        monkeypatch.setattr(info, "BATCH_CELLS", cells)
+        calls.clear()
+        assert sweep_region(spec, cfg) == default, (group, cells)
+        assert sum(calls) == n_px * k and all(c % k == 0 for c in calls)
+        if group == 1 and cells == one_design:
+            assert calls == [k] * n_px
+        if group > n_px * k:
+            assert calls == [n_px * k]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
 @pytest.mark.parametrize("column", [0, 1], ids=["d1", "d2"])
 def test_sweep_refuses_bad_distortions_before_the_filter(monkeypatch, bad, column):
     # RegionPoint checks only the frontier now; the rows reaching the final
     # filter are checked as one array
     def with_bad(spec, p_x):
-        tables, d12 = original(spec, p_x)
-        return tables, tuple(bad if i == column else d for i, d in enumerate(d12))
+        for tables, d12 in original(spec, p_x):
+            yield tables, [tuple(bad if i == column else d for i, d in enumerate(pair))
+                           for pair in d12]
 
     def no_point(*args):
         raise AssertionError("a point was built")
 
-    original = regions._both_receivers
-    monkeypatch.setattr(regions, "_both_receivers", with_bad)
+    original = regions._receivers
+    monkeypatch.setattr(regions, "_receivers", with_bad)
     monkeypatch.setattr(regions, "_point", no_point)
     with pytest.raises(DomainError, match="finite and >= 0"):
         sweep_region(binary_spec(), SearchConfig(mode="ps_outer", grid_step=2))
