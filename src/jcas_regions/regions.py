@@ -169,6 +169,14 @@ def _auto_tag(design: InputDesign) -> str:
 # JointBatch, one value per design; v names the auxiliary the bound is taken
 # over ("V", or "X" when the mode fixes V = X).  Single-message modes ignore
 # the r1 bound.
+#
+# The inner caps are [wiretap difference]^+ + H(Y1|Y2,S2,V), the last term
+# the key that output feedback shares with receiver 1 (Ahlswede & Cai,
+# 2006).  They are returned clipped at the budget, which every rate row
+# reads them under anyway, and where the key covers the budget for every
+# design of the batch the wiretap difference is skipped: adding a value
+# >= 0 never rounds below the key, so the clipped cap is the budget, bit
+# for bit, either way.
 
 
 def _pos(a: np.ndarray) -> np.ndarray:
@@ -177,20 +185,20 @@ def _pos(a: np.ndarray) -> np.ndarray:
 
 
 def _inner_ps_terms(j, v):
-    r1max = j.mutual_information("U", "Y1", "S1")
-    i_v_y1 = j.mutual_information(v, "Y1", "S1")
-    r2_cap = _pos(
-        j.mutual_information(v, "Y1", ("S1", "U"))
-        - j.mutual_information(v, "Y2", ("S2", "U"))
-    ) + j.entropy("Y1", ("Y2", "S2", v))
-    return r1max, r2_cap, i_v_y1
+    budget = j.mutual_information(v, "Y1", "S1")
+    cap = j.entropy("Y1", ("Y2", "S2", v))  # the key
+    if not (cap >= budget).all():
+        cap = _pos(j.mutual_information(v, "Y1", ("S1", "U"))
+                   - j.mutual_information(v, "Y2", ("S2", "U"))) + cap
+    return j.mutual_information("U", "Y1", "S1"), np.minimum(cap, budget), budget
 
 
 def _inner_single_terms(j, v):
-    i_v_y1 = j.mutual_information(v, "Y1", "S1")
-    rpp = _pos(i_v_y1 - j.mutual_information(v, "Y2", "S2")) \
-        + j.entropy("Y1", ("Y2", "S2", v))
-    return i_v_y1, rpp, i_v_y1
+    budget = j.mutual_information(v, "Y1", "S1")
+    cap = j.entropy("Y1", ("Y2", "S2", v))  # the key
+    if not (cap >= budget).all():
+        cap = _pos(budget - j.mutual_information(v, "Y2", "S2")) + cap
+    return budget, np.minimum(cap, budget), budget
 
 
 def _outer_terms(j, v):

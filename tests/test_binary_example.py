@@ -117,6 +117,34 @@ def test_baseline_strictly_dominated_at_half():
     print(f"separation gap at lambda=0.5: {best:.6f} bits")
 
 
+def test_joint_design_beats_separation_on_the_whole_lattice():
+    # the paper's headline on the 17 x 17 (q, alpha) lattice, with p and
+    # lambda grids of 64.  The gain of a cell is its best margin, over
+    # baseline points, of the highest closed-form rate at distortions no
+    # worse than the point's: strict off {q = 0} u {alpha = 1} (256 cells),
+    # a tie on it (33), where the eavesdropper sees all that receiver 1
+    # sees, or q = 0 leaves nothing to send.  Never worse: every baseline
+    # point lies in the exact region, at p = 1 - lambda (1 - p*), where the
+    # distortions are the point's and the concave rate is at least its own
+    margin, gains = 1e-12, {}
+    for i, k in itertools.product(range(17), repeat=2):
+        q, alpha = i / 16, k / 16
+        front = closed_form_sweep(q, alpha, 64)
+        gains[i, k] = max(
+            max(c.r for c in front if c.d1 <= b.d1 and c.d2 <= b.d2) - b.r
+            for b in separation_baseline(q, alpha, 64))
+        for b in separation_baseline(q, alpha, 64):
+            c = closed_form_point(q, alpha, 1 - b.lam * (1 - b.p))
+            assert c.r >= b.r - margin and c.d1 <= b.d1 + margin \
+                and c.d2 <= b.d2 + margin, (q, alpha, b)
+    ties = {cell for cell, gain in gains.items() if abs(gain) <= margin}
+    assert ties == {(i, k) for i, k in gains if i == 0 or k == 16}
+    assert sum(gain > margin for gain in gains.values()) == 256
+    # a full bit where both distortions are 0 at every p (q = 1, alpha = 0)
+    assert gains[16, 0] == 1.0 and max(gains.values()) == 1.0
+    assert gains[8, 8] == pytest.approx(0.161, abs=5e-4)
+
+
 def test_crosscheck_reference_and_degenerate():
     assert crosscheck(0.5, 0.5, 0.5, 1e-9).passed
     rep = crosscheck(0.0, 0.3, 0.6, 1e-9)

@@ -599,6 +599,79 @@ def test_region_ends_in_a_frontier_or_one_error_line(region_channels, channel, m
              *(text for option in options.items() for text in option)], frontier)
 
 
+_LEAF_JUNK = st.sampled_from([None, True, "0.5", "x", -1, 0, 1, 2, 0.5, -0.5, 1.5, 1e-320,
+                              2 ** 70, float("nan"), float("inf"), -float("inf"), [], {},
+                              [0.5], [[0.5, 0.5]]])
+
+
+@st.composite
+def _channel_files(draw, texts):
+    """The bytes of a channel file: one of ``texts`` as it is, or with one
+    key dropped, one value replaced, one probability nudged, one alphabet
+    size moved, its text cut short, or junk in its place."""
+    name = draw(st.sampled_from(sorted(texts)))
+    doc = json.loads(texts[name])
+    kind = draw(st.sampled_from(["valid", "valid", "drop", "replace", "nudge", "resize",
+                                 "truncate", "junk"]))
+    if kind == "truncate":
+        return texts[name][:draw(st.integers(0, len(texts[name]) - 1))].encode()
+    if kind == "junk":
+        return draw(st.binary(max_size=12) | st.text(max_size=12).map(str.encode))
+    if kind == "resize":
+        key = draw(st.sampled_from(sorted(doc["alphabets"])))
+        doc["alphabets"][key] += draw(st.sampled_from([-2, -1, 1, 10 ** 6]))
+    elif kind != "valid":
+        # walk to a random node of one top-level entry
+        parent, key = doc, draw(st.sampled_from(sorted(doc)))
+        while isinstance(parent[key], (list, dict)) and draw(st.booleans()):
+            parent, key = parent[key], draw(st.sampled_from(
+                sorted(parent[key]) if isinstance(parent[key], dict)
+                else range(len(parent[key]))))
+        if kind == "drop":
+            del parent[key]
+        elif kind == "replace":
+            parent[key] = draw(_LEAF_JUNK)
+        elif isinstance(parent[key], float):
+            parent[key] = parent[key] * (1 + draw(st.sampled_from([1e-12, 1e-6, 0.1])))
+    return json.dumps(doc).encode()
+
+
+# The text of a valid channel file, by name: the binary channel, its receiver
+# swap, a random 3-ary channel and one with a single input symbol.
+_REGION_FILES = {name: serialize_channel_spec(spec) for name, spec in {
+    "binary": make_binary_multiplicative(0.5, 0.5),
+    "swapped": swap_receivers(make_binary_multiplicative(0.5, 0.5)),
+    "3ary": random_channel_spec(np.random.default_rng(8), 3, 2, 2, 3, 2),
+    "1ary": random_channel_spec(np.random.default_rng(9), 1, 1, 2, 2, 1)}.items()}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=_channel_files(_REGION_FILES), mode=st.sampled_from(regions.MODES),
+       grid=st.integers(2, 4), samples=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+@example(data=_REGION_FILES["swapped"].encode(), mode="ps_exact_rev", grid=4, samples=3,
+         seed=0)
+@example(data=_REGION_FILES["1ary"].encode(), mode="ps_inner", grid=2, samples=1, seed=0)
+@example(data=b"\xff\xfe{}", mode="single_inner", grid=2, samples=1, seed=0)
+@example(data=b"", mode="ps_outer", grid=2, samples=1, seed=0)
+def test_region_on_any_channel_file_ends_in_a_frontier_or_one_error_line(
+        tmp_path_factory, data, mode, grid, samples, seed):
+    # valid and malformed channel files through every mode; the design
+    # budget is patched down to 40, so no case starts a large run
+    path = tmp_path_factory.getbasetemp() / "region-fuzz.json"
+    path.write_bytes(data)
+
+    def frontier(rc, lines):
+        assert rc == 0 and lines[0] == "mode,design_tag,r1,r2,r,d1,d2" and len(lines) > 1
+        assert all(line.startswith(f"{mode},px=") and line.count(",") == 6
+                   for line in lines[1:])
+
+    with mock.patch.object(regions, "MAX_SWEEP_DESIGNS", 40):
+        rc = _ends_in_a_report_or_one_error_line(
+            ["region", str(path), "--mode", mode, "--grid", str(grid),
+             "--samples", str(samples), "--seed", str(seed)], frontier)
+    assert rc in (0, 1)
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(channel=st.sampled_from(["binary", "3ary"]),
        p=st.lists(st.floats(0, 1), min_size=1, max_size=4), junk=st.none() | _JUNK)

@@ -713,6 +713,8 @@ def test_simplex_grid_is_lazy_and_complete(k, step):
 
 
 # The rate terms of each mode on one design through the scalar reference API.
+# The inner caps are the paper's, unclipped; the kernel returns them clipped
+# at the budget (_clipped), which every rate row reads them under.
 def _inner_ps_reference(joint, v):
     r2_cap = pos_part(
         mutual_information(joint, v, "Y1", ("S1", "U"))
@@ -727,6 +729,22 @@ def _inner_single_reference(joint, v):
     rpp = pos_part(i_v_y1 - mutual_information(joint, v, "Y2", "S2")) \
         + entropy(joint, "Y1", ("Y2", "S2", v))
     return i_v_y1, rpp, i_v_y1
+
+
+# The one marginal an inner mode's terms cache only when they compute the
+# wiretap difference.
+WIRETAP_MARGINAL = {"ps_inner": frozenset({"V", "S2", "U"}),
+                    "single_inner": frozenset({"V", "S2"})}
+
+
+def _key_covers_budget(joint):
+    # the feedback key H(Y1|Y2,S2,V) against the budget I(V;Y1|S1)
+    return entropy(joint, "Y1", ("Y2", "S2", "V")) >= mutual_information(joint, "V", "Y1", "S1")
+
+
+def _clipped(mode, terms):
+    r1max, cap, budget = terms
+    return (r1max, min(cap, budget), budget) if mode in WIRETAP_MARGINAL else terms
 
 
 def _outer_reference(joint, v):
@@ -756,6 +774,13 @@ REFERENCE_TERMS = {
 VX_MODES = [m for m in MODES if not regions._MODE_TABLE[m].aux]
 
 
+# The inner parametrizations of test_batched_terms_equal_per_design_reference
+# with a design whose key falls short of its budget, so that the wiretap
+# difference is computed; every other batch skips it.
+_SHORT_KEY = {("ps_inner", "binary"), ("ps_inner", "swapped"),
+              ("single_inner", "binary")}
+
+
 @pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("channel", ["random-3ary", "binary", "swapped"])
 @pytest.mark.parametrize("mode", MODES)
@@ -766,7 +791,10 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
     # binary channels have zero-mass cells, so their entropies take the
     # per-row path.  The V = X modes take their terms from the channel's
     # output tables instead, within 1e-12 of the reference (a P_X gives the
-    # same bits in a sweep as in an evaluator, whatever the chunk)
+    # same bits in a sweep as in an evaluator, whatever the chunk).  The
+    # inner modes return their cap clipped at the budget, and skip the
+    # wiretap difference in exactly the batches where every design's key
+    # covers its budget
     rng = np.random.default_rng(60 + MODES.index(mode))
     spec = {"random-3ary": random_channel_spec(rng, nx=3, ny1=3, ny2=3),
             "binary": binary_spec(),
@@ -780,6 +808,10 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
     # one-category Dirichlet rows are not always exactly 1.0
     p_u = rng.dirichlet(np.ones(nu), size=(n, nv)) if row.aux == "UV" \
         else np.ones((n, nv, 1))
+    if row.aux:
+        # the first design is V = X, whose key falls short of its budget on
+        # the binary channels
+        p_v[0] = np.eye(spec.nx, nv)
     if chunked:
         # three designs per batch, so chunks cross P_X boundaries; two P_X
         # per V = X batch, so the three P_X take two batches
@@ -791,17 +823,124 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
                    else info.output_batches(spec, p_xs))
     assert row.aux or len(batches) == (2 if chunked else 1)
     got = np.concatenate([regions._terms(row, batch) for batch in batches])
-    expect = []
+    expect, covers = [], []
     for p_x in p_xs:
         for k in range(n):
             design = InputDesign(p_x=p_x, p_v_given_x=p_v[k] if row.aux else None,
                                  p_u_given_v=p_u[k] if row.aux == "UV" else None)
-            expect.append(REFERENCE_TERMS[mode](
-                build_joint(spec, design), "V" if row.aux else "X"))
+            joint = build_joint(spec, design)
+            expect.append(_clipped(mode, REFERENCE_TERMS[mode](
+                joint, "V" if row.aux else "X")))
+            if mode in WIRETAP_MARGINAL:
+                covers.append(_key_covers_budget(joint))
     if row.aux:
         assert got.tolist() == [list(t) for t in expect]
     else:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+    if mode in WIRETAP_MARGINAL:
+        skipped = [WIRETAP_MARGINAL[mode] not in batch._h for batch in batches]
+        ends = np.cumsum([0] + [len(batch.probs) for batch in batches])
+        assert skipped == [all(covers[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+        assert all(skipped) == ((mode, channel) not in _SHORT_KEY)
+        assert any(skipped) or not chunked
+
+
+def _copy_spec(rng, nx, ns1, ns2, ny1, ny2, eps):
+    """A random spec whose Y2 is Y1 (mod |Y2|) but for noise of weight
+    ``eps``: the key H(Y1|Y2,S2,V) is then about 0, short of most budgets."""
+    base = random_channel_spec(rng, nx, ns1, ns2, ny1, 1).kernel[..., 0]
+    copy = (1 - eps) * np.eye(ny2)[np.arange(ny1) % ny2] + eps / ny2
+    return make_channel_spec(random_channel_spec(rng, 1, ns1, ns2).state_dist,
+                             base[..., None] * copy)
+
+
+def _sweep_designs(spec, cfg):
+    """The designs of an inner sweep, in stream order, drawn as
+    :func:`sweep_region` draws them."""
+    caps = cardinality_caps(spec)
+    nv = getattr(caps, V_CAPS[cfg.mode])
+    rng = np.random.default_rng(cfg.seed)
+    draws = []
+    for _ in range(cfg.n_samples):
+        p_v = rng.dirichlet(np.ones(nv), size=spec.nx)
+        p_u = rng.dirichlet(np.ones(caps.u), size=nv) if cfg.mode == "ps_inner" else None
+        draws.append((p_v, p_u))
+    return [InputDesign(p_x=p_x, p_v_given_x=p_v, p_u_given_v=p_u)
+            for p_x in regions._simplex_grid(spec.nx, cfg.grid_step)
+            for p_v, p_u in draws]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(alphabets=st.tuples(*[st.integers(1, 3)] * 5), copy=st.booleans(),
+       eps=st.sampled_from([0.0, 1e-3, 0.05]), mode=st.sampled_from(sorted(WIRETAP_MARGINAL)),
+       grid=st.integers(2, 3), n_samples=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alphabets=(2, 2, 2, 2, 2), copy=True, eps=1e-3, mode="ps_inner", grid=2,
+         n_samples=3, seed=0)
+@example(alphabets=(3, 2, 1, 3, 3), copy=True, eps=0.05, mode="single_inner", grid=3,
+         n_samples=2, seed=1)
+def test_inner_sweep_rate_rows_equal_rows_of_full_reference_terms(
+        alphabets, copy, eps, mode, grid, n_samples, seed):
+    # the rate rows a sweep makes from the kernel's terms, which skip the
+    # wiretap difference wherever a chunk's keys cover its budgets, are the
+    # rows of the paper's full terms; a skipped design's full cap is >= its
+    # budget.  Near-clean copies of Y1 at Y2 leave keys short of budgets
+    rng = np.random.default_rng(seed)
+    spec = (_copy_spec(rng, *alphabets, eps) if copy
+            else random_channel_spec(rng, *alphabets))
+    cfg = SearchConfig(mode=mode, grid_step=grid, n_samples=n_samples, seed=seed)
+    terms, skipped = [], []
+
+    def recording(row, batch):
+        got = terms_of(row, batch)
+        terms.append(got)
+        skipped.extend([WIRETAP_MARGINAL[mode] not in batch._h] * len(got))
+        return got
+
+    terms_of = regions._terms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_terms", recording)
+        sweep_region(spec, cfg)
+    ref = np.array([REFERENCE_TERMS[mode](build_joint(spec, d), "V")
+                    for d in _sweep_designs(spec, cfg)])
+    row = regions._MODE_TABLE[mode]
+    got_rows, got_at = regions._rates(row, np.concatenate(terms))
+    ref_rows, ref_at = regions._rates(row, ref)
+    assert got_at.tolist() == ref_at.tolist()
+    assert got_rows.tolist() == ref_rows.tolist()
+    assert np.signbit(got_rows).tolist() == np.signbit(ref_rows).tolist()
+    assert (ref[skipped, 1] >= ref[skipped, 2]).all()
+
+
+# The joint entropies one ps_inner chunk caches: the budget, the key and the
+# r1 bound, and with the wiretap difference six more.
+_PS_INNER_MARGINALS = {frozenset(m.split()) for m in (
+    "V S1", "S1", "V Y1 S1", "Y1 S1", "Y1 Y2 S2 V", "Y2 S2 V", "U S1", "U Y1 S1")}
+_WIRETAP_MARGINALS = {frozenset(m.split()) for m in (
+    "V S1 U", "V Y1 S1 U", "S2 U", "V S2 U", "Y2 S2 U", "V Y2 S2 U")}
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["baseline-3ary", "short-key"])
+def test_ps_inner_chunk_sums_only_the_marginals_it_needs(copy):
+    # the benchmark's baseline 3-ary channel (3x2x2x3x3), rebuilt here: its
+    # key covers every budget, so a chunk caches 8 distinct marginals; with
+    # Y2 a clean copy of Y1 the key falls short, and the chunk caches 14
+    rng = np.random.default_rng(0)
+    state = rng.dirichlet(np.ones(4)).reshape(2, 2)
+    kernel = rng.dirichlet(np.ones(9), size=12).reshape(3, 2, 2, 3, 3)
+    if copy:
+        kernel = kernel.sum(axis=-1, keepdims=True) * np.eye(3)
+    spec = make_channel_spec(state, kernel)
+    cfg = SearchConfig(mode="ps_inner", grid_step=16, n_samples=16, seed=0)
+    draws = _sweep_designs(spec, cfg)[:16]
+    [batch, *_] = info.joint_batches(spec, np.array([[0.25, 0.25, 0.5]]),
+                                     np.array([d.p_v_given_x for d in draws]),
+                                     np.array([d.p_u_given_v for d in draws]))
+    assert len(batch.probs) == info.BATCH_CELLS // batch.probs[0].size
+    regions._terms(regions._MODE_TABLE["ps_inner"], batch)
+    assert set(batch._h) == (_PS_INNER_MARGINALS | _WIRETAP_MARGINALS if copy
+                             else _PS_INNER_MARGINALS)
+    assert len(batch._h) == (14 if copy else 8)
 
 
 # every nonempty subset of the variables a V = X term reads
