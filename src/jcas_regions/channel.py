@@ -325,6 +325,8 @@ def parse_channel_document(text: str) -> ChannelSpec:
             arr = np.array(doc[key], dtype=float)
         except (TypeError, ValueError):
             raise SchemaError(f"{key!r} is not a rectangular numeric array") from None
+        except OverflowError:  # an integer such as 10**400
+            raise SchemaError(f"{key!r} holds a number too large for a float") from None
         if arr.shape != shape:
             raise SchemaError(f"{key!r} has shape {arr.shape}, expected {shape}")
         if not all(type(v) in (int, float)  # dtype=float takes "1", true, null

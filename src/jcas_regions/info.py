@@ -22,13 +22,13 @@ takes their entropies from tables of P(O | x) that each channel builds once,
 within 1e-12 of the reference API.
 Every joint, one design or a chunk, comes from one product,
 :func:`_joint_product`, so the two paths hold the same bits, and each
-design's cells lie in the same memory order; a chunk puts its design axis
-innermost.  A chunk sums its marginals in two stages that add the same
-terms in the same order as ``np.sum`` on one design's joint (numpy's order
-rule is spelled out at :class:`JointBatch`): elementwise adds over the
-designs that repeat numpy's pairwise sum over each trailing run of
-summed-out axes, shared among marginals, then one ``sum`` over the other
-axes.
+design's cells lie in the same memory order; a batch puts its design axis
+innermost.  Every batch, a region evaluator's one design as much as a
+sweep's chunk, sums its marginals in two stages that add the same terms in
+the same order as ``np.sum`` on one design's joint (numpy's order rule is
+spelled out at :class:`JointBatch`): elementwise adds over the designs
+that repeat numpy's pairwise sum over each trailing run of summed-out
+axes, shared among marginals, then one ``sum`` over the other axes.
 
 Everything else here is a pure function over immutable tensors.
 """
@@ -52,8 +52,10 @@ from .errors import (
 #: Canonical variable order used by :func:`build_joint`.
 VAR_NAMES = ("U", "V", "X", "S1", "S2", "Y1", "Y2")
 
-#: Hard cap on dense joint size, checked at construction.
-MAX_JOINT_CELLS = 10 ** 8
+#: Hard cap on one design's dense joint, 2^24 cells (128 MiB), checked
+#: before it is built: at the cardinality caps, ``ps_inner`` fits on any
+#: channel of alphabets up to 7 symbols (10,890,936 cells).
+MAX_JOINT_CELLS = 2 ** 24
 
 #: Cells per chunk in :func:`joint_batches`: the stream of designs is cut
 #: into chunks of as many whole designs as fit in this many cells (one
@@ -277,10 +279,7 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     mass form one C-contiguous (rows, m) array, whose sum along the last axis
     adds each row pairwise in the scalar path's order (``np.add.reduce`` is
     ``sum`` without its Python wrapper).  ``reduceat``, or a column selection
-    that is not contiguous, would add sequentially.  One row, as a
-    one-design evaluation has, goes straight to :func:`_entropy_of`."""
-    if len(rows) == 1:
-        return np.array([_entropy_of(rows[0])])
+    that is not contiguous, would add sequentially."""
     mask = rows > MIN_PROB
     sizes = np.add.reduce(mask, axis=1)
     groups = set(sizes.tolist())
@@ -336,10 +335,9 @@ class JointBatch:
        design's joint, with inner loops over that kept block of at least K
        cells.
 
-    A batch of one design, as a region evaluator makes, sums each marginal
-    with one ``np.sum`` call: its memory order is its :func:`build_joint`'s.
-    A batch of several designs always takes the two stages: its design axis
-    is innermost, so one ``np.sum`` would not add in a design's order.
+    Every batch takes the two stages, whatever K is: a batch of one design,
+    as a region evaluator makes, gives each design the bits it has inside a
+    sweep's chunk.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -353,8 +351,6 @@ class JointBatch:
         two-stage sum has the design axis innermost, so its rows are copied
         into the C order that :func:`_row_entropies` needs."""
         probs = self.probs
-        if len(probs) == 1:
-            return np.add.reduce(probs, axis=drop).reshape(1, -1)
         perm, run_shape, start, has_run, rest, back = _sum_plan(probs.shape, drop)
         run = self._runs.get(start)
         if run is None:

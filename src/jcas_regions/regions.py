@@ -85,9 +85,8 @@ DOMINANCE_EPS = 1e-12
 MAX_SWEEP_DESIGNS = 10 ** 6
 
 #: A sweep makes and filters rate rows in groups of whole P_X: as many as
-#: fit in this many designs (one at least), or a multiple of that where a
-#: chunk completes more.  Larger groups amortise the per-call cost of
-#: ``_rates``; the rows a group holds bound its memory.
+#: fit in this many designs (one at least).  Larger groups amortise the
+#: per-call cost of ``_rates``; the rows a group holds bound its memory.
 RATE_GROUP = 256
 
 
@@ -431,14 +430,16 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     :func:`jcas_regions.info.joint_batches`, in chunks of
     ``info.BATCH_CELLS`` cells, or at V = X through
     :func:`jcas_regions.info.output_batches`.  |U| and |V| are drawn at the
-    mode's cardinality caps, which the evaluators admit.  The P_X make
-    their rate rows together, in groups of ``RATE_GROUP`` designs.  Every
-    sample at one P_X shares its distortions, so a rate row that another
-    row of the same P_X dominates is dropped.  Dominance is transitive, so
-    the final filter keeps the same rows either way.  Rows stay arrays
-    until that filter, and only the frontier becomes points.  No
-    time-sharing mixtures are added: the rows describe their down-closed
-    convex hull, and a mixture of two rows lies inside it.
+    mode's cardinality caps, which the evaluators admit.  The sweep holds
+    every design's three rate terms, 24 bytes a design, and the P_X make
+    their rate rows together, in stream order, in groups of as many whole
+    P_X as fit in ``RATE_GROUP`` designs.  Every sample at one P_X shares
+    its distortions, so a rate row that another row of the same P_X
+    dominates is dropped.  Dominance is transitive, so the final filter
+    keeps the same rows either way.  Rows stay arrays until that filter,
+    and only the frontier becomes points.  No time-sharing mixtures are
+    added: the rows describe their down-closed convex hull, and a mixture
+    of two rows lies inside it.
     """
     check_count("grid_step", cfg.grid_step)
     mode = _MODE_TABLE[cfg.mode]
@@ -471,20 +472,14 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
         chunks = joint_batches(spec, p_x, np.array(draws_v), np.array(draws_u))
         suffixes = [f";s={j}" for j in range(k)]
 
-    # Kept rows (rates, -d1, -d2) and their stream positions, one array of
-    # each per group of whole P_X, a multiple of size designs but the last;
-    # tail holds the terms of the P_X that wait for the next chunk.
-    rows, where, tail, done = [], [], np.empty((0, 3)), 0
+    # Every design's terms in stream order (map holds no chunk), then the
+    # kept rows (rates, -d1, -d2) and their stream positions, slice by slice
+    # of whole P_X.
+    terms = np.concatenate(list(map(_terms, itertools.repeat(mode), chunks)))
     size = max(1, RATE_GROUP // k) * k
-    for terms in map(_terms, itertools.repeat(mode), chunks):  # holds no chunk
-        terms = np.concatenate([tail, terms])
-        whole = len(terms) if done + len(terms) == n_px * k else len(terms) // size * size
-        if whole:
-            kept, at = _px_survivors(mode, terms[:whole], done, k, d12)
-            rows.append(kept)
-            where.append(at)
-        tail, done = terms[whole:], done + whole
-    m, where = np.concatenate(rows), np.concatenate(where)
+    kept = [_px_survivors(mode, terms[lo:lo + size], lo, k, d12)
+            for lo in range(0, len(terms), size)]
+    m, where = (np.concatenate(a) for a in zip(*kept))
 
     # The frontier, sorted as plain tuples: rates descending, then the
     # distortions and the tag ascending.

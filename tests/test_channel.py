@@ -602,6 +602,19 @@ def test_parse_rejects_single_string_and_bool_entries():
             parse_channel_document(json.dumps({**doc, key: value}))
 
 
+@pytest.mark.parametrize("big", [10 ** 400, -10 ** 400], ids=["plus", "minus"])
+@pytest.mark.parametrize("key", ["state_dist", "kernel", "d1", "d2"])
+def test_parse_integer_too_large_for_a_float_is_schema_error(key, big):
+    # float(10**400) raises OverflowError, not the ValueError of other junk
+    doc = _binary_doc()
+    entry = doc[key]
+    while isinstance(entry[0], list):
+        entry = entry[0]
+    entry[0] = big
+    with pytest.raises(SchemaError, match=f"{key!r} holds a number too large for a float"):
+        parse_channel_document(json.dumps(doc))
+
+
 def test_parse_deep_nesting_is_schema_error():
     with pytest.raises(SchemaError, match="not valid JSON"):
         parse_channel_document("[" * 100_000)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import jcas_regions
 from jcas_regions import (errors, make_binary_multiplicative, serialize_channel_spec,
                           swap_receivers)
-from jcas_regions import binary_example, cli, regions, simulator
+from jcas_regions import binary_example, cli, info, regions, simulator
 from jcas_regions.cli import build_parser, main
 from conftest import random_channel_spec
 
@@ -347,6 +347,39 @@ def test_validate_schema_error_is_one_line(capsys, tmp_path, text):
     assert_one_error_line(rc, out, err)
 
 
+@pytest.mark.parametrize("key", ["state_dist", "kernel", "d1", "d2"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["classify"], ["estimator", "--px", "0.5,0.5"],
+    ["region", "--mode", "ps_inner", "--grid", "2", "--samples", "1"],
+    ["simulate", "--px", "0.5,0.5", "--n", "10", "--tol", "0.5"],
+], ids=["validate", "classify", "estimator", "region", "simulate"])
+def test_integer_too_large_for_a_float_is_one_line_error(capsys, tmp_path, argv, key):
+    doc = json.loads(serialize_channel_spec(make_binary_multiplicative(0.5, 0.5)))
+    entry = doc[key]
+    while isinstance(entry[0], list):
+        entry = entry[0]
+    entry[0] = 10 ** 400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, argv[:1] + [str(path)] + argv[1:])
+    assert_one_error_line(rc, out, err, f"error: {key!r} holds a number too large")
+
+
+def test_joint_past_the_cell_cap_is_one_line_error(capsys, monkeypatch, tmp_path):
+    # ps_inner at the caps on five 8-symbol alphabets: 29,491,200 cells a
+    # joint, past info.MAX_JOINT_CELLS, refused before any product
+    def no_product(*args):
+        raise AssertionError("a joint was built")
+
+    monkeypatch.setattr(info, "_joint_product", no_product)
+    path = tmp_path / "chan8.json"
+    path.write_text(serialize_channel_spec(
+        random_channel_spec(np.random.default_rng(3), 8, 8, 8, 8, 8)))
+    rc, out, err = run(capsys, ["region", str(path), "--mode", "ps_inner", "--grid", "2",
+                                "--samples", "1"])
+    assert_one_error_line(rc, out, err, "error: joint would have 29491200 cells")
+
+
 @pytest.mark.parametrize("command", ["example", "baseline"])
 def test_grid_past_the_budget_is_refused_before_any_work(capsys, monkeypatch, command):
     # with a budget of 8 points, --grid 7 (8 points) runs and --grid 8 (9)
@@ -600,8 +633,8 @@ def test_region_ends_in_a_frontier_or_one_error_line(region_channels, channel, m
 
 
 _LEAF_JUNK = st.sampled_from([None, True, "0.5", "x", -1, 0, 1, 2, 0.5, -0.5, 1.5, 1e-320,
-                              2 ** 70, float("nan"), float("inf"), -float("inf"), [], {},
-                              [0.5], [[0.5, 0.5]]])
+                              2 ** 70, 10 ** 400, -10 ** 400, float("nan"), float("inf"),
+                              -float("inf"), [], {}, [0.5], [[0.5, 0.5]]])
 
 
 @st.composite
@@ -670,6 +703,61 @@ def test_region_on_any_channel_file_ends_in_a_frontier_or_one_error_line(
             ["region", str(path), "--mode", mode, "--grid", str(grid),
              "--samples", str(samples), "--seed", str(seed)], frontier)
     assert rc in (0, 1)
+
+
+def _file_report(command):
+    """The check of a report that ``command`` prints on a channel file."""
+    def report(rc, lines):
+        if command == "validate":  # OK, or the findings and status 1
+            assert (rc, lines) == (0, ["OK"]) or (
+                rc == 1 and lines and all(" (magnitude " in line for line in lines))
+        elif command == "classify":
+            assert rc == 0 and len(lines) == 3
+            assert lines[1].startswith("residual_phys=") and lines[2].startswith("residual_rev=")
+        else:
+            assert rc == 0 and lines[0] == "x,y1,y2,shat1,shat2"
+            assert lines[-2].startswith("expected_d1,") and lines[-1].startswith("expected_d2,")
+    return report
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "estimator"])
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=_channel_files(_REGION_FILES), px=st.sampled_from(["1", "0.5,0.5", "0.2,0.3,0.5"]))
+@example(data=_REGION_FILES["3ary"].encode(), px="0.2,0.3,0.5")
+@example(data=_REGION_FILES["1ary"].encode(), px="1")
+def test_any_channel_file_ends_in_a_report_or_one_error_line(tmp_path_factory, command,
+                                                             data, px):
+    # the region fuzz's channel files through the other file readers
+    path = tmp_path_factory.getbasetemp() / f"{command}-fuzz.json"
+    path.write_bytes(data)
+    argv = [command, str(path)] + (["--px", px] if command == "estimator" else [])
+    rc = _ends_in_a_report_or_one_error_line(argv, _file_report(command))
+    assert rc in (0, 1)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["example", "baseline"]), q=st.floats(0, 1),
+       alpha=st.floats(0, 1), grid=st.integers(1, 50),
+       garbled=st.sampled_from([None] * 3 + ["--q", "--alpha", "--grid"]), junk=_JUNK)
+@example(command="baseline", q=0.5, alpha=0.5, grid=39, garbled=None, junk="")
+@example(command="example", q=0.5, alpha=0.5, grid=40, garbled=None, junk="")
+def test_example_and_baseline_end_in_a_csv_or_one_error_line(command, q, alpha, grid,
+                                                             garbled, junk):
+    # the point budget is patched down to 40, so a larger --grid ends in its
+    # one-line refusal and no case starts a large run
+    options = {"--q": repr(q), "--alpha": repr(alpha), "--grid": str(grid)}
+    if garbled:
+        options[garbled] = junk
+
+    def csv(rc, lines):
+        header = "q,alpha,p,r,d1,d2" + (",lambda" if command == "baseline" else "")
+        assert rc == 0 and lines[0] == header
+        assert len(lines) == int(options["--grid"]) + 2
+        assert all(line.count(",") == header.count(",") for line in lines[1:])
+
+    with mock.patch.object(regions, "MAX_SWEEP_DESIGNS", 40):
+        _ends_in_a_report_or_one_error_line(
+            [command, *(text for option in options.items() for text in option)], csv)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

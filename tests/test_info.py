@@ -367,8 +367,8 @@ def test_batch_marginals_equal_numpy_sum_and_reference(alphabets, k, x_zeros,
 def _assert_batch_equals_reference(spec, p_x, p_v, p_u):
     # every marginal's rows, byte for byte: against numpy's sum over the
     # designs' joints stacked design-major, each in build_joint's memory
-    # order, and against marginalize on each design's build_joint; a batch
-    # of one design takes the one-call path, of several the two stages
+    # order, and against marginalize on each design's build_joint; every
+    # batch, of one design as of several, takes the two stages
     k = len(p_v)
     [batch] = info.joint_batches(spec, p_x[None], p_v, p_u)
     joints = [build_joint(spec, InputDesign(p_x, p_v[d], p_u[d])) for d in range(k)]
@@ -384,10 +384,10 @@ def _assert_batch_equals_reference(spec, p_x, p_v, p_u):
                 joint, keep).probs.reshape(-1).tobytes(), keep
         assert batch.entropy(keep).tolist() == [
             entropy(joint, keep) for joint in joints], keep
-    assert bool(batch._runs) == (k > 1)
+    assert batch._runs  # every batch, k = 1 included, caches its runs
 
 
-@pytest.mark.parametrize("k", [1, 2], ids=["one-call", "two-stage"])
+@pytest.mark.parametrize("k", [1, 2])
 def test_batch_equals_reference_on_negative_zero_entries(k):
     # check_distribution admits -0.0 in a channel file; the joint product
     # makes it +0.0 for build_joint and the batches alike, as the two-stage
@@ -422,9 +422,10 @@ def _sum_entropy(row):
 @example(rows=[[info.MIN_PROB, 5e-324, 0.0]], pick=0)
 @example(rows=[[1.0, 0.0, info.MIN_PROB], [0.5, 0.5, 0.0]], pick=0)
 def test_one_row_entropies_equal_reference(rows, pick):
-    # the one-row path of _row_entropies and np.add.reduce in _entropy_of
-    # give the bits of the ndarray.sum reference, and of the same row inside
-    # a batch of several rows (tobytes tells -0.0 from 0.0)
+    # _row_entropies on one row, as a one-design batch has, and
+    # np.add.reduce in _entropy_of give the bits of the ndarray.sum
+    # reference, and of the same row inside a batch of several rows (tobytes
+    # tells -0.0 from 0.0)
     rows = np.array(rows)
     row = rows[pick % len(rows)]
     want = np.array([_sum_entropy(row)])
@@ -445,9 +446,10 @@ def test_one_row_entropies_equal_reference(rows, pick):
        state_zero=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_one_design_batch_equals_build_joint_entropies(p_x, nv, nu, state_zero,
                                                        seed):
-    # the one-design JointBatch of a region evaluator, against entropy() on
-    # the same build_joint and against a batch of two designs; P_X such as
-    # 0|0|1, and a state cell of no mass, give all-zero rows and marginals
+    # the one-design JointBatch of a region evaluator, which takes a sweep
+    # chunk's two stages, against entropy() on the same build_joint and
+    # against a batch of two designs; P_X such as 0|0|1, and a state cell of
+    # no mass, give all-zero rows and marginals
     rng = np.random.default_rng(seed)
     spec = random_channel_spec(rng, 3, 2, 2, 2, 2)
     if state_zero:

@@ -588,9 +588,10 @@ def _three_ary_spec(mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("channel", ["binary", "random-3ary"])
 def test_sweep_points_do_not_depend_on_the_rate_group(mode, channel, monkeypatch):
-    # rate rows made and filtered one P_X at a time (groups of one design
-    # and chunks of one design), per chunk's whole P_X, and the whole grid
-    # at once give the default's points
+    # rate rows made and filtered one P_X at a time (with chunks of one
+    # design and of the default size), in the default's groups, and the
+    # whole grid at once give the default's points; the groups are slices of
+    # size designs in stream order, whatever the chunks are
     spec = mode_spec(mode) if channel == "binary" else _three_ary_spec(mode)
     cfg = SearchConfig(mode=mode, grid_step=5, n_samples=3, seed=4)
     default = sweep_region(spec, cfg)
@@ -607,12 +608,15 @@ def test_sweep_points_do_not_depend_on_the_rate_group(mode, channel, monkeypatch
 
     survivors = regions._px_survivors
     monkeypatch.setattr(regions, "_px_survivors", counted)
-    for group, cells in ((1, one_design), (1, info.BATCH_CELLS), (10 ** 9, info.BATCH_CELLS)):
+    for group, cells in ((1, one_design), (1, info.BATCH_CELLS), (7, one_design),
+                         (regions.RATE_GROUP, info.BATCH_CELLS), (10 ** 9, info.BATCH_CELLS)):
         monkeypatch.setattr(regions, "RATE_GROUP", group)
         monkeypatch.setattr(info, "BATCH_CELLS", cells)
         calls.clear()
         assert sweep_region(spec, cfg) == default, (group, cells)
         assert sum(calls) == n_px * k and all(c % k == 0 for c in calls)
+        size = max(1, group // k) * k
+        assert calls == [min(size, n_px * k - lo) for lo in range(0, n_px * k, size)]
         if group == 1 and cells == one_design:
             assert calls == [k] * n_px
         if group > n_px * k:
@@ -1030,7 +1034,7 @@ def test_vx_evaluators_refuse_bad_input_laws(mode, p_x, error, message):
 
 class _OneCallBatch(info.JointBatch):
     # numpy's own sum over the whole batch: not a design's order of
-    # additions, but the allocations of the one-call path
+    # additions, but the allocations of one np.sum per marginal
     def _rows(self, drop):
         return np.add.reduce(self.probs, axis=drop).reshape(len(self.probs), -1)
 
@@ -1070,6 +1074,22 @@ def test_batch_sums_stay_within_scratch_budget(channel):
         assert sum(r.nbytes for r in batch._runs.values()
                    if not np.shares_memory(r, batch.probs)) < nbytes
         assert two_stage <= one_call + 7 * nbytes // 4, (mode, two_stage, one_call)
+
+
+def test_joint_past_the_cell_cap_is_refused_before_any_product(monkeypatch):
+    # a ps_inner design at the caps on five 8-symbol alphabets has
+    # 10 * 90 * 8**5 cells, past the 2**24 cap; all 7-symbol ones stay under
+    spec = random_channel_spec(np.random.default_rng(3), 8, 8, 8, 8, 8)
+    caps = cardinality_caps(spec)
+    assert (caps.u, caps.v_inner, spec.kernel.size) == (10, 90, 8 ** 5)
+    assert 9 * 72 * 7 ** 5 <= info.MAX_JOINT_CELLS < caps.u * caps.v_inner * spec.kernel.size
+
+    def no_product(*args):
+        raise AssertionError("a joint was built")
+
+    monkeypatch.setattr(info, "_joint_product", no_product)
+    with pytest.raises(DimensionMismatch, match=f"29491200 cells, above the {2 ** 24} cap"):
+        sweep_region(spec, SearchConfig(mode="ps_inner", grid_step=2))
 
 
 # (r1 bound, secrecy cap, budget) of designs whose rate rows hit the edge
