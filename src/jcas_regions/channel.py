@@ -94,6 +94,17 @@ def check_distribution(name: str, p) -> np.ndarray:
     return p
 
 
+def check_input_law(spec: ChannelSpec, p_x) -> np.ndarray:
+    """Return ``p_x`` as a float law on the input alphabet of ``spec``: any
+    shape other than (|X|,) is a :class:`DimensionMismatch`, checked before
+    the values, which :func:`check_distribution` checks."""
+    p_x = np.asarray(p_x, dtype=float)
+    if p_x.shape != (spec.nx,):
+        raise DimensionMismatch(
+            f"p_x must be a vector of length {spec.nx}, got shape {p_x.shape}")
+    return check_distribution("p_x", p_x)
+
+
 def hamming_distortion(n: int, n_hat: int | None = None) -> np.ndarray:
     """0/1 distortion matrix: d(s, s_hat) = 1 unless s == s_hat."""
     if n_hat is None:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import info
-from .channel import ChannelSpec, _frozen, check_distribution
-from .errors import DegenerateInput, DimensionMismatch
+from .channel import ChannelSpec, _frozen, check_input_law
+from .errors import DimensionMismatch
 
 __all__ = ["EstimatorTable", "synthesize_estimator", "expected_distortion"]
 
@@ -40,15 +40,6 @@ class EstimatorTable:
             raise DimensionMismatch("receiver index j must be 1 or 2")
         if self.table.ndim != 3:
             raise DimensionMismatch("estimator table must be indexed by (x, y1, y2)")
-
-
-def _checked(spec: ChannelSpec, p_x) -> np.ndarray:
-    """``p_x`` as a float vector of length nx that sums to one."""
-    p_x = np.asarray(p_x, dtype=float)
-    if p_x.ndim != 1 or len(p_x) != spec.nx:
-        raise DegenerateInput(
-            f"p_x must be a vector of length {spec.nx}, got shape {p_x.shape}")
-    return check_distribution("p_x", p_x)
 
 
 def _joint5(spec: ChannelSpec, p_x: np.ndarray) -> np.ndarray:
@@ -104,7 +95,7 @@ def _receivers(spec: ChannelSpec, p_x: np.ndarray):
 def _both_receivers(spec: ChannelSpec, p_x):
     """``((table1, table2), (d1, d2))`` at one P_X, checked once: the
     one-row case of :func:`_receivers`."""
-    tables, d = next(_receivers(spec, _checked(spec, p_x)[None]))
+    tables, d = next(_receivers(spec, check_input_law(spec, p_x)[None]))
     return (tables[0][0], tables[1][0]), d[0]
 
 
@@ -117,12 +108,12 @@ def synthesize_estimator(spec: ChannelSpec, p_x, j: int) -> EstimatorTable:
     P_{S_j}, which costs nothing but keeps the table total and reproducible.
     """
     return EstimatorTable(
-        j=j, table=_table(*_receiver(spec, _joint5(spec, _checked(spec, p_x)), j)))
+        j=j, table=_table(*_receiver(spec, _joint5(spec, check_input_law(spec, p_x)), j)))
 
 
 def expected_distortion(spec: ChannelSpec, p_x, est: EstimatorTable, j: int) -> float:
     """Exact E[d_j(S_j, table(X, Y1, Y2))] under the joint induced by P_X."""
-    d, w, _ = _receiver(spec, _joint5(spec, _checked(spec, p_x)), j)
+    d, w, _ = _receiver(spec, _joint5(spec, check_input_law(spec, p_x)), j)
     if est.j != j:
         raise DimensionMismatch(f"table was built for receiver {est.j}, not {j}")
     if est.table.shape != (spec.nx, spec.ny1, spec.ny2):

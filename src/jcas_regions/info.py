@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (MIN_PROB, ChannelSpec, _frozen, check_distribution,
-                      check_probability)
+                      check_input_law, check_probability)
 from .errors import (
     DimensionMismatch,
     OverlapError,
@@ -170,7 +170,7 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
     memory order is X, V, U, S1, S2, Y1, Y2 whatever the operands' strides,
     and its axes are those of ``VAR_NAMES``.  This is the reference path.
     """
-    nx = _check_input_length(spec, design.p_x)
+    nx = len(check_input_law(spec, design.p_x))
     p_v = design.p_v_given_x
     if p_v is None:
         p_v = np.eye(nx)
@@ -185,15 +185,6 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
     _check_cells(p_u.size * spec.kernel.size)
     return JointDistribution(
         VAR_NAMES, _joint_product(spec, design.p_x[None], p_v[None], p_u[None])[0])
-
-
-def _check_input_length(spec: ChannelSpec, p_x: np.ndarray) -> int:
-    """The input alphabet's size; a ``p_x`` of another length is a
-    :class:`DimensionMismatch`."""
-    if len(p_x) != spec.nx:
-        raise DimensionMismatch(
-            f"p_x has {len(p_x)} entries for an input alphabet of {spec.nx}")
-    return spec.nx
 
 
 def _check_cells(size: int) -> None:
@@ -302,7 +293,10 @@ class JointBatch:
     on that design's :func:`build_joint`: both hold the same product, every
     marginal adds the same terms in the same order as ``np.sum`` over that
     design's joint, and differences are taken in the same order.  Each
-    distinct marginal is summed once per batch.  Arguments are trusted, not
+    distinct marginal is summed once per batch, and the variables of one
+    symbol are left out of its cache key: such an axis changes no row of a
+    marginal (:func:`_sum_plan` skips it), so at a constant U, H(U, S1)
+    and H(S1) are one marginal.  Arguments are trusted, not
     checked: ``probs`` has the axes (K, U, V, X, S1, S2, Y1, Y2) and must be
     dense in memory order X, V, U, S1, S2, Y1, Y2, K, design axis innermost,
     and hold no -0.0, as :func:`_joint_product` makes it.  Each design's
@@ -361,7 +355,8 @@ class JointBatch:
         return np.ascontiguousarray(out.reshape(len(probs), -1))
 
     def _joint_entropy(self, names) -> np.ndarray:
-        key = frozenset(names)
+        shape = self.probs.shape
+        key = frozenset(n for n in names if shape[VAR_NAMES.index(n) + 1] > 1)
         if key not in self._h:
             self._h[key] = _row_entropies(self._rows(_dropped_axes(key)))
         return self._h[key]
@@ -466,15 +461,14 @@ def joint_batches(spec: ChannelSpec, p_x: np.ndarray, p_v: np.ndarray,
     ``p_x`` (M, nx) holds one P_X per row; ``p_v`` (K, nx, nv) and ``p_u``
     (K, nv, nu) stack the auxiliary channels that every P_X is paired with,
     with V = X written as the identity and a constant U as a column of
-    ones, as :func:`build_joint` fills them in; shapes are the caller's
-    job.  The M K designs are cut into chunks of ``BATCH_CELLS`` cells
-    (whole designs, at least one), which may cross P_X boundaries.  Each
+    ones, as :func:`build_joint` fills them in; shapes, and a design's
+    joint against ``MAX_JOINT_CELLS``, are the caller's job.  The M K
+    designs are cut into chunks of ``BATCH_CELLS`` cells (whole designs, at
+    least one), which may cross P_X boundaries.  Each
     batch holds the bits of the designs' :func:`build_joint` tensors: both
     come from :func:`_joint_product`.
     """
-    cells = p_u[0].size * spec.kernel.size
-    _check_cells(cells)
-    step, k = max(1, BATCH_CELLS // cells), len(p_v)
+    step, k = max(1, BATCH_CELLS // (p_u[0].size * spec.kernel.size)), len(p_v)
     for lo in range(0, len(p_x) * k, step):
         m, j = np.divmod(np.arange(lo, min(lo + step, len(p_x) * k)), k)
         yield JointBatch(_joint_product(spec, p_x[m], p_v[j], p_u[j]))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, check_count, classify_degradedness
+from .channel import ChannelSpec, check_count, check_input_law, classify_degradedness
 from .errors import (
     CardinalityExceeded,
     DomainError,
@@ -49,8 +49,8 @@ from .errors import (
     NotDegraded,
 )
 from .estimators import _receivers
-from .info import (InputDesign, JointBatch, OutputTableBatch, _check_input_length,
-                   build_joint, joint_batches, output_batches)
+from .info import (InputDesign, JointBatch, OutputTableBatch, _check_cells, build_joint,
+                   joint_batches, output_batches)
 
 __all__ = [
     "RegionPoint",
@@ -164,18 +164,19 @@ def _auto_tag(design: InputDesign) -> str:
     return ";".join(parts)
 
 
-# Rate terms.  Each reads (r1 bound, secrecy cap, total-rate budget) off a
-# JointBatch, one value per design; v names the auxiliary the bound is taken
-# over ("V", or "X" when the mode fixes V = X).  Single-message modes ignore
-# the r1 bound.
+# Rate terms, one function per bound: inner, outer and reverse.  Each reads
+# (r1 bound, secrecy cap, total-rate budget) off a JointBatch, one value per
+# design; v names the auxiliary the bound is taken over ("V", or "X" when
+# the mode fixes V = X).  Single-message modes ignore the r1 bound, and
+# single_inner is the inner bound at a constant U, whose r1 bound is 0.
 #
-# The inner caps are [wiretap difference]^+ + H(Y1|Y2,S2,V), the last term
+# The inner cap is [wiretap difference]^+ + H(Y1|Y2,S2,V), the last term
 # the key that output feedback shares with receiver 1 (Ahlswede & Cai,
-# 2006).  They are returned clipped at the budget, which every rate row
-# reads them under anyway, and where the key covers the budget for every
-# design of the batch the wiretap difference is skipped: adding a value
-# >= 0 never rounds below the key, so the clipped cap is the budget, bit
-# for bit, either way.
+# 2006).  It is returned clipped at the budget, which every rate row reads
+# it under anyway, and where the key covers the budget for every design of
+# the batch the wiretap difference is skipped: adding a value >= 0 never
+# rounds below the key, so the clipped cap is the budget, bit for bit,
+# either way.
 
 
 def _pos(a: np.ndarray) -> np.ndarray:
@@ -183,21 +184,13 @@ def _pos(a: np.ndarray) -> np.ndarray:
     return np.where(a > 0.0, a, 0.0)
 
 
-def _inner_ps_terms(j, v):
+def _inner_terms(j, v):
     budget = j.mutual_information(v, "Y1", "S1")
     cap = j.entropy("Y1", ("Y2", "S2", v))  # the key
     if not (cap >= budget).all():
         cap = _pos(j.mutual_information(v, "Y1", ("S1", "U"))
                    - j.mutual_information(v, "Y2", ("S2", "U"))) + cap
     return j.mutual_information("U", "Y1", "S1"), np.minimum(cap, budget), budget
-
-
-def _inner_single_terms(j, v):
-    budget = j.mutual_information(v, "Y1", "S1")
-    cap = j.entropy("Y1", ("Y2", "S2", v))  # the key
-    if not (cap >= budget).all():
-        cap = _pos(budget - j.mutual_information(v, "Y2", "S2")) + cap
-    return budget, np.minimum(cap, budget), budget
 
 
 def _outer_terms(j, v):
@@ -226,11 +219,11 @@ class _Mode:
 
 
 _MODE_TABLE = {
-    "ps_inner": _Mode(True, "UV", "", "v_inner", False, _inner_ps_terms),
+    "ps_inner": _Mode(True, "UV", "", "v_inner", False, _inner_terms),
     "ps_outer": _Mode(True, "V", "", "v_outer", False, _outer_terms),
     "ps_exact_deg": _Mode(True, "V", "physically", "v_outer", True, _outer_terms),
     "ps_exact_rev": _Mode(True, "V", "reversely", "v_reverse", True, _reverse_terms),
-    "single_inner": _Mode(False, "V", "", "v_outer", True, _inner_single_terms),
+    "single_inner": _Mode(False, "V", "", "v_outer", True, _inner_terms),
     "single_outer": _Mode(False, "", "", None, False, _outer_terms),
     "single_exact_deg": _Mode(False, "", "physically", None, False, _outer_terms),
     "single_exact_rev": _Mode(False, "", "reversely", None, False, _reverse_terms),
@@ -309,13 +302,14 @@ def _evaluate(name: str, spec: ChannelSpec, design,
             raise CardinalityExceeded(
                 f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
         batch = JointBatch(build_joint(spec, design).probs[None])
+        p_x = design.p_x
     else:
-        design = InputDesign(p_x=np.asarray(design, dtype=float))
-        _check_input_length(spec, design.p_x)
-        batch = OutputTableBatch(spec, design.p_x[None])
+        p_x = check_input_law(spec, design)
+        batch = OutputTableBatch(spec, p_x[None])
     terms = _terms(mode, batch)
-    tag = tag if tag is not None else _auto_tag(design)
-    [(_, [d12])] = _receivers(spec, design.p_x[None])  # P_X checked above
+    if tag is None:
+        tag = _auto_tag(design if mode.aux else InputDesign(p_x=p_x))
+    [(_, [d12])] = _receivers(spec, p_x[None])  # P_X checked above
     return [_point(r, d12, tag) for r in _rates(mode, terms)[0].tolist()]
 
 
@@ -424,8 +418,9 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
 
     A sweep of more than ``MAX_SWEEP_DESIGNS`` designs (grid points times
     draws) is refused with :class:`DomainError` before any work.
-    Degradedness is checked once per sweep, at ``DEGRADEDNESS_TOL``, and
-    the distortions of the whole grid come from one batched estimator pass.
+    Degradedness is checked once per sweep, at ``DEGRADEDNESS_TOL``, then a
+    design's joint against ``info.MAX_JOINT_CELLS``, and then the
+    distortions of the whole grid come from one batched estimator pass.
     The designs, P_X-major, run as one stream through
     :func:`jcas_regions.info.joint_batches`, in chunks of
     ``info.BATCH_CELLS`` cells, or at V = X through
@@ -450,6 +445,10 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
             f"the sweep would evaluate {n_px * k} designs ({n_px} P_X x {k} "
             f"each), more than the budget of {MAX_SWEEP_DESIGNS}")
     _require(spec, mode)
+    if mode.aux:
+        caps = cardinality_caps(spec)
+        nv, nu = getattr(caps, mode.v_cap), caps.u if mode.aux == "UV" else 1
+        _check_cells(nu * nv * spec.kernel.size)
 
     flat = itertools.chain.from_iterable
     p_x = np.fromiter(flat(_simplex_grid(spec.nx, cfg.grid_step)), float,
@@ -461,8 +460,6 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     # they sample U too.
     suffixes, chunks = [""], output_batches(spec, p_x)
     if mode.aux:
-        caps = cardinality_caps(spec)
-        nv, nu = getattr(caps, mode.v_cap), caps.u
         rng = np.random.default_rng(cfg.seed)
         draws_v, draws_u = [], []
         for _ in range(k):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _frozen, check_count, check_tolerance
+from .channel import ChannelSpec, _frozen, check_count, check_input_law, check_tolerance
 from .errors import DomainError
 from .estimators import EstimatorTable, _both_receivers
 
@@ -74,8 +74,8 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     check_count("n", n)
     if n > MAX_DRAWS:
         raise DomainError(f"n = {n} draws is more than the budget of {MAX_DRAWS}")
-    p_x = np.asarray(p_x, dtype=float)
-    (table1, table2), analytic = _both_receivers(spec, p_x)  # also validates p_x
+    p_x = check_input_law(spec, p_x)
+    (table1, table2), analytic = _both_receivers(spec, p_x)
 
     cum_state = np.cumsum(spec.state_dist.reshape(-1))
     cum_state[-1] = 1.0

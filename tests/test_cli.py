@@ -367,11 +367,13 @@ def test_integer_too_large_for_a_float_is_one_line_error(capsys, tmp_path, argv,
 
 def test_joint_past_the_cell_cap_is_one_line_error(capsys, monkeypatch, tmp_path):
     # ps_inner at the caps on five 8-symbol alphabets: 29,491,200 cells a
-    # joint, past info.MAX_JOINT_CELLS, refused before any product
+    # joint, past info.MAX_JOINT_CELLS, refused before any product and
+    # before the estimator pass
     def no_product(*args):
-        raise AssertionError("a joint was built")
+        raise AssertionError("a joint was built, or the estimator pass ran")
 
     monkeypatch.setattr(info, "_joint_product", no_product)
+    monkeypatch.setattr(regions, "_receivers", no_product)
     path = tmp_path / "chan8.json"
     path.write_text(serialize_channel_spec(
         random_channel_spec(np.random.default_rng(3), 8, 8, 8, 8, 8)))
@@ -758,6 +760,21 @@ def test_example_and_baseline_end_in_a_csv_or_one_error_line(command, q, alpha, 
     with mock.patch.object(regions, "MAX_SWEEP_DESIGNS", 40):
         _ends_in_a_report_or_one_error_line(
             [command, *(text for option in options.items() for text in option)], csv)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(channel=st.sampled_from(["binary", "swapped", "3ary"]), junk=_JUNK)
+@example(channel="binary", junk="1e-9")
+@example(channel="3ary", junk="1e400")
+def test_classify_tol_ends_in_a_report_or_one_error_line(region_channels, channel, junk):
+    # any --tol: the three-line class report, or a usage error where it is
+    # no finite nonnegative number
+    def report(rc, lines):
+        assert rc == 0 and len(lines) == 3
+        assert lines[1].startswith("residual_phys=") and lines[2].startswith("residual_rev=")
+
+    _ends_in_a_report_or_one_error_line(
+        ["classify", str(region_channels[channel]), "--tol", junk], report)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

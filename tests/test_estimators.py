@@ -12,7 +12,9 @@ from jcas_regions import (
     DimensionMismatch,
     EstimatorTable,
     InputDesign,
+    build_joint,
     exact_region_degraded_single,
+    exact_region_reverse_single,
     expected_distortion,
     inner_bound_ps,
     make_binary_multiplicative,
@@ -20,7 +22,9 @@ from jcas_regions import (
     outer_bound_ps,
     outer_bound_single,
     sample_run,
+    swap_receivers,
     synthesize_estimator,
+    verify_distortion,
 )
 from jcas_regions import info
 from jcas_regions.estimators import _both_receivers, _receivers
@@ -162,7 +166,7 @@ def test_rejects_non_distribution():
         synthesize_estimator(spec, [1.5, -0.5], 1)
     with pytest.raises(DegenerateInput):
         synthesize_estimator(spec, [float("nan"), 1.0], 1)
-    for p_x in ([float("inf"), 0.0], [float("-inf"), 1.0], [], [0.5, 0.5 + 1e-8]):
+    for p_x in ([float("inf"), 0.0], [float("-inf"), 1.0], [0.5, 0.5 + 1e-8]):
         with pytest.raises(DegenerateInput):
             synthesize_estimator(spec, p_x, 1)
         with pytest.raises(DegenerateInput):
@@ -295,41 +299,58 @@ def test_receivers_memory_stays_flat_in_the_number_of_input_laws():
     assert many <= one + held + 2 ** 16, (one, many, held)
 
 
-_BAD_PX = {"2-D": [[0.5, 0.5]], "length": [0.2, 0.3, 0.5], "nan": [math.nan, 1.0],
-           "negative": [-0.5, 1.5], "unnormalised": [0.5, 0.6]}
-_NOT_A_DISTRIBUTION = (DegenerateInput, "p_x is not a probability distribution")
+# One defect of P_X each, on a binary channel: any shape other than (2,) is
+# a DimensionMismatch, checked before the values; a vector of length 2 that
+# is no distribution is a DegenerateInput.
+_BAD_PX = {"2-D": [[0.5, 0.5]], "length": [0.2, 0.3, 0.5],
+           "length-and-sum": [0.5, 0.6, 0.5], "nan": [math.nan, 1.0],
+           "inf": [math.inf, 0.0], "-inf": [-math.inf, 1.0], "negative": [-0.5, 1.5],
+           "unnormalised": [0.5, 0.6], "empty": []}
+_SHAPES = {"2-D": "(1, 2)", "length": "(3,)", "length-and-sum": "(3,)", "empty": "(0,)"}
+
+
+def _design(p_x, **aux):
+    """A design whose P_X is ``p_x`` as given.  InputDesign knows no
+    alphabet and refuses a P_X that is no vector or no distribution itself
+    (tests/test_info.py), so the law is set past its checks: what answers
+    is the entry point's own check."""
+    design = InputDesign(p_x=np.full(2, 0.5), **aux)
+    object.__setattr__(design, "p_x", np.asarray(p_x, dtype=float))
+    return design
+
+
+def _refused_alike(bad, calls):
+    """Every call refuses the P_X ``_BAD_PX[bad]`` through
+    channel.check_input_law: one class and one message per defect, before
+    any joint or draw."""
+    cls, message = (DegenerateInput, "p_x is not a probability distribution") \
+        if bad not in _SHAPES else (
+            DimensionMismatch, f"p_x must be a vector of length 2, got shape {_SHAPES[bad]}")
+    for call in calls:
+        with pytest.raises(cls) as e:
+            call(_BAD_PX[bad])
+        assert (type(e.value), str(e.value)) == (cls, message)
 
 
 @pytest.mark.parametrize("bad", _BAD_PX)
 def test_bad_input_law_errors_on_the_estimator_path(bad):
-    # one check of P_X, before any joint: its class and message
+    # the estimators, the simulator and build_joint
     spec = make_binary_multiplicative(0.5, 0.5)
-    shape = {"2-D": "(1, 2)", "length": "(3,)"}.get(bad)
-    cls, message = _NOT_A_DISTRIBUTION if shape is None else (
-        DegenerateInput, f"p_x must be a vector of length 2, got shape {shape}")
     table = synthesize_estimator(spec, [0.5, 0.5], 1)
-    for call in (lambda p: _both_receivers(spec, p),
-                 lambda p: synthesize_estimator(spec, p, 2),
-                 lambda p: expected_distortion(spec, p, table, 1),
-                 lambda p: sample_run(spec, p, 10, 0)):
-        with pytest.raises(cls) as e:
-            call(_BAD_PX[bad])
-        assert (type(e.value), str(e.value)) == (cls, message)
+    _refused_alike(bad, (lambda p: build_joint(spec, _design(p)),
+                         lambda p: _both_receivers(spec, p),
+                         lambda p: synthesize_estimator(spec, p, 2),
+                         lambda p: expected_distortion(spec, p, table, 1),
+                         lambda p: sample_run(spec, p, 10, 0),
+                         lambda p: verify_distortion(spec, p, 10, 0, 0.1)))
 
 
 @pytest.mark.parametrize("bad", _BAD_PX)
 def test_bad_input_law_errors_on_the_evaluator_path(bad):
-    # InputDesign and the alphabet check refuse P_X before the distortions
+    # the region evaluators answer a bad P_X as the estimators do
     spec = make_binary_multiplicative(0.5, 0.5)
-    cls, message = {"2-D": (DimensionMismatch, "p_x must be a vector"),
-                    "length": (DimensionMismatch,
-                               "p_x has 3 entries for an input alphabet of 2")
-                    }.get(bad, _NOT_A_DISTRIBUTION)
-    for call in (lambda p: outer_bound_single(spec, p),
-                 lambda p: exact_region_degraded_single(spec, p),
-                 lambda p: inner_bound_ps(spec, InputDesign(p_x=np.asarray(p, dtype=float))),
-                 lambda p: outer_bound_ps(spec, InputDesign(
-                     p_x=np.asarray(p, dtype=float), p_v_given_x=np.eye(2)))):
-        with pytest.raises(cls) as e:
-            call(_BAD_PX[bad])
-        assert (type(e.value), str(e.value)) == (cls, message)
+    _refused_alike(bad, (lambda p: outer_bound_single(spec, p),
+                         lambda p: exact_region_degraded_single(spec, p),
+                         lambda p: exact_region_reverse_single(swap_receivers(spec), p),
+                         lambda p: inner_bound_ps(spec, _design(p)),
+                         lambda p: outer_bound_ps(spec, _design(p, p_v_given_x=np.eye(2)))))

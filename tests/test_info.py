@@ -264,6 +264,10 @@ def test_nonnegativity_random():
 
 def test_input_design_rejects_bad_rows():
     from jcas_regions import DegenerateInput
+    # InputDesign knows no channel: its P_X must be a vector, of any length
+    with pytest.raises(DimensionMismatch) as e:
+        InputDesign(p_x=np.array([[0.5, 0.5]]))
+    assert str(e.value) == "p_x must be a vector"
     with pytest.raises(DegenerateInput):
         InputDesign(p_x=np.array([0.5, 0.6]))
     with pytest.raises(DegenerateInput):

@@ -5,14 +5,16 @@ These check the theory, not the arithmetic (the dict oracles in
 ``conftest.py`` do that), so they hold whatever kernel computes the rate
 terms: the outer terms peak at V = X (data processing over V - X - (S, Y),
 with V independent of S), each inner region lies inside the outer one at
-the same P_X, and on physically-degraded channels the single-message inner
-bound at V = X is the exact region.  Specs are random, physically degraded
-or reversely degraded, with alphabets of 2-3 symbols (so the caps admit
-V = X), and P_X may sit on a face or a vertex of the simplex.
+the same P_X, on physically-degraded channels the single-message inner
+bound at V = X is the exact region, and the single-message bounds are the
+partial-secrecy ones without a public rate.  Specs are random, physically
+degraded or reversely degraded, with alphabets of 2-3 symbols (so the caps
+admit V = X; 1-3 in the last check), and P_X may sit on a face or a vertex
+of the simplex.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jcas_regions import (
     InputDesign,
@@ -21,6 +23,7 @@ from jcas_regions import (
     exact_region_reverse_ps,
     inner_bound_ps,
     inner_bound_single,
+    make_channel_spec,
     outer_bound_ps,
     outer_bound_single,
 )
@@ -120,3 +123,42 @@ def test_inner_single_at_v_equal_x_is_exact_on_degraded_channels(case):
     exact = exact_region_degraded_single(spec, p_x)
     assert abs(inner.r - exact.r) <= MARGIN
     assert inner.distortions == exact.distortions
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(alphabets=st.tuples(*[st.integers(1, 3)] * 5), copy=st.booleans(),
+       nv=st.integers(1, 4), v=st.sampled_from(["random", "deterministic", "x"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alphabets=(3, 2, 2, 3, 3), copy=True, nv=4, v="x", seed=0)
+@example(alphabets=(2, 1, 1, 2, 3), copy=True, nv=1, v="x", seed=1)
+def test_single_message_bounds_are_the_ps_bounds_without_public_rate(
+        alphabets, copy, nv, v, seed):
+    # a fully secret message is the partial-secrecy case with no public
+    # rate: the single-message inner bound is the partial-secrecy one at a
+    # constant U, whose one row has r1 = 0, bit for bit; the outer bound is
+    # the partial-secrecy one at V = X and r1 = 0.  Where Y2 is a
+    # near-clean copy of Y1, the feedback key falls short of the budget and
+    # the inner cap takes its wiretap difference, as it does at V = X
+    rng = np.random.default_rng(seed)
+    spec = random_channel_spec(rng, *alphabets)
+    if copy:
+        ny1, ny2 = alphabets[3], max(alphabets[3:])
+        to_y2 = 0.99 * np.eye(ny1, ny2) + 0.01 / ny2
+        spec = make_channel_spec(spec.state_dist, spec.kernel.sum(axis=-1)[..., None] * to_y2)
+    caps = cardinality_caps(spec)
+    p_x = rng.dirichlet(np.ones(spec.nx)) * (rng.random(spec.nx) < 0.8)  # a face at times
+    p_x = p_x / p_x.sum() if p_x.sum() > 0 else np.eye(spec.nx)[-1]
+    nv = min(nv, caps.v_outer)
+    if v == "x" and spec.nx <= caps.v_outer:  # V = X on the first nx of max(nv, nx) symbols
+        design = InputDesign(p_x=p_x, p_v_given_x=np.eye(spec.nx, max(nv, spec.nx)))
+    else:
+        design = _design(rng, spec, p_x, nv, deterministic=v == "deterministic")
+    [single] = inner_bound_single(spec, design)
+    [ps] = inner_bound_ps(spec, design)
+    assert (ps.r1, ps.r2, ps.distortions, ps.design_tag) == (
+        0.0, single.r, single.distortions, single.design_tag)
+    if spec.nx <= caps.v_outer:
+        outer = outer_bound_single(spec, p_x)
+        [at_zero] = [p for p in outer_bound_ps(spec, InputDesign(p_x=p_x)) if p.r1 == 0.0]
+        assert abs(outer.r - at_zero.r2) <= MARGIN
+        assert outer.distortions == at_zero.distortions

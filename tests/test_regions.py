@@ -728,17 +728,19 @@ def _inner_ps_reference(joint, v):
             mutual_information(joint, v, "Y1", "S1"))
 
 
-def _inner_single_reference(joint, v):
-    i_v_y1 = mutual_information(joint, v, "Y1", "S1")
-    rpp = pos_part(i_v_y1 - mutual_information(joint, v, "Y2", "S2")) \
-        + entropy(joint, "Y1", ("Y2", "S2", v))
-    return i_v_y1, rpp, i_v_y1
-
-
 # The one marginal an inner mode's terms cache only when they compute the
-# wiretap difference.
+# wiretap difference.  At single_inner's constant U, H(V, S2) would share
+# the key of H(V, S1) where both states have one symbol; H(Y2, S2) shares
+# one only where Y2 has one symbol too.
 WIRETAP_MARGINAL = {"ps_inner": frozenset({"V", "S2", "U"}),
-                    "single_inner": frozenset({"V", "S2"})}
+                    "single_inner": frozenset({"Y2", "S2"})}
+
+
+def _cached(batch, names):
+    """Whether ``batch`` holds the marginal on ``names``: its cache key
+    leaves out the variables of one symbol."""
+    shape = batch.probs.shape
+    return frozenset(n for n in names if shape[info.VAR_NAMES.index(n) + 1] > 1) in batch._h
 
 
 def _key_covers_budget(joint):
@@ -768,7 +770,7 @@ REFERENCE_TERMS = {
     "ps_outer": _outer_reference,
     "ps_exact_deg": _outer_reference,
     "ps_exact_rev": _reverse_reference,
-    "single_inner": _inner_single_reference,
+    "single_inner": _inner_ps_reference,
     "single_outer": _outer_reference,
     "single_exact_deg": _outer_reference,
     "single_exact_rev": _reverse_reference,
@@ -842,7 +844,7 @@ def test_batched_terms_equal_per_design_reference(mode, channel, chunked,
     else:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
     if mode in WIRETAP_MARGINAL:
-        skipped = [WIRETAP_MARGINAL[mode] not in batch._h for batch in batches]
+        skipped = [not _cached(batch, WIRETAP_MARGINAL[mode]) for batch in batches]
         ends = np.cumsum([0] + [len(batch.probs) for batch in batches])
         assert skipped == [all(covers[a:b]) for a, b in zip(ends[:-1], ends[1:])]
         assert all(skipped) == ((mode, channel) not in _SHORT_KEY)
@@ -898,7 +900,7 @@ def test_inner_sweep_rate_rows_equal_rows_of_full_reference_terms(
     def recording(row, batch):
         got = terms_of(row, batch)
         terms.append(got)
-        skipped.extend([WIRETAP_MARGINAL[mode] not in batch._h] * len(got))
+        skipped.extend([not _cached(batch, WIRETAP_MARGINAL[mode])] * len(got))
         return got
 
     terms_of = regions._terms
@@ -924,17 +926,23 @@ _WIRETAP_MARGINALS = {frozenset(m.split()) for m in (
     "V S1 U", "V Y1 S1 U", "S2 U", "V S2 U", "Y2 S2 U", "V Y2 S2 U")}
 
 
-@pytest.mark.parametrize("copy", [False, True], ids=["baseline-3ary", "short-key"])
-def test_ps_inner_chunk_sums_only_the_marginals_it_needs(copy):
-    # the benchmark's baseline 3-ary channel (3x2x2x3x3), rebuilt here: its
-    # key covers every budget, so a chunk caches 8 distinct marginals; with
-    # Y2 a clean copy of Y1 the key falls short, and the chunk caches 14
+def _baseline_3ary(copy):
+    """The benchmark's baseline 3-ary channel (3x2x2x3x3), rebuilt here; with
+    ``copy``, Y2 is a clean copy of Y1."""
     rng = np.random.default_rng(0)
     state = rng.dirichlet(np.ones(4)).reshape(2, 2)
     kernel = rng.dirichlet(np.ones(9), size=12).reshape(3, 2, 2, 3, 3)
     if copy:
         kernel = kernel.sum(axis=-1, keepdims=True) * np.eye(3)
-    spec = make_channel_spec(state, kernel)
+    return make_channel_spec(state, kernel)
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["baseline-3ary", "short-key"])
+def test_ps_inner_chunk_sums_only_the_marginals_it_needs(copy):
+    # on the baseline channel the key covers every budget, so a chunk caches
+    # 8 distinct marginals; with Y2 a clean copy of Y1 the key falls short,
+    # and the chunk caches 14
+    spec = _baseline_3ary(copy)
     cfg = SearchConfig(mode="ps_inner", grid_step=16, n_samples=16, seed=0)
     draws = _sweep_designs(spec, cfg)[:16]
     [batch, *_] = info.joint_batches(spec, np.array([[0.25, 0.25, 0.5]]),
@@ -945,6 +953,31 @@ def test_ps_inner_chunk_sums_only_the_marginals_it_needs(copy):
     assert set(batch._h) == (_PS_INNER_MARGINALS | _WIRETAP_MARGINALS if copy
                              else _PS_INNER_MARGINALS)
     assert len(batch._h) == (14 if copy else 8)
+
+
+# The joint entropies one single_inner chunk caches, its constant U left
+# out: the budget and the key, which the r1 bound reads too, and with the
+# wiretap difference three more.
+_SINGLE_INNER_MARGINALS = {frozenset(m.split()) for m in (
+    "V S1", "S1", "V Y1 S1", "Y1 S1", "Y1 Y2 S2 V", "Y2 S2 V")}
+_SINGLE_WIRETAP_MARGINALS = {frozenset(m.split()) for m in ("V S2", "S2", "Y2 S2")}
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["baseline-3ary", "short-key"])
+def test_single_inner_chunk_sums_only_the_marginals_it_needs(copy):
+    # the inner terms at a constant U: the sweep's first chunk caches 6
+    # distinct marginals where the key covers every budget, and 9 where not
+    spec = _baseline_3ary(copy)
+    cfg = SearchConfig(mode="single_inner", grid_step=16, n_samples=16, seed=0)
+    draws = _sweep_designs(spec, cfg)[:16]
+    p_x = np.array(list(regions._simplex_grid(spec.nx, cfg.grid_step)))
+    p_v = np.array([d.p_v_given_x for d in draws])
+    [batch, *_] = info.joint_batches(spec, p_x, p_v, np.ones((len(p_v), p_v.shape[2], 1)))
+    assert len(batch.probs) == info.BATCH_CELLS // batch.probs[0].size
+    regions._terms(regions._MODE_TABLE["single_inner"], batch)
+    assert set(batch._h) == (_SINGLE_INNER_MARGINALS | _SINGLE_WIRETAP_MARGINALS if copy
+                             else _SINGLE_INNER_MARGINALS)
+    assert len(batch._h) == (9 if copy else 6)
 
 
 # every nonempty subset of the variables a V = X term reads
@@ -1021,15 +1054,18 @@ def test_vx_modes_build_no_joint(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", VX_MODES)
 @pytest.mark.parametrize("p_x, error, message", [
-    ([[0.5, 0.5]], DimensionMismatch, "p_x must be a vector"),
+    ([[0.5, 0.5]], DimensionMismatch, "p_x must be a vector of length 2, got shape (1, 2)"),
     ([0.25, 0.25, 0.5], DimensionMismatch,
-     "p_x has 3 entries for an input alphabet of 2"),
+     "p_x must be a vector of length 2, got shape (3,)"),
     ([0.5, 0.6], DegenerateInput, "p_x is not a probability distribution"),
-    ([0.5, 0.5, 0.5], DegenerateInput, "p_x is not a probability distribution"),
+    ([0.5, 0.5, 0.5], DimensionMismatch,
+     "p_x must be a vector of length 2, got shape (3,)"),
 ], ids=["matrix", "length", "sum", "length-and-sum"])
 def test_vx_evaluators_refuse_bad_input_laws(mode, p_x, error, message):
-    with pytest.raises(error, match=message):
+    # the shape is checked before the values
+    with pytest.raises(error) as e:
         WRAPPERS[mode](mode_spec(mode), p_x)
+    assert (type(e.value), str(e.value)) == (error, message)
 
 
 class _OneCallBatch(info.JointBatch):
@@ -1078,16 +1114,19 @@ def test_batch_sums_stay_within_scratch_budget(channel):
 
 def test_joint_past_the_cell_cap_is_refused_before_any_product(monkeypatch):
     # a ps_inner design at the caps on five 8-symbol alphabets has
-    # 10 * 90 * 8**5 cells, past the 2**24 cap; all 7-symbol ones stay under
+    # 10 * 90 * 8**5 cells, past the 2**24 cap; all 7-symbol ones stay under.
+    # The sweep refuses it before the estimator pass, whose time grows with
+    # the grid
     spec = random_channel_spec(np.random.default_rng(3), 8, 8, 8, 8, 8)
     caps = cardinality_caps(spec)
     assert (caps.u, caps.v_inner, spec.kernel.size) == (10, 90, 8 ** 5)
     assert 9 * 72 * 7 ** 5 <= info.MAX_JOINT_CELLS < caps.u * caps.v_inner * spec.kernel.size
 
     def no_product(*args):
-        raise AssertionError("a joint was built")
+        raise AssertionError("a joint was built, or the estimator pass ran")
 
     monkeypatch.setattr(info, "_joint_product", no_product)
+    monkeypatch.setattr(regions, "_receivers", no_product)
     with pytest.raises(DimensionMismatch, match=f"29491200 cells, above the {2 ** 24} cap"):
         sweep_region(spec, SearchConfig(mode="ps_inner", grid_step=2))
 
