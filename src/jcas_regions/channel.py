@@ -33,6 +33,13 @@ from .errors import (
     StochasticityError,
 )
 
+__all__ = [
+    "ChannelSpec", "DegradednessClass", "DegradednessKind", "Finding", "ValidationReport",
+    "classify_degradedness", "hamming_distortion", "make_binary_multiplicative",
+    "make_channel_spec", "parse_channel_document", "parse_channel_spec",
+    "serialize_channel_spec", "swap_receivers", "validate",
+]
+
 #: Tolerance for "sums to one" checks on probability rows.
 PROB_TOL = 1e-9
 

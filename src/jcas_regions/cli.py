@@ -84,7 +84,8 @@ def _read_spec(path: str):
 
 
 def _csv(header: str, rows) -> list[str]:
-    """CSV lines: ``header``, then one per row, its numbers through ``_fmt``."""
+    """CSV lines: ``header``, then one per row, its numbers and ``None``s (as
+    empty fields) through ``_fmt``."""
     return [header] + [
         ",".join([v if isinstance(v, str) else _fmt(v) for v in row]) for row in rows]
 
@@ -123,16 +124,11 @@ def _cmd_region(ns) -> tuple[list[str], int]:
     spec = _read_spec(ns.file)
     cfg = regions.SearchConfig(
         mode=ns.mode, grid_step=ns.grid, n_samples=ns.samples, seed=ns.seed)
-    if ns.mode == "ps_outer":
-        print("note: sampled outer-bound sweep is a necessary-condition "
-              "envelope, not a converse region", file=sys.stderr)
-    elif ns.mode == "single_outer":
-        print("note: outer bound on the P_X grid", file=sys.stderr)
-    m = ns.mode  # _csv's lines, one f-string per point
-    return ["mode,design_tag,r1,r2,r,d1,d2"] + [
-        f"{m},{p.design_tag},{p.r1:.12g},{p.r2:.12g},,{p.d1:.12g},{p.d2:.12g}"
-        if p.r is None else f"{m},{p.design_tag},,,{p.r:.12g},{p.d1:.12g},{p.d2:.12g}"
-        for p in regions.sweep_region(spec, cfg)], 0
+    if note := regions._MODE_TABLE[ns.mode].note:
+        print(f"note: {note}", file=sys.stderr)
+    return _csv("mode,design_tag,r1,r2,r,d1,d2", (
+        (ns.mode, p.design_tag, p.r1, p.r2, p.r, p.d1, p.d2)
+        for p in regions.sweep_region(spec, cfg))), 0
 
 
 def _cmd_example(ns) -> tuple[list[str], int]:

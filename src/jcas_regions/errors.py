@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CardinalityExceeded", "DegenerateInput", "DimensionMismatch", "DomainError", "EmptyGrid",
+    "JcasError", "MixedArity", "NegativeProbability", "NotDegraded", "OverlapError",
+    "SchemaError", "StochasticityError", "UnknownVariable",
+]
+
 
 class JcasError(Exception):
     """Base class for every error raised by this package."""

@@ -49,6 +49,9 @@ from .errors import (
     UnknownVariable,
 )
 
+__all__ = ["InputDesign", "JointDistribution", "binary_entropy", "build_joint", "entropy",
+           "marginalize", "mutual_information", "pos_part"]
+
 #: Canonical variable order used by :func:`build_joint`.
 VAR_NAMES = ("U", "V", "X", "S1", "S2", "Y1", "Y2")
 
@@ -137,16 +140,12 @@ class InputDesign:
         if self.p_x.ndim != 1:
             raise DimensionMismatch("p_x must be a vector")
         check_distribution("p_x", self.p_x)
-        if self.p_v_given_x is not None:
-            object.__setattr__(self, "p_v_given_x", _frozen(self.p_v_given_x))
-            if self.p_v_given_x.ndim != 2:
-                raise DimensionMismatch("p_v_given_x must be a matrix")
-            check_distribution("p_v_given_x", self.p_v_given_x)
-        if self.p_u_given_v is not None:
-            object.__setattr__(self, "p_u_given_v", _frozen(self.p_u_given_v))
-            if self.p_u_given_v.ndim != 2:
-                raise DimensionMismatch("p_u_given_v must be a matrix")
-            check_distribution("p_u_given_v", self.p_u_given_v)
+        for name in ("p_v_given_x", "p_u_given_v"):
+            if (a := getattr(self, name)) is not None:
+                object.__setattr__(self, name, a := _frozen(a))
+                if a.ndim != 2:
+                    raise DimensionMismatch(f"{name} must be a matrix")
+                check_distribution(name, a)
 
     @property
     def nv(self) -> int:

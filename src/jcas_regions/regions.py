@@ -11,7 +11,8 @@ The exact characterizations only hold for (reversely-)physically-degraded
 channels, so those evaluators check degradedness first and refuse otherwise.
 The sampled ``ps_outer`` sweep is a necessary-condition envelope of the
 per-design bounds, not a converse region; ``single_outer`` fixes V = X and
-is the outer bound on the P_X grid.  The CLI labels each as such.
+is the outer bound on the P_X grid.  Each says so in the ``note`` of its
+``_MODE_TABLE`` row, which the CLI prints.
 
 A sweep evaluates its designs, every P_X grid point paired with every
 sampled auxiliary draw, as one stream of rows
@@ -67,7 +68,6 @@ __all__ = [
     "exact_region_reverse_single",
     "sweep_region",
     "pareto_filter",
-    "MODES",
 ]
 
 #: Number of r1 grid values emitted per design in partial-secrecy modes.
@@ -216,15 +216,19 @@ class _Mode:
     v_cap: str | None        # CardinalityCaps field that bounds |V|
     constant_u: bool         # refuse a non-constant U rather than ignore it
     terms: Callable          # (JointBatch, v) -> (r1 bound, secrecy cap, budget)
+    note: str = ""           # the CLI's stderr reminder of what the sweep is
 
 
 _MODE_TABLE = {
     "ps_inner": _Mode(True, "UV", "", "v_inner", False, _inner_terms),
-    "ps_outer": _Mode(True, "V", "", "v_outer", False, _outer_terms),
+    "ps_outer": _Mode(True, "V", "", "v_outer", False, _outer_terms,
+                      "sampled outer-bound sweep is a necessary-condition envelope, "
+                      "not a converse region"),
     "ps_exact_deg": _Mode(True, "V", "physically", "v_outer", True, _outer_terms),
     "ps_exact_rev": _Mode(True, "V", "reversely", "v_reverse", True, _reverse_terms),
     "single_inner": _Mode(False, "V", "", "v_outer", True, _inner_terms),
-    "single_outer": _Mode(False, "", "", None, False, _outer_terms),
+    "single_outer": _Mode(False, "", "", None, False, _outer_terms,
+                          "outer bound on the P_X grid"),
     "single_exact_deg": _Mode(False, "", "physically", None, False, _outer_terms),
     "single_exact_rev": _Mode(False, "", "reversely", None, False, _reverse_terms),
 }

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -238,6 +239,29 @@ def test_example_and_baseline_csv(capsys):
     assert rc == 0
     assert out.splitlines()[0] == "q,alpha,p,r,d1,d2,lambda"
     assert len(out.splitlines()) == 6
+
+
+# SHA-256 of `jcas example` and `jcas baseline` stdout at four (q, alpha, grid)
+# points, the bytes an array form of the closed form must keep: `.12g` shows
+# a last-bit change only at some points, so several grids and laws pin them
+_EXAMPLE_SHA256 = {
+    ("0.5", "0.5", "64"): ("3909449929505c5671ccb6fa759ebea136f47a2fd9e2d3dfd8d000b4084c257f",
+                           "464665d47dad14c8652b05f3f3479deb64987e8fc2a6b53d746e63cd0a546f86"),
+    ("0.3", "0.7", "999"): ("4463057638b4ba2d680b95a11303ec332a40780452cc932edf66ad488651411e",
+                            "409031a740d078f3f15e509eeef2d4b97c7a2372856f03303e69c13413990b61"),
+    ("1", "0", "17"): ("ca8bb501abc98e595bd512c638924ad1ef8a77c02fe581c97cfddd73f7f729e8",
+                       "77fa5f2f93ddf4219196eb2f0372db2b0a0ee26507c40eba2c9491cc966cede9"),
+    ("0", "1", "8"): ("55fd4d597c2c89e665ca4e3053d653de226c13160f87c0e1af046080e009ba3d",
+                      "218b9d8ffcec884e6f19f41a8157c634cab015bdd9eaa4bd2ac0c2f071f18f73"),
+}
+
+
+@pytest.mark.parametrize("q, alpha, grid", _EXAMPLE_SHA256)
+def test_example_and_baseline_keep_their_bytes(capsys, q, alpha, grid):
+    for command, digest in zip(("example", "baseline"), _EXAMPLE_SHA256[q, alpha, grid]):
+        rc, out, err = run(capsys, [command, "--q", q, "--alpha", alpha, "--grid", grid])
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_simulate_pass(capsys, tmp_path):
@@ -579,8 +603,9 @@ def region_channels(tmp_path_factory):
 @pytest.mark.parametrize("channel", ["binary", "3ary"])
 def test_region_stdout_is_the_csv_of_the_sweep_points(capsys, region_channels, mode,
                                                       channel):
-    # the CLI writes each point with one f-string; _csv over the points'
-    # fields, as every other report is written, is the oracle
+    # the CLI writes the points through _csv, as every other report; the
+    # oracle formats each point with its own `.12g` f-strings, and the notes
+    # of the two outer sweeps are spelled out here
     if channel == "binary" and mode.endswith("_rev"):
         channel = "swapped"
     path = str(region_channels[channel])
@@ -588,13 +613,18 @@ def test_region_stdout_is_the_csv_of_the_sweep_points(capsys, region_channels, m
         mode = {"ps_exact_deg": "ps_inner", "ps_exact_rev": "ps_outer",
                 "single_exact_deg": "single_inner",
                 "single_exact_rev": "single_outer"}[mode]
-    rc, out, _ = run(capsys, ["region", path, "--mode", mode, "--grid", "6",
-                              "--samples", "3", "--seed", "5"])
+    rc, out, err = run(capsys, ["region", path, "--mode", mode, "--grid", "6",
+                                "--samples", "3", "--seed", "5"])
     points = regions.sweep_region(cli._read_spec(path), regions.SearchConfig(
         mode=mode, grid_step=6, n_samples=3, seed=5))
-    expect = cli._csv("mode,design_tag,r1,r2,r,d1,d2", [
-        (mode, p.design_tag, p.r1, p.r2, p.r, p.d1, p.d2) for p in points])
-    assert rc == 0
+    expect = ["mode,design_tag,r1,r2,r,d1,d2"] + [
+        f"{mode},{p.design_tag},{p.r1:.12g},{p.r2:.12g},,{p.d1:.12g},{p.d2:.12g}"
+        if p.r is None else f"{mode},{p.design_tag},,,{p.r:.12g},{p.d1:.12g},{p.d2:.12g}"
+        for p in points]
+    note = {"ps_outer": "note: sampled outer-bound sweep is a necessary-condition "
+                        "envelope, not a converse region\n",
+            "single_outer": "note: outer bound on the P_X grid\n"}.get(mode, "")
+    assert (rc, err) == (0, note)
     assert out == "\n".join(expect) + "\n"
 
 

@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jcas_regions"
-# __init__.py imports names only to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -18,13 +17,15 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.Import):
             imported |= {a.asname or a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported |= {a.asname or a.name for a in node.names}
+            # a star import binds the names its module's __all__ lists
+            imported |= {a.asname or a.name for a in node.names if a.name != "*"}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(imported - used)
 
 
 def test_scan_flags_an_unused_import():
-    source = "import os.path\nfrom .info import entropy, build_joint as bj\nbj()\n"
+    source = ("import os.path\nfrom .info import entropy, build_joint as bj\n"
+              "from .regions import *\nbj()\n")
     assert unused_imports(source) == ["entropy", "os"]
 
 
