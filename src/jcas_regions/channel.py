@@ -114,8 +114,6 @@ def check_input_law(spec: ChannelSpec, p_x) -> np.ndarray:
 
 def hamming_distortion(n: int, n_hat: int | None = None) -> np.ndarray:
     """0/1 distortion matrix: d(s, s_hat) = 1 unless s == s_hat."""
-    if n_hat is None:
-        n_hat = n
     return 1.0 - np.eye(n, n_hat)
 
 

@@ -239,12 +239,13 @@ _MEMORY_ORDER = (3, 2, 1, 4, 5, 6, 7, 0)
 
 
 @functools.lru_cache(maxsize=1024)
-def _sum_plan(shape, drop):
-    """How :class:`JointBatch` sums the axes ``drop`` out of a batch of this
-    shape: the transpose to memory order, with the variables' length-1 axes
-    first; that order's shape with the trailing dropped run merged into
-    one axis, next to last; where the run starts; whether there is one; the
-    axes to sum after it; and the transpose back to axis order."""
+def _sum_plan(shape, keep):
+    """How :class:`JointBatch` sums the variables not in ``keep`` out of a
+    batch of this shape: the transpose to memory order, with the variables'
+    length-1 axes first; that order's shape with the trailing dropped run
+    merged into one axis, next to last; where the run starts; whether there
+    is one; the axes to sum after it; and the transpose back to axis order."""
+    drop = {i + 1 for i, n in enumerate(VAR_NAMES) if n not in keep}
     axes = [a for a in _MEMORY_ORDER[:-1] if shape[a] > 1]
     start = len(axes)
     while start and axes[start - 1] in drop:
@@ -255,13 +256,6 @@ def _sum_plan(shape, drop):
     rest = tuple(i for i, a in enumerate(axes[:start]) if a in drop)
     return (perm, run_shape, start, start < len(axes), rest,
             tuple(sorted(range(len(kept)), key=kept.__getitem__)))
-
-
-@functools.lru_cache(maxsize=128)
-def _dropped_axes(keep: frozenset) -> tuple[int, ...]:
-    """The axes of a :class:`JointBatch` that its marginal on ``keep`` sums
-    out; 128 entries hold every subset of ``VAR_NAMES``."""
-    return tuple(i + 1 for i, n in enumerate(VAR_NAMES) if n not in keep)
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -338,13 +332,13 @@ class JointBatch:
         self._h: dict[frozenset, np.ndarray] = {}
         self._runs: dict[int, np.ndarray] = {}
 
-    def _rows(self, drop: tuple[int, ...]) -> np.ndarray:
-        """Each design's marginal without the batch axes ``drop``, bit for
-        bit as ``np.sum`` over its own joint, one row per design.  The
+    def _rows(self, keep) -> np.ndarray:
+        """Each design's marginal on the variables ``keep`` (hashable), bit
+        for bit as ``np.sum`` over its own joint, one row per design.  The
         two-stage sum has the design axis innermost, so its rows are copied
         into the C order that :func:`_row_entropies` needs."""
         probs = self.probs
-        perm, run_shape, start, has_run, rest, back = _sum_plan(probs.shape, drop)
+        perm, run_shape, start, has_run, rest, back = _sum_plan(probs.shape, keep)
         run = self._runs.get(start)
         if run is None:
             v = probs.transpose(perm).reshape(run_shape)  # a view
@@ -357,7 +351,7 @@ class JointBatch:
         shape = self.probs.shape
         key = frozenset(n for n in names if shape[VAR_NAMES.index(n) + 1] > 1)
         if key not in self._h:
-            self._h[key] = _row_entropies(self._rows(_dropped_axes(key)))
+            self._h[key] = _row_entropies(self._rows(key))
         return self._h[key]
 
     def entropy(self, targets, givens=()) -> np.ndarray:

@@ -154,9 +154,12 @@ def _fmt(v: float | None) -> str:
     return "" if v is None else f"{v:.12g}"
 
 
+def _px_tag(p_x) -> str:
+    return "px=" + "|".join(_fmt(v) for v in p_x)
+
+
 def _auto_tag(design: InputDesign) -> str:
-    px = "|".join(_fmt(v) for v in design.p_x)
-    parts = [f"px={px}"]
+    parts = [_px_tag(design.p_x)]
     if design.p_v_given_x is not None:
         parts.append(f"nv={design.nv}")
     if design.p_u_given_v is not None:
@@ -312,7 +315,7 @@ def _evaluate(name: str, spec: ChannelSpec, design,
         batch = OutputTableBatch(spec, p_x[None])
     terms = _terms(mode, batch)
     if tag is None:
-        tag = _auto_tag(design if mode.aux else InputDesign(p_x=p_x))
+        tag = _auto_tag(design) if mode.aux else _px_tag(p_x)
     [(_, [d12])] = _receivers(spec, p_x[None])  # P_X checked above
     return [_point(r, d12, tag) for r in _rates(mode, terms)[0].tolist()]
 
@@ -486,8 +489,8 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     # distortions and the tag ascending.
     front = _pareto_front(m)
     px, sample = (a.tolist() for a in np.divmod(where[front], k))
-    px_tags = {i: "|".join(_fmt(v) for v in p_x[i]) for i in set(px)}
-    tags = [f"px={px_tags[i]}{suffixes[j]}" for i, j in zip(px, sample)]
+    px_tags = {i: _px_tag(p_x[i]) for i in set(px)}
+    tags = [px_tags[i] + suffixes[j] for i, j in zip(px, sample)]
     keys = sorted(zip(*(-m[front, :-2]).T.tolist(), *d12[px].T.tolist(), tags))
     return [_point((-key[0], -key[1]) if mode.ps else (-key[0],), key[-3:-1], key[-1])
             for key in keys]

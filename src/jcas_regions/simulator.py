@@ -59,7 +59,7 @@ class EmpiricalStats:
 
 def _categorical(thresholds, u: np.ndarray) -> np.ndarray:
     # The count of thresholds at or below each u in [0, 1): a cdf's entries
-    # but its last (pinned to 1.0), each a scalar or an array shaped like u.
+    # but its last, each a scalar or an array shaped like u.
     # On a nondecreasing cdf it equals np.searchsorted(cdf, u, side="right").
     k = np.zeros(u.shape, dtype=np.intp)
     for t in thresholds:
@@ -77,25 +77,21 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     p_x = check_input_law(spec, p_x)
     (table1, table2), analytic = _both_receivers(spec, p_x)
 
-    cum_state = np.cumsum(spec.state_dist.reshape(-1))
-    cum_state[-1] = 1.0
-    cum_x = np.cumsum(p_x)
-    cum_x[-1] = 1.0
-    cum_y = np.cumsum(
-        spec.kernel.reshape(spec.nx * spec.ns1 * spec.ns2, -1), axis=1)
-    cum_y[:, -1] = 1.0
+    ns, ny = spec.ns1 * spec.ns2, spec.ny1 * spec.ny2
+    cum_state = np.cumsum(spec.state_dist.reshape(-1))[:-1]
+    cum_x = np.cumsum(p_x)[:-1]
+    # one contiguous cdf column per output
+    cols_y = np.cumsum(spec.kernel.reshape(-1, ny), axis=1)[:, :-1].T.copy()
 
     # counts over the flat (x, s1, s2, y1, y2) index, i.e. row * |Y| + y
-    ns, ny = cum_state.size, cum_y.shape[1]
-    counts = np.zeros(cum_y.size, dtype=np.int64)
-    cols_y = cum_y[:, :-1].T.copy()  # one contiguous cdf column per output
+    counts = np.zeros(spec.kernel.size, dtype=np.int64)
     streams = [np.random.default_rng(seed) for _ in range(3)]  # states, X, Y
     for s, rng in enumerate(streams):
         rng.bit_generator.advance(s * int(n))  # one output per double
     for lo in range(0, n, CHUNK):
         m = min(CHUNK, n - lo)
-        state = _categorical(cum_state[:-1], streams[0].random(m))
-        rows = _categorical(cum_x[:-1], streams[1].random(m)) * ns + state
+        state = _categorical(cum_state, streams[0].random(m))
+        rows = _categorical(cum_x, streams[1].random(m)) * ns + state
         y = _categorical((col.take(rows) for col in cols_y), streams[2].random(m))
         counts += np.bincount(rows * ny + y, minlength=counts.size)
 

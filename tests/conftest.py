@@ -318,3 +318,28 @@ def closed_form_ps(q: float, alpha: float, p: float) -> tuple[float, float]:
         return a, 0.0
     ratio = q * (1 - alpha) / (1 - q * alpha)
     return a, q * (1 - alpha) * _hb(p) + p * (1 - q * alpha) * _hb(ratio)
+
+
+# ---------------------------------------------------------------------------
+# separation against joint design
+
+
+def separation_points(front, steps: int = 64) -> np.ndarray:
+    """The separation baseline of a single-message frontier, as (r, d1, d2)
+    rows: time sharing, with lambda on ``steps + 1`` points, between the
+    frontier's max-rate point (the smallest distortions among ties) and each
+    of its rate-0 points.  On the binary example that is
+    ``separation_baseline``'s sharing with zero distortion at p = 1."""
+    rows = np.array([(p.r, p.d1, p.d2) for p in front])
+    best = min(rows.tolist(), key=lambda row: (-row[0], row[1], row[2]))
+    lam = np.arange(steps + 1)[:, None] / steps
+    return np.concatenate([lam * best + (1 - lam) * zero for zero in rows[rows[:, 0] == 0.0]])
+
+
+def joint_gain(front, steps: int = 64) -> float:
+    """The largest rate gain of joint design over separation: over the
+    baseline points, the highest rate of a frontier point at distortions no
+    worse than the point's, less the point's rate."""
+    rows = np.array([(p.r, p.d1, p.d2) for p in front])
+    return max(rows[(rows[:, 1] <= d1) & (rows[:, 2] <= d2), 0].max(initial=-np.inf) - r
+               for r, d1, d2 in separation_points(front, steps))

@@ -381,7 +381,7 @@ def _assert_batch_equals_reference(spec, p_x, p_v, p_u):
     for keep in _SUBSETS:
         drop = tuple(i + 1 for i, n in enumerate(info.VAR_NAMES)
                      if n not in keep)
-        got = batch._rows(drop)
+        got = batch._rows(keep)
         assert got.tobytes() == outer.sum(axis=drop).reshape(k, -1).tobytes(), keep
         for row, joint in zip(got, joints):
             assert row.tobytes() == marginalize(
@@ -483,11 +483,13 @@ def test_one_design_batch_equals_build_joint_entropies(p_x, nv, nu, state_zero,
 
 def test_pairwise_sum_equals_numpy_sum():
     # every run length through numpy's 8-cell unroll, its 128-cell block and
-    # two levels of splitting, with zeros and subnormals; the run axis is
-    # innermost in memory, as in JointBatch, and the other axes are
-    # transposed, reversed and strided, or absent
+    # two levels of splitting, and runs on either side of numpy's
+    # 8,192-element buffer (a 10^4-cell run, H(U, S1) of a ps_inner joint at
+    # |Y1| = |Y2| = 100, fits under MAX_JOINT_CELLS), with zeros and
+    # subnormals; the run axis is innermost in memory, as in JointBatch,
+    # and the other axes are transposed, reversed and strided, or absent
     rng = np.random.default_rng(12)
-    for n in range(1, 301):
+    for n in [*range(1, 301), 1000, 8191, 8192, 8193, 10000]:
         cells = rng.random((3, 4, 2, 2 * n))
         cells[rng.random(cells.shape) < 0.2] = 0.0
         cells[rng.random(cells.shape) < 0.2] *= 5e-321

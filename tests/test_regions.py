@@ -1071,7 +1071,8 @@ def test_vx_evaluators_refuse_bad_input_laws(mode, p_x, error, message):
 class _OneCallBatch(info.JointBatch):
     # numpy's own sum over the whole batch: not a design's order of
     # additions, but the allocations of one np.sum per marginal
-    def _rows(self, drop):
+    def _rows(self, keep):
+        drop = tuple(i + 1 for i, n in enumerate(info.VAR_NAMES) if n not in keep)
         return np.add.reduce(self.probs, axis=drop).reshape(len(self.probs), -1)
 
 
