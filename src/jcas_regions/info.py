@@ -65,6 +65,7 @@ MAX_JOINT_CELLS = 2 ** 24
 #: design where a joint is larger), so memory stays flat in the grid and in
 #: ``--samples``.  Every chunk but the last holds the same number of designs.
 #: :func:`output_batches` cuts its input laws by the same budget.
+#:
 #: Scratch budget of a batch's two-stage sums (:class:`JointBatch`): the
 #: runs it caches stay under the batch's bytes, as sums of at least 2 cells
 #: each that at least halve from one run to the next (a marginal with no

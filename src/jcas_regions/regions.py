@@ -426,8 +426,8 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     A sweep of more than ``MAX_SWEEP_DESIGNS`` designs (grid points times
     draws) is refused with :class:`DomainError` before any work.
     Degradedness is checked once per sweep, at ``DEGRADEDNESS_TOL``, then a
-    design's joint against ``info.MAX_JOINT_CELLS``, and then the
-    distortions of the whole grid come from one batched estimator pass.
+    design's joint against ``info.MAX_JOINT_CELLS``, then the whole grid's
+    distortions, from one batched estimator pass, for finite values >= 0.
     The designs, P_X-major, run as one stream through
     :func:`jcas_regions.info.joint_batches`, in chunks of
     ``info.BATCH_CELLS`` cells, or at V = X through
@@ -461,6 +461,9 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     p_x = np.fromiter(flat(_simplex_grid(spec.nx, cfg.grid_step)), float,
                       n_px * spec.nx).reshape(n_px, spec.nx)
     d12 = np.concatenate([d for _, d in _receivers(spec, p_x)])
+    bad = ~(np.isfinite(d12) & (d12 >= 0))
+    if bad.any():
+        raise DomainError(f"coordinates must be finite and >= 0, got {d12[bad][0].item()!r}")
 
     # V = X reads the channel's output tables; other modes draw one stack
     # of auxiliary channels, shared by every P_X, with a constant U unless
@@ -556,8 +559,8 @@ def pareto_filter(points) -> list[RegionPoint]:
     A point dominates another when every rate coordinate is >= and every
     distortion coordinate is <=, with at least one coordinate better by more
     than ``DOMINANCE_EPS``.  Retained points keep their input order.  The
-    comparison is :func:`_pareto_front` on one row per point: group by
-    group, one group per distortion pair, along rate staircases.
+    comparison is :func:`_pareto_front` on the rows the points have checked:
+    group by group, one group per distortion pair, along rate staircases.
     """
     points = list(points)
     if not points:
@@ -573,9 +576,8 @@ def _pareto_front(m: np.ndarray) -> list[int]:
     """Indices, ascending, of the rows of ``m`` that no other row dominates,
     in the sense of :func:`pareto_filter`.  A row holds a point's rates and
     then its two distortions negated, which turns dominance into a uniform
-    componentwise >= plus one strict margin.  A coordinate that is not
-    finite and >= 0 raises :class:`DomainError`, as a :class:`RegionPoint`
-    would.
+    componentwise >= plus one strict margin.  The rows come checked: each
+    coordinate is finite and >= 0 before its sign is flipped.
 
     The rows are grouped by their exact distortion pair (:func:`_groups`).
     Each group that still has live rows, in order, tests the live rows of
@@ -588,11 +590,6 @@ def _pareto_front(m: np.ndarray) -> list[int]:
     visits the same groups: those with a row that no row dominates.
     O(groups x rows) time, O(rows) memory.
     """
-    coords = m * np.where(np.arange(m.shape[1]) < m.shape[1] - 2, 1.0, -1.0)
-    bad = ~(np.isfinite(coords) & (coords >= 0))
-    if bad.any():
-        raise DomainError(
-            f"coordinates must be finite and >= 0, got {coords[bad][0].item()!r}")
     order, starts = _groups(m)
     rates, e1, e2 = m[order, :-2], m[order, -2], m[order, -1]
     live = np.ones(len(m), dtype=bool)

@@ -17,6 +17,7 @@ import numpy as np
 from jcas_regions import ChannelSpec, InputDesign, make_channel_spec, synthesize_estimator
 from jcas_regions.channel import MIN_PROB, PROB_TOL
 from jcas_regions.info import _entropy_of
+from jcas_regions.regions import DOMINANCE_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +241,21 @@ def oracle_rates(ps: bool, terms, grid: int = 33) -> list[tuple[float, ...]]:
         seen.add(key)
         rows.append((max(r1, 0.0), r2))
     return rows
+
+
+def quadratic_front(m) -> list[int]:
+    """Indices, ascending, of the rows of ``m`` (rates, then the distortions
+    negated) that no other row dominates, every pair of rows compared
+    directly, 256 rows at a time: a row dominates another when it is >= in
+    every coordinate and better by more than ``DOMINANCE_EPS`` in one, as
+    ``pareto_filter`` states the rule."""
+    kept = []
+    for lo in range(0, len(m), 256):
+        b = m[lo:lo + 256]
+        weak = (m[:, None] >= b).all(axis=2)
+        strict = (m[:, None] > b + DOMINANCE_EPS).any(axis=2)
+        kept += (lo + np.flatnonzero(~(weak & strict).any(axis=0))).tolist()
+    return kept
 
 
 def oracle_row_entropies(rows) -> list[float]:

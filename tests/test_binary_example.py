@@ -160,14 +160,6 @@ def test_crosscheck_zero_tolerance_is_honest():
     assert rep.max_abs_dev <= 1e-12
 
 
-def test_crosscheck_lattice_17():
-    for i in range(17):
-        for k in range(17):
-            for m in range(17):
-                rep = crosscheck(i / 16, k / 16, m / 16, 1e-9)
-                assert rep.passed, (i / 16, k / 16, m / 16, rep.max_abs_dev)
-
-
 def test_crosscheck_reports_do_not_depend_on_call_order():
     # the spec cache and the residuals kept on each spec must not change a
     # bit: a sorted lattice from a cold cache on every call against the

@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the CLI loads no module from outside the standard library but numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,15 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_loads_only_numpy_beyond_the_standard_library():
+    # in a fresh interpreter: what the import loads is part of every jcas
+    # call's start-up time, and numpy is the one dependency
+    code = ("import sys\nbefore = set(sys.modules)\nimport jcas_regions.cli\n"
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - sys.stdlib_module_names))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == ["jcas_regions", "numpy"]

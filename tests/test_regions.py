@@ -51,6 +51,7 @@ from conftest import (
     oracle_joint,
     oracle_mi,
     oracle_rates,
+    quadratic_front,
     random_channel_spec,
     random_degraded_spec,
     random_design,
@@ -527,9 +528,9 @@ def test_sweep_hands_pareto_only_px_survivors(mode, monkeypatch):
     expect = []
     for i in range(5):
         p_x = np.array([i, 4 - i]) / 4
-        points = [p for p_v, p_u in draws
-                  for p in WRAPPERS[mode](spec, InputDesign(p_x, p_v, p_u))]
-        expect += [p.rates + (-p.d1, -p.d2) for p in quadratic_pareto(points)]
+        rows = _rows([p for p_v, p_u in draws
+                      for p in WRAPPERS[mode](spec, InputDesign(p_x, p_v, p_u))])
+        expect += [tuple(r) for r in rows[quadratic_front(rows)].tolist()]
     assert len(handed) == 2
     for m in handed:
         assert [tuple(r) for r in m.tolist()] == expect
@@ -623,35 +624,37 @@ def test_sweep_points_do_not_depend_on_the_rate_group(mode, channel, monkeypatch
             assert calls == [n_px * k]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25])
 @pytest.mark.parametrize("column", [0, 1], ids=["d1", "d2"])
 def test_sweep_refuses_bad_distortions_before_the_filter(monkeypatch, bad, column):
-    # RegionPoint checks only the frontier now; the rows reaching the final
-    # filter are checked as one array
-    def with_bad(spec, p_x):
-        for tables, d12 in original(spec, p_x):
-            yield tables, [tuple(bad if i == column else d for i, d in enumerate(pair))
-                           for pair in d12]
+    # the estimator pass's distortions are checked as one array before any
+    # auxiliary draw or rate term, and the first bad value, P_X-major and
+    # d1 before d2, is named: of the grid's 3 P_X, the second holds ``bad``
+    # in ``column`` and the third -1.0 in both; -0.0 is >= 0, so accepted
+    def with_values(value, last):
+        def receivers(spec, p_x):
+            for tables, d12 in original(spec, p_x):
+                d12 = [list(pair) for pair in d12]
+                d12[1][column], d12[2] = value, [last, last]
+                yield tables, [tuple(pair) for pair in d12]
+        return receivers
 
-    def no_point(*args):
-        raise AssertionError("a point was built")
+    def no_work(*args):
+        raise AssertionError("work started after the estimator pass")
 
     original = regions._receivers
-    monkeypatch.setattr(regions, "_receivers", with_bad)
-    monkeypatch.setattr(regions, "_point", no_point)
-    with pytest.raises(DomainError, match="finite and >= 0"):
-        sweep_region(binary_spec(), SearchConfig(mode="ps_outer", grid_step=2))
-
-
-@pytest.mark.parametrize("row", [[math.nan, -0.1, -0.1], [math.inf, -0.1, -0.1],
-                                 [-1e-300, -0.1, -0.1], [0.5, 0.1, -0.1],
-                                 [0.5, -0.1, -math.inf]])
-def test_pareto_front_refuses_bad_coordinates(row):
-    m = np.array([[0.25, -0.2, -0.2], row])
-    with pytest.raises(DomainError, match="finite and >= 0"):
-        regions._pareto_front(m)
-    assert regions._pareto_front(np.array([[0.0, -0.0, 0.0], [0.25, -0.2, -0.2]])) \
-        == [0, 1]
+    for mode in ("ps_outer", "single_outer"):
+        cfg = SearchConfig(mode=mode, grid_step=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(regions, "_receivers", with_values(bad, -1.0))
+            for name in ("joint_batches", "output_batches", "_point"):
+                patch.setattr(regions, name, no_work)
+            with pytest.raises(DomainError) as err:
+                sweep_region(binary_spec(), cfg)
+        assert str(err.value) == f"coordinates must be finite and >= 0, got {bad!r}"
+        with monkeypatch.context() as patch:
+            patch.setattr(regions, "_receivers", with_values(-0.0, -0.0))
+            assert sweep_region(binary_spec(), cfg)
 
 
 def test_sweep_refuses_designs_past_the_budget(monkeypatch):
@@ -1134,14 +1137,15 @@ def test_joint_past_the_cell_cap_is_refused_before_any_product(monkeypatch):
 
 # (r1 bound, secrecy cap, budget) of designs whose rate rows hit the edge
 # cases: an r1 bound of zero (either sign) or below, tiny r1 bounds whose
-# grid rows round to repeated keys, a subnormal r1 bound (linspace's step-0
-# branch), a cap above the budget, a negative budget, and cap == budget.
+# grid rows round to repeated keys, unequal neighbours 1e-15 apart that do
+# and do not share a key, subnormal r1 bounds (linspace's step-0 branch), a
+# cap above the budget, a negative budget, and cap == budget.
 _RATE_TERMS = [
     (0.0, 0.5, 0.5), (-0.0, 0.5, 0.5), (-0.0, -0.0, -0.0), (0.0, 0.0, -0.0),
     (-1e-17, 0.2, 0.3), (1e-16, 0.5, 0.5), (3e-14, 0.5, 0.5), (1e-13, 0.5, 0.5),
     (3e-14, 0.25, 0.25 + 2e-14), (5e-324, 0.1, 0.1), (1e-310, 0.1, 1e-310),
     (0.5, 0.9, 0.3), (0.5, 0.3, -0.2), (0.5, 0.25, 0.25), (0.7, 0.25, 0.6),
-    (2.0, 1.0, 3.0),
+    (2.0, 1.0, 3.0), (1e-14, 0.5, 0.5), (2e-14, 0.3, 0.3 + 1e-15), (4e-323, 0.0, 1.0),
 ]
 
 
@@ -1177,37 +1181,23 @@ def test_rate_rows_property(terms, ps):
     _assert_rates_equal_oracle(ps, terms)
 
 
-def _round_key_grid(terms):
-    """``_rates``'s partial-secrecy grid rows, and which of them it keeps
-    when every pair of neighbours within 1e-14, equal ones too, is settled
-    by their ``round(., 15)`` keys."""
-    r1max, cap, budget = np.array(terms, dtype=float).T[:, :, None]
-    stop = np.where(0.0 > r1max, 0.0, r1max)[:, 0]
-    r1 = np.linspace(0.0, stop, regions.R1_GRID, axis=1) + 0.0
-    r2 = np.maximum(np.minimum(cap, budget - r1), 0.0) + 0.0
-    rows = np.stack([r1, r2], axis=-1)
-    new = np.ones(r1.shape, dtype=bool)
-    near = np.isclose(rows[:, 1:], rows[:, :-1], rtol=1e-14, atol=1e-14).all(axis=-1)
-    for k, g in zip(*near.nonzero()):
-        new[k, g + 1] = [round(v, 15) for v in rows[k, g + 1].tolist()] \
-            != [round(v, 15) for v in rows[k, g].tolist()]
-    return rows, new
-
-
 def test_equal_rate_neighbours_settle_as_the_round_key_loop():
-    # _rates drops a row equal to the one before without comparing keys;
-    # the terms give exact repeats (a zero or negative r1 bound, a cap
-    # under the budget), unequal neighbours 1e-15 apart that do and do not
-    # share a key, and subnormal r1 bounds (linspace's step-0 branch)
-    terms = [*_RATE_TERMS, (1e-14, 0.5, 0.5), (2e-14, 0.3, 0.3 + 1e-15), (4e-323, 0.0, 1.0)]
-    rows, design = regions._rates(regions._MODE_TABLE["ps_outer"], np.array(terms))
-    grid, new = _round_key_grid(terms)
-    assert rows.tobytes() == grid[new].tobytes()
-    assert design.tolist() == new.nonzero()[0].tolist()
-    equal = (grid[:, 1:] == grid[:, :-1]).all(axis=-1)
-    near = np.isclose(grid[:, 1:], grid[:, :-1], rtol=1e-14, atol=1e-14).all(axis=-1)
-    assert equal.any()
-    assert (near & ~equal & new[:, 1:]).any() and (near & ~equal & ~new[:, 1:]).any()
+    # _rates drops a row equal to the one before without comparing keys,
+    # and test_rate_rows_equal_loop_oracle checks it against the round-key
+    # loop on _RATE_TERMS, which hold a grid with equal neighbouring rows,
+    # a kept row within 1e-14 of the one before, and a grid row unequal to
+    # the one before that is dropped
+    rows, design = regions._rates(regions._MODE_TABLE["ps_outer"], np.array(_RATE_TERMS))
+    same = design[1:] == design[:-1]
+    assert (same & np.isclose(rows[1:], rows[:-1], rtol=1e-14, atol=1e-14).all(axis=1)).any()
+    repeat = dropped = False
+    for k, (r1max, cap, budget) in enumerate(_RATE_TERMS):
+        r1 = np.linspace(0.0, max(r1max, 0.0), regions.R1_GRID)
+        grid = np.stack([r1, np.maximum(np.minimum(cap, budget - r1), 0.0)], axis=1)
+        changes = 1 + (grid[1:] != grid[:-1]).any(axis=1).sum()
+        repeat |= changes < len(grid)
+        dropped |= (design == k).sum() < changes
+    assert repeat and dropped
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -1400,14 +1390,7 @@ def test_pareto_filter_matches_quadratic_reference():
     rng = np.random.default_rng(41)
     pts = [RegionPoint(r=float(r), d1=float(d1), d2=float(d2), design_tag=str(i))
            for i, (r, d1, d2) in enumerate(rng.random((300, 3)))]
-
-    def dominates(a, b):
-        weak = a.r >= b.r and a.d1 <= b.d1 and a.d2 <= b.d2
-        strict = a.r > b.r + 1e-12 or a.d1 < b.d1 - 1e-12 or a.d2 < b.d2 - 1e-12
-        return weak and strict
-
-    ref = [p for p in pts if not any(dominates(q, p) for q in pts if q is not p)]
-    assert pareto_filter(pts) == ref
+    assert pareto_filter(pts) == [pts[i] for i in quadratic_front(_rows(pts))]
 
 
 def test_region_point_arity_validation():
@@ -1423,16 +1406,9 @@ def test_region_point_arity_validation():
 # Pareto filter properties
 
 
-def quadratic_pareto(points):
-    # every pair compared directly, for either arity
-    def dominates(a, b):
-        weak = all(x >= y for x, y in zip(a.rates, b.rates)) \
-            and a.d1 <= b.d1 and a.d2 <= b.d2
-        strict = any(x > y + DOMINANCE_EPS for x, y in zip(a.rates, b.rates)) \
-            or a.d1 < b.d1 - DOMINANCE_EPS or a.d2 < b.d2 - DOMINANCE_EPS
-        return weak and strict
-
-    return [p for p in points if not any(dominates(q, p) for q in points)]
+def _rows(points) -> np.ndarray:
+    """The core's input: one row of rates and negated distortions per point."""
+    return np.array([p.rates + (-p.d1, -p.d2) for p in points])
 
 
 # Coordinates from a small pool, nudged by 0, half, one or two margins, so
@@ -1486,30 +1462,19 @@ _RATE_MARGIN_ROUNDING = [RegionPoint(r=r, d1=d1, d2=d2, design_tag=str(i))
 @example(_SUM_TIE[::-1], Random(0))
 @example(_RATE_MARGIN_ROUNDING, Random(0))
 def test_pareto_filter_properties(points, random):
-    kept = pareto_filter(points)
-    assert [id(p) for p in kept] == [id(p) for p in quadratic_pareto(points)]
+    kept, expect = pareto_filter(points), quadratic_front(_rows(points))
+    assert [id(p) for p in kept] == [id(points[i]) for i in expect]
     # the sweep's per-P_X staircase on each group of equal distortions
     groups = {}
     for p in points:
         groups.setdefault(p.distortions, []).append(p)
     for group in groups.values():
         dropped = regions._dominated(np.array([p.rates for p in group]))
-        assert [id(p) for p, drop in zip(group, dropped) if not drop] \
-            == [id(p) for p in quadratic_pareto(group)]
+        assert np.flatnonzero(~dropped).tolist() == quadratic_front(_rows(group))
     assert pareto_filter(kept) == kept
     shuffled = random.sample(points, len(points))
     assert sorted(map(id, pareto_filter(shuffled))) == sorted(map(id, kept))
-    assert regions._pareto_front(_rows(points)) == _quadratic_indices(points)
-
-
-def _rows(points) -> np.ndarray:
-    """The core's input: one row of rates and negated distortions per point."""
-    return np.array([p.rates + (-p.d1, -p.d2) for p in points])
-
-
-def _quadratic_indices(points) -> list[int]:
-    kept = {id(p) for p in quadratic_pareto(points)}
-    return [i for i, p in enumerate(points) if id(p) in kept]
+    assert regions._pareto_front(_rows(points)) == expect
 
 
 @st.composite
@@ -1548,19 +1513,8 @@ _DISTORTION_MARGIN_TIES = [
 def test_pareto_core_equals_quadratic_pareto(points):
     # the core keeps the quadratic oracle's rows, on inputs with few
     # distortion pairs and many rows each, and with one row per pair
-    assert regions._pareto_front(_rows(points)) == _quadratic_indices(points)
-
-
-def _quadratic_front(m: np.ndarray) -> list[int]:
-    """Indices of the rows of ``m`` (rates, then negated distortions) that
-    no other row dominates, every pair compared directly, 256 rows a time."""
-    kept = []
-    for lo in range(0, len(m), 256):
-        b = m[lo:lo + 256]
-        weak = (m[:, None] >= b).all(axis=2)
-        strict = (m[:, None] > b + DOMINANCE_EPS).any(axis=2)
-        kept += (lo + np.flatnonzero(~(weak & strict).any(axis=0))).tolist()
-    return kept
+    m = _rows(points)
+    assert regions._pareto_front(m) == quadratic_front(m)
 
 
 def test_pareto_core_equals_quadratic_pareto_on_a_sweep_matrix(monkeypatch):
@@ -1580,7 +1534,7 @@ def test_pareto_core_equals_quadratic_pareto_on_a_sweep_matrix(monkeypatch):
     starts = regions._groups(m)[1]
     assert len(starts) == 129 and len(m) > 20 * len(starts)
     kept = front(m)
-    assert kept == _quadratic_front(m)
+    assert kept == quadratic_front(m)
     assert len(m) // 3 < len(kept) < len(m)
 
 
@@ -1601,7 +1555,7 @@ def test_pareto_filter_across_blocks(n, ps):
         rates = {"r1": a, "r2": b} if ps else {"r": a + b}
         points.append(RegionPoint(**rates, d1=d1, d2=d2, design_tag=str(i)))
     points += [points[i] for i in rng.integers(0, n - 8, 8)]
-    kept = pareto_filter(points)
+    kept, expect = pareto_filter(points), quadratic_front(_rows(points))
     assert 128 < len(kept) < n
-    assert [id(p) for p in kept] == [id(p) for p in quadratic_pareto(points)]
-    assert regions._pareto_front(_rows(points)) == _quadratic_indices(points)
+    assert [id(p) for p in kept] == [id(points[i]) for i in expect]
+    assert regions._pareto_front(_rows(points)) == expect
