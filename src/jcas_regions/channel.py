@@ -151,12 +151,12 @@ class ChannelSpec:
                 f"kernel state axes {self.kernel.shape[1:3]} do not match "
                 f"state_dist shape {self.state_dist.shape}"
             )
-        if min(self.kernel.shape) < 1:
-            raise DimensionMismatch("all alphabets must be nonempty")
         if self.d1.ndim != 2 or self.d1.shape[0] != ns1:
             raise DimensionMismatch("d1 must have one row per s1 symbol")
         if self.d2.ndim != 2 or self.d2.shape[0] != ns2:
             raise DimensionMismatch("d2 must have one row per s2 symbol")
+        if min(self.kernel.shape + self.d1.shape + self.d2.shape) < 1:
+            raise DimensionMismatch("all alphabets must be nonempty")
 
     @property
     def nx(self) -> int:

@@ -105,10 +105,7 @@ class JointDistribution:
             raise DimensionMismatch(
                 f"{len(self.var_names)} variable names for a "
                 f"{self.probs.ndim}-d tensor")
-        if self.probs.size > MAX_JOINT_CELLS:
-            raise DimensionMismatch(
-                f"joint has {self.probs.size} cells, above the "
-                f"{MAX_JOINT_CELLS} cap")
+        _check_cells(self.probs.size)
 
     def axes(self, names) -> tuple[int, ...]:
         names = _as_names(names)
@@ -127,9 +124,9 @@ def _as_names(names) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class InputDesign:
     """Decision variables of the region search: P_X plus the optional
-    auxiliary channels P_{V|X} (rows over v) and P_{U|V} (rows over u).
-
-    A missing P_{V|X} means V = X; a missing P_{U|V} means U is constant.
+    auxiliary channels P_{V|X} (a law over v per x) and P_{U|V} (a law over
+    u per v); a design checks its row counts when built.  A missing P_{V|X}
+    means V = X; a missing P_{U|V} means U is constant.
     """
 
     p_x: np.ndarray
@@ -141,12 +138,14 @@ class InputDesign:
         if self.p_x.ndim != 1:
             raise DimensionMismatch("p_x must be a vector")
         check_distribution("p_x", self.p_x)
-        for name in ("p_v_given_x", "p_u_given_v"):
+        for name, given in (("p_v_given_x", "x"), ("p_u_given_v", "v")):
             if (a := getattr(self, name)) is not None:
                 object.__setattr__(self, name, a := _frozen(a))
                 if a.ndim != 2:
                     raise DimensionMismatch(f"{name} must be a matrix")
                 check_distribution(name, a)
+                if len(a) != (len(self.p_x) if given == "x" else self.nv):
+                    raise DimensionMismatch(f"{name} must have one row per {given} symbol")
 
     @property
     def nv(self) -> int:
@@ -168,20 +167,12 @@ def build_joint(spec: ChannelSpec, design: InputDesign) -> JointDistribution:
     are independent of (U, V, X) by construction.  It is the one-design
     :func:`_joint_product`, the product :func:`joint_batches` stacks, so its
     memory order is X, V, U, S1, S2, Y1, Y2 whatever the operands' strides,
-    and its axes are those of ``VAR_NAMES``.  This is the reference path.
+    and its axes are those of ``VAR_NAMES``.  This is the reference path; it
+    checks P_X on the channel and the cells against ``MAX_JOINT_CELLS``.
     """
-    nx = len(check_input_law(spec, design.p_x))
-    p_v = design.p_v_given_x
-    if p_v is None:
-        p_v = np.eye(nx)
-    elif p_v.shape[0] != nx:
-        raise DimensionMismatch("p_v_given_x must have one row per x symbol")
-    nv = p_v.shape[1]
-    p_u = design.p_u_given_v
-    if p_u is None:
-        p_u = np.ones((nv, 1))
-    elif p_u.shape[0] != nv:
-        raise DimensionMismatch("p_u_given_v must have one row per v symbol")
+    check_input_law(spec, design.p_x)
+    p_v = np.eye(spec.nx) if design.p_v_given_x is None else design.p_v_given_x
+    p_u = np.ones((design.nv, 1)) if design.p_u_given_v is None else design.p_u_given_v
     _check_cells(p_u.size * spec.kernel.size)
     return JointDistribution(
         VAR_NAMES, _joint_product(spec, design.p_x[None], p_v[None], p_u[None])[0])

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, check_count, check_input_law, classify_degradedness
+from .channel import (ChannelSpec, _findings, check_count, check_input_law,
+                      classify_degradedness)
 from .errors import (
     CardinalityExceeded,
     DomainError,
@@ -305,9 +306,8 @@ def _evaluate(name: str, spec: ChannelSpec, design,
             raise CardinalityExceeded(f"|U| = {design.nu} exceeds the cap {caps.u}")
         if mode.constant_u and design.nu != 1:
             raise DomainError("this region requires a constant U auxiliary")
-        if design.nv > getattr(caps, mode.v_cap):
-            raise CardinalityExceeded(
-                f"|V| = {design.nv} exceeds the cap {getattr(caps, mode.v_cap)}")
+        if design.nv > (cap := getattr(caps, mode.v_cap)):
+            raise CardinalityExceeded(f"|V| = {design.nv} exceeds the cap {cap}")
         batch = JointBatch(build_joint(spec, design).probs[None])
         p_x = design.p_x
     else:
@@ -387,7 +387,7 @@ def exact_region_reverse_single(spec: ChannelSpec, p_x,
 class SearchConfig:
     """Parameters of a discretized design search.
 
-    grid_step fixes the P_X simplex grid (step 1/grid_step); n_samples
+    grid_step >= 2 fixes the P_X simplex grid (step 1/grid_step); n_samples
     counts the random auxiliary-channel draws per grid point in modes that
     use auxiliaries, each drawn at the mode's cardinality caps (the sizes
     the paper's bounds prove enough); the seed must be nonnegative.
@@ -403,6 +403,7 @@ class SearchConfig:
             raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
         check_count("n_samples", self.n_samples)
         check_count("seed", self.seed)
+        check_count("grid_step", self.grid_step)
 
 
 def _simplex_grid(k: int, step: int):
@@ -426,11 +427,11 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     A sweep of more than ``MAX_SWEEP_DESIGNS`` designs (grid points times
     draws) is refused with :class:`DomainError` before any work.
     Degradedness is checked once per sweep, at ``DEGRADEDNESS_TOL``, then a
-    design's joint against ``info.MAX_JOINT_CELLS``, then the whole grid's
-    distortions, from one batched estimator pass, for finite values >= 0.
-    The designs, P_X-major, run as one stream through
-    :func:`jcas_regions.info.joint_batches`, in chunks of
-    ``info.BATCH_CELLS`` cells, or at V = X through
+    design's joint against ``info.MAX_JOINT_CELLS``, then d1 and d2 as
+    ``validate`` checks them, then the whole grid's distortions, from one
+    batched estimator pass, for finite values >= 0.  The designs, P_X-major,
+    run as one stream through :func:`jcas_regions.info.joint_batches`, in
+    chunks of ``info.BATCH_CELLS`` cells, or at V = X through
     :func:`jcas_regions.info.output_batches`.  |U| and |V| are drawn at the
     mode's cardinality caps, which the evaluators admit.  The sweep holds
     every design's three rate terms, 24 bytes a design, and the P_X make
@@ -438,12 +439,11 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
     P_X as fit in ``RATE_GROUP`` designs.  Every sample at one P_X shares
     its distortions, so a rate row that another row of the same P_X
     dominates is dropped.  Dominance is transitive, so the final filter
-    keeps the same rows either way.  Rows stay arrays until that filter,
-    and only the frontier becomes points.  No time-sharing mixtures are
-    added: the rows describe their down-closed convex hull, and a mixture
-    of two rows lies inside it.
+    keeps the same rows either way.  Rows stay arrays until that filter, and
+    only the frontier becomes points.  No time-sharing mixtures are added:
+    the rows describe their down-closed convex hull, and a mixture of two
+    rows lies inside it.
     """
-    check_count("grid_step", cfg.grid_step)
     mode = _MODE_TABLE[cfg.mode]
     n_px = math.comb(cfg.grid_step + spec.nx - 1, spec.nx - 1)
     k = cfg.n_samples if mode.aux else 1
@@ -457,6 +457,8 @@ def sweep_region(spec: ChannelSpec, cfg: SearchConfig) -> list[RegionPoint]:
         nv, nu = getattr(caps, mode.v_cap), caps.u if mode.aux == "UV" else 1
         _check_cells(nu * nv * spec.kernel.size)
 
+    if bad := _findings("d1", spec.d1, "", "") + _findings("d2", spec.d2, "", ""):
+        raise DomainError(bad[0].message)  # as validate names it
     flat = itertools.chain.from_iterable
     p_x = np.fromiter(flat(_simplex_grid(spec.nx, cfg.grid_step)), float,
                       n_px * spec.nx).reshape(n_px, spec.nx)

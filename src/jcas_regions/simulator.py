@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _frozen, check_count, check_input_law, check_tolerance
+from .channel import ChannelSpec, _frozen, check_count, check_tolerance
 from .errors import DomainError
 from .estimators import EstimatorTable, _both_receivers
 
@@ -74,12 +74,11 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
     check_count("n", n)
     if n > MAX_DRAWS:
         raise DomainError(f"n = {n} draws is more than the budget of {MAX_DRAWS}")
-    p_x = check_input_law(spec, p_x)
-    (table1, table2), analytic = _both_receivers(spec, p_x)
+    (table1, table2), analytic = _both_receivers(spec, p_x)  # checks p_x
 
     ns, ny = spec.ns1 * spec.ns2, spec.ny1 * spec.ny2
     cum_state = np.cumsum(spec.state_dist.reshape(-1))[:-1]
-    cum_x = np.cumsum(p_x)[:-1]
+    cum_x = np.cumsum(np.asarray(p_x, dtype=float))[:-1]
     # one contiguous cdf column per output
     cols_y = np.cumsum(spec.kernel.reshape(-1, ny), axis=1)[:, :-1].T.copy()
 
@@ -96,11 +95,12 @@ def sample_run(spec: ChannelSpec, p_x, n: int, seed: int) -> EmpiricalStats:
         counts += np.bincount(rows * ny + y, minlength=counts.size)
 
     counts = counts.reshape(spec.nx, spec.ns1, spec.ns2, spec.ny1, spec.ny2)
-    # d_j[s_j, shat_j(x, y1, y2)] on the axes of the count table
-    d1 = spec.d1[np.arange(spec.ns1)[:, None, None, None], table1[:, None, None]]
-    d2 = spec.d2[np.arange(spec.ns2)[:, None, None], table2[:, None, None]]
-    mean_d1 = float((counts * d1).sum() / n)
-    mean_d2 = float((counts * d2).sum() / n)
+    # d_j[s_j, shat_j(x, y1, y2)] / max d_j on the count table's axes (no overflow)
+    top1, top2 = (float(d.max()) or 1.0 for d in (spec.d1, spec.d2))
+    d1 = spec.d1[np.arange(spec.ns1)[:, None, None, None], table1[:, None, None]] / top1
+    d2 = spec.d2[np.arange(spec.ns2)[:, None, None], table2[:, None, None]] / top2
+    mean_d1 = float((counts * d1).sum() / n) * top1
+    mean_d2 = float((counts * d2).sum() / n) * top2
     return EmpiricalStats(n=n, seed=seed, mean_d1=mean_d1, mean_d2=mean_d2,
                           freq=counts / n,
                           estimators=(EstimatorTable(j=1, table=table1),
@@ -134,11 +134,9 @@ def verify_distortion(spec: ChannelSpec, p_x, n: int, seed: int,
     analytic = stats.analytic
     stderr = []
     for d, v in zip((spec.d1, spec.d2), analytic):
-        dmax = float(d.max())
-        if dmax <= 0:
-            stderr.append(0.0)
-        else:
-            stderr.append(math.sqrt(max(v * (dmax - v), 0.0) / n))
+        dmax = max(float(d.max()), 0.0)
+        u = v / dmax if dmax > 0 else 0.0  # m sqrt(u (1 - u) / n) does not overflow
+        stderr.append(dmax * math.sqrt(max(u * (1.0 - u), 0.0) / n))
     empirical = (stats.mean_d1, stats.mean_d2)
     passed = all(abs(e - a) <= tol for e, a in zip(empirical, analytic))
     return DistortionReport(

@@ -556,7 +556,11 @@ def test_parse_document_keeps_invalid_specs():
     (np.ones((2, 2)) / 4, np.ones((2, 2, 2, 0, 2)), np.eye(2), np.eye(2)),
     (np.ones((2, 2)) / 4, np.ones((2, 2, 2, 2, 2)), np.eye(3), np.eye(2)),
     (np.ones((2, 2)) / 4, np.ones((2, 2, 2, 2, 2)), np.eye(2), np.ones(2)),
-], ids=["state-1d", "kernel-4d", "state-axes", "empty-alphabet", "d1-rows", "d2-rows"])
+    # with no reconstruction symbol an estimator has nothing to choose
+    (np.ones((2, 2)) / 4, np.ones((2, 2, 2, 2, 2)), np.zeros((2, 0)), np.eye(2)),
+    (np.ones((2, 2)) / 4, np.ones((2, 2, 2, 2, 2)), np.eye(2), np.zeros((2, 0))),
+], ids=["state-1d", "kernel-4d", "state-axes", "empty-alphabet", "d1-rows", "d2-rows",
+        "d1-empty", "d2-empty"])
 def test_channel_spec_rejects_inconsistent_shapes(state, kernel, d1, d2):
     with pytest.raises(DimensionMismatch):
         ChannelSpec(state, kernel, d1, d2)

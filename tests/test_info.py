@@ -101,14 +101,18 @@ def test_input_design_rejects_wrong_rank(design):
         InputDesign(**design)
 
 
-@pytest.mark.parametrize("design", [
-    InputDesign(p_x=np.full(2, 0.5), p_v_given_x=np.full((3, 2), 0.5)),
-    InputDesign(p_x=np.full(2, 0.5), p_v_given_x=np.eye(2),
-                p_u_given_v=np.full((3, 2), 0.5)),
-], ids=["v-rows", "u-rows"])
-def test_build_joint_rejects_auxiliary_row_mismatch(design):
-    with pytest.raises(DimensionMismatch, match="one row per"):
-        build_joint(make_binary_multiplicative(0.3, 0.7), design)
+@pytest.mark.parametrize("design, message", [
+    (dict(p_v_given_x=np.full((3, 2), 0.5)), "p_v_given_x must have one row per x symbol"),
+    (dict(p_v_given_x=np.eye(2), p_u_given_v=np.full((3, 2), 0.5)),
+     "p_u_given_v must have one row per v symbol"),
+    (dict(p_u_given_v=np.full((3, 2), 0.5)), "p_u_given_v must have one row per v symbol"),
+], ids=["v-rows", "u-rows", "u-rows-at-v-equal-x"])
+def test_build_joint_rejects_auxiliary_row_mismatch(design, message):
+    # the design owns its row counts: it is refused when it is made, so
+    # build_joint never sees it
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        build_joint(make_binary_multiplicative(0.3, 0.7),
+                    InputDesign(p_x=np.full(2, 0.5), **design))
 
 
 def test_joint_cell_cap(monkeypatch):
@@ -118,7 +122,7 @@ def test_joint_cell_cap(monkeypatch):
     spec = make_binary_multiplicative(0.3, 0.7)  # 32 kernel cells, 64 joint cells
     with pytest.raises(DimensionMismatch, match="joint would have 64 cells"):
         build_joint(spec, InputDesign(p_x=np.full(2, 0.5)))
-    with pytest.raises(DimensionMismatch, match="joint has 32 cells"):
+    with pytest.raises(DimensionMismatch, match="^joint would have 32 cells, above the 16 cap$"):
         JointDistribution(("X", "S1", "S2", "Y1", "Y2"), spec.kernel)
 
 

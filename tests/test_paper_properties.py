@@ -8,7 +8,8 @@ with V independent of S), each inner region lies inside the outer one at
 the same P_X, on physically-degraded channels the single-message inner
 bound at V = X is the exact region, and the single-message bounds are the
 partial-secrecy ones without a public rate.  On degraded channels one
-chain design attains the exact region at each P_X, and joint design beats
+chain design attains the exact region at each P_X.  Every row of an inner
+sweep lies in the V = X outer region of its own P_X, and joint design beats
 separation on more than the binary example.  Specs are random, physically
 degraded or reversely degraded, with alphabets of 2-3 symbols (so the caps
 admit V = X; 1-3 in the last check), and P_X may sit on a face or a vertex
@@ -230,6 +231,39 @@ def test_one_chain_attains_the_exact_region_on_degraded_channels(case):
         gaps.append(np.abs(vertices - exact).max())
     assert len(gaps) == {2: 3, 3: 12}[spec.nx]
     assert min(gaps) <= MARGIN, (kind, p_x, exact)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["random", "degraded"]), nx=st.integers(2, 3),
+       alphabets=st.tuples(*[st.integers(2, 3)] * 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_inner_sweep_rows_lie_under_the_outer_polytope_at_their_p_x(kind, nx, alphabets,
+                                                                     seed):
+    # every row an inner sweep prints lies in the V = X outer polytope
+    # {r1 <= A, r2 <= C, r1 + r2 <= B} of its own grid P_X (single_inner:
+    # under outer_bound_single's rate), with A, C and B the outer terms
+    # through build_joint, not the r1 grid's points
+    rng = np.random.default_rng(seed)
+    spec = _MAKERS[kind](rng, nx, *alphabets)
+    grid, outer = 4, {}
+    for mode in ("ps_inner", "single_inner"):
+        rows = sweep_region(spec, SearchConfig(mode=mode, grid_step=grid, n_samples=3,
+                                               seed=seed % 1000))
+        assert rows
+        for row in rows:
+            ticks = [float(v) * grid for v in row.design_tag.split(";")[0][3:].split("|")]
+            p_x = np.rint(ticks) / grid
+            if p_x.tobytes() not in outer:
+                at_x = build_joint(spec, InputDesign(p_x=p_x))
+                a = mutual_information(at_x, "X", "Y1", "S1")
+                c = entropy(at_x, ("Y1", "S1"), ("Y2", "S2")) \
+                    - entropy(at_x, "S1", ("Y1", "Y2", "S2", "X"))
+                outer[p_x.tobytes()] = a, c, a, outer_bound_single(spec, p_x).r
+            a, c, b, r = outer[p_x.tobytes()]
+            if mode == "ps_inner":
+                assert row.r1 <= a + MARGIN and row.r2 <= c + MARGIN \
+                    and row.r1 + row.r2 <= b + MARGIN, (row, a, c, b)
+            else:
+                assert row.r <= r + MARGIN, (row, r)
 
 
 def _exact_front(spec, grid):

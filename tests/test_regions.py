@@ -42,6 +42,7 @@ from jcas_regions import (
     swap_receivers,
     sweep_region,
     synthesize_estimator,
+    validate,
 )
 from jcas_regions import info, regions
 from jcas_regions.estimators import _both_receivers
@@ -395,6 +396,14 @@ def test_sweep_rejects_tiny_grid():
                      SearchConfig(mode="single_exact_deg", grid_step=1))
 
 
+@pytest.mark.parametrize("grid, error", [(1, EmptyGrid), (0, EmptyGrid), (2.0, DomainError),
+                                         (True, DomainError)])
+def test_search_config_owns_its_grid_rule(grid, error):
+    # the config refuses its grid step when it is made, so no sweep re-checks it
+    with pytest.raises(error, match="grid_step must be"):
+        SearchConfig(mode="single_outer", grid_step=grid)
+
+
 def test_sweep_takes_tol_by_keyword_only():
     # a positional argument that once was a thread count must not be taken,
     # and the degradedness tolerance is DEGRADEDNESS_TOL: the sweep and the
@@ -655,6 +664,44 @@ def test_sweep_refuses_bad_distortions_before_the_filter(monkeypatch, bad, colum
         with monkeypatch.context() as patch:
             patch.setattr(regions, "_receivers", with_values(-0.0, -0.0))
             assert sweep_region(binary_spec(), cfg)
+
+
+@pytest.mark.parametrize("bad, text", [(math.nan, "nan is not finite"),
+                                       (math.inf, "inf is not finite"),
+                                       (-math.inf, "-inf is not finite"),
+                                       (-0.25, "-0.25 is negative")],
+                         ids=["nan", "inf", "-inf", "negative"])
+@pytest.mark.parametrize("name", ["d1", "d2"])
+def test_sweep_names_a_bad_distortion_entry_as_validate_does(monkeypatch, bad, text, name):
+    # a library spec is not validated, so the sweep checks d1 and d2 itself,
+    # before its estimator pass, and names the entry as ``validate`` does
+    def no_pass(*args):
+        raise AssertionError("the estimator pass ran")
+
+    spec = make_binary_multiplicative(0.5, 0.5)
+    d = {"d1": spec.d1.copy(), "d2": spec.d2.copy()}
+    d[name][0][1] = bad
+    spec = make_channel_spec(spec.state_dist, spec.kernel, **d)
+    with monkeypatch.context() as patch:
+        patch.setattr(regions, "_receivers", no_pass)
+        for mode in MODES:
+            with pytest.raises(DomainError) as err:
+                sweep_region(swap_receivers(spec) if mode.endswith("_rev") else spec,
+                             SearchConfig(mode=mode, grid_step=2, n_samples=2))
+            at = {"d1": "d2", "d2": "d1"}[name] if mode.endswith("_rev") else name
+            assert str(err.value) == f"{at}[0][1] = {text}", mode
+    assert validate(spec).findings[0].message == f"{name}[0][1] = {text}"
+
+
+def test_sweep_names_a_nan_kernel_cell_by_its_distortion():
+    # the kernel is not the sweep's to check: a NaN cell reaches the grid's
+    # distortions, which the check after the estimator pass refuses
+    kernel = binary_spec().kernel.copy()
+    kernel[0, 0, 0, 0, 0] = math.nan
+    spec = make_channel_spec(binary_spec().state_dist, kernel)
+    for mode in ("ps_outer", "single_outer", "ps_inner"):
+        with pytest.raises(DomainError, match=r"^coordinates must be finite and >= 0, got nan$"):
+            sweep_region(spec, SearchConfig(mode=mode, grid_step=2))
 
 
 def test_sweep_refuses_designs_past_the_budget(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from jcas_regions import (
     DegenerateInput,
+    DimensionMismatch,
     DomainError,
     InputDesign,
     build_joint,
@@ -18,7 +19,8 @@ from jcas_regions import (
     synthesize_estimator,
     verify_distortion,
 )
-from jcas_regions import simulator
+from jcas_regions import channel, estimators, info, regions, simulator
+from jcas_regions.channel import check_input_law
 from jcas_regions.cli import main
 from jcas_regions.estimators import _both_receivers
 from jcas_regions.simulator import CHUNK
@@ -159,6 +161,59 @@ def test_draws_past_the_budget_are_refused_before_any_draw(monkeypatch, capsys,
     out, err = capsys.readouterr()
     assert (rc, out) == (1, "")
     assert err == "error: n = 100000000000 draws is more than the budget of 1000\n"
+
+
+def test_sample_run_checks_the_input_law_once(monkeypatch):
+    # the estimator pass checks P_X, after the counts, and the run does not
+    # check it again
+    calls = []
+
+    def counting(spec, p_x):
+        calls.append(list(p_x))
+        return check_input_law(spec, p_x)
+
+    for module in (channel, estimators, info, regions, simulator):
+        monkeypatch.setattr(module, "check_input_law", counting, raising=False)
+    spec = make_binary_multiplicative(0.3, 0.5)
+    assert sample_run(spec, [0.25, 0.75], 100, 3).n == 100
+    assert calls == [[0.25, 0.75]]
+    with pytest.raises(DegenerateInput, match="^n must be at least 1, got 0$"):
+        sample_run(spec, [0.5, 0.6], 0, 3)
+    with pytest.raises(DegenerateInput, match="^p_x is not a probability distribution$"):
+        sample_run(spec, [0.5, 0.6], 100, 3)
+    with pytest.raises(DimensionMismatch, match="^p_x must be a vector of length 2"):
+        sample_run(spec, [1.0], 100, 3)
+
+
+HUGE = 1.7e308  # a finite distortion whose products with counts overflow
+
+
+def test_huge_finite_distortions_do_not_overflow():
+    # the means are taken over the matrix's largest entry, so a distortion
+    # near the largest float gives a finite mean and standard error, and on
+    # a scaled Hamming matrix exactly the Hamming mean scaled
+    spec = make_binary_multiplicative(0.3, 0.5)
+    huge = make_channel_spec(spec.state_dist, spec.kernel, d1=HUGE * spec.d1,
+                             d2=HUGE * spec.d2)
+    base = sample_run(spec, [0.5, 0.5], 1000, 2)
+    stats = sample_run(huge, [0.5, 0.5], 1000, 2)
+    assert (stats.mean_d1, stats.mean_d2) == (base.mean_d1 * HUGE, base.mean_d2 * HUGE)
+    report = verify_distortion(huge, [0.5, 0.5], 1000, 2, 0.1)
+    assert all(map(math.isfinite, report.analytic + report.empirical + report.stderr))
+
+
+def test_simulate_reports_huge_finite_distortions(capsys, tmp_path):
+    # such a file passes validate, so the report must be finite and the
+    # run silent (pyproject.toml makes a numpy overflow warning an error)
+    spec = make_binary_multiplicative(0.3, 0.5)
+    huge = make_channel_spec(spec.state_dist, spec.kernel, d1=HUGE * spec.d1,
+                             d2=HUGE * spec.d2)
+    chan = tmp_path / "huge.json"
+    chan.write_text(serialize_channel_spec(huge))
+    rc = main(["simulate", str(chan), "--px", "0.5,0.5", "--n", "1000", "--tol", "1e308"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert "inf" not in out and "nan" not in out and out.endswith("PASS\n"), out
 
 
 def test_verify_distortion_synthesizes_each_estimator_once(monkeypatch):
